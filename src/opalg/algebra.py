@@ -1,16 +1,20 @@
 """Predicates and structure theory for algebras of complex matrices.
 
 A :class:`MatrixAlgebra` is a subspace of some M_n certified closed under
-the matrix product.  On top of that sit the commutativity variants,
-annihilator and faithfulness tests, the Jacobson radical (trace-form kernel,
-valid in characteristic zero), and the split of a 3-commutative algebra into
-a unital commutative ideal plus a nilpotent ideal.
+the matrix product, together with its structure tensor: the coefficients
+c[i, j, k] of each product b_i b_j against the orthonormal basis.  The
+commutativity variants, the annihilator and faithfulness tests, the
+commutator span, the Jacobson radical's trace form (trace-form kernel, valid
+in characteristic zero) and the quotient tables read that tensor as tensor
+identities or null spaces instead of multiplying matrices again.  On top sits
+the split of a 3-commutative algebra into a unital commutative ideal plus a
+nilpotent ideal.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .linalg import (
     as_matrix,
     contains,
     hs_norm,
+    max_projection_residual,
     null_space,
     orthonormalize,
     product_stack,
@@ -32,7 +37,6 @@ __all__ = [
     "NotThreeCommutativeError",
     "WedderburnSplit",
     "verify_algebra",
-    "structure_constants",
     "is_commutative",
     "is_anticommuting",
     "is_three_commutative",
@@ -65,11 +69,17 @@ class NotThreeCommutativeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MatrixAlgebra:
-    """Subspace of M_n closed under the product, with its closure residual."""
+    """Subspace of M_n closed under the product, with its closure residual.
+
+    ``structure[i, j, k]`` is the coefficient of b_k in b_i b_j against the
+    orthonormal basis; every product of basis elements lies within
+    ``closure_residual`` (relative) of sum_k structure[i, j, k] b_k.
+    """
 
     space: Subspace
     closure_residual: float
     tol: ToleranceConfig
+    structure: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -87,7 +97,8 @@ class MatrixAlgebra:
 def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """Certify closure under the product, or raise with the worst violating pair.
 
-    Residuals are relative: |p - proj(p)| / max(1, |p|) per product p.
+    Residuals are relative: |p - proj(p)| / max(1, |p|) per product p.  The
+    coefficients of the projections are kept as the structure tensor.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(space_or_mats, Subspace):
@@ -99,11 +110,13 @@ def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixA
     d = space.dim
     worst = 0.0
     worst_pair = None
+    coeffs = np.zeros((0, 0), complex)
     if d:
         prods = product_stack(space.stack, space.stack)
         flat = prods.reshape(d * d, -1)
         basis_flat = space.stack.reshape(d, -1)
-        res = np.linalg.norm(flat - (flat @ basis_flat.conj().T) @ basis_flat, axis=1)
+        coeffs = flat @ basis_flat.conj().T
+        res = np.linalg.norm(flat - coeffs @ basis_flat, axis=1)
         rel = res / np.maximum(1.0, np.linalg.norm(flat, axis=1))
         k = int(np.argmax(rel))
         worst = float(rel[k])
@@ -115,37 +128,25 @@ def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixA
             worst_pair=worst_pair,
             residual=worst,
         )
-    return MatrixAlgebra(space, worst, tol)
+    return MatrixAlgebra(space, worst, tol, coeffs.reshape(d, d, d))
 
 
-def structure_constants(A: MatrixAlgebra) -> np.ndarray:
-    """Coefficients c[i, j, :] of b_i b_j against the orthonormal basis."""
-    d = A.dim
-    table = np.zeros((d, d, d), complex)
-    for i, bi in enumerate(A.basis):
-        for j, bj in enumerate(A.basis):
-            table[i, j] = A.space.coeffs(bi @ bj)
-    return table
-
-
-def _pair_residual(A: MatrixAlgebra, sign: float) -> float:
-    worst = 0.0
-    for bi in A.basis:
-        for bj in A.basis:
-            m = bi @ bj + sign * (bj @ bi)
-            worst = max(worst, hs_norm(m) / max(1.0, hs_norm(bi @ bj)))
-    return worst
+def _pair_deviation(A: MatrixAlgebra, sign: float) -> float:
+    """max over pairs of |b_i b_j + sign b_j b_i| / max(1, |b_i b_j|)."""
+    c = A.structure
+    dev = np.linalg.norm(c + sign * c.transpose(1, 0, 2), axis=2)
+    return float((dev / np.maximum(1.0, np.linalg.norm(c, axis=2))).max(initial=0.0))
 
 
 def is_commutative(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
     tol = tol or A.tol
-    return _pair_residual(A, -1.0) <= tol.eq_tol
+    return _pair_deviation(A, -1.0) <= tol.eq_tol
 
 
 def is_anticommuting(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
     """xy = -yx for all pairs; in particular every element squares to zero."""
     tol = tol or A.tol
-    return _pair_residual(A, +1.0) <= tol.eq_tol
+    return _pair_deviation(A, +1.0) <= tol.eq_tol
 
 
 def is_three_commutative(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
@@ -156,18 +157,30 @@ def is_three_commutative(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -
     sits inside some window of three consecutive factors.
     """
     tol = tol or A.tol
-    basis = A.basis
-    d = len(basis)
-    for i, j, k in itertools.combinations_with_replacement(range(d), 3):
-        ref = None
-        for p, q, r in set(itertools.permutations((i, j, k))):
-            m = basis[p] @ basis[q] @ basis[r]
-            if ref is None:
-                ref = m
-                scale = max(1.0, hs_norm(ref))
-            elif hs_norm(m - ref) > tol.eq_tol * scale:
-                return False
-    return True
+    c = A.structure
+    # triple[i, j, k] holds the coefficients of b_i b_j b_k
+    triple = np.einsum("ijl,lkm->ijkm", c, c)
+    scale = tol.eq_tol * np.maximum(1.0, np.linalg.norm(triple, axis=3))
+    return all(
+        (np.linalg.norm(triple - triple.transpose(*perm, 3), axis=3) <= scale).all()
+        for perm in itertools.permutations(range(3))
+    )
+
+
+def _elements(A: MatrixAlgebra, coeffs) -> np.ndarray:
+    """Stack of the elements of A with the given coefficient rows."""
+    return np.einsum("ck,kij->cij", coeffs, A.space.stack)
+
+
+def _span(A: MatrixAlgebra, coeffs, tol: ToleranceConfig) -> Subspace:
+    return orthonormalize(_elements(A, coeffs), tol, shape=A.space.shape)
+
+
+def _kernel(A: MatrixAlgebra, coeffs, side: str, tol: ToleranceConfig) -> np.ndarray:
+    """Rows y for which x = sum_a y_a (coeffs[a] . basis) has xA = 0 ("left") or Ax = 0."""
+    spec = "ai,imk->amk" if side == "left" else "ai,mik->amk"
+    action = np.einsum(spec, coeffs, A.structure).reshape(len(coeffs), A.dim * A.dim)
+    return null_space(action.T, tol.eq_tol, min_scale=1.0)
 
 
 def commutator_subspace(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Subspace:
@@ -178,40 +191,18 @@ def commutator_subspace(A: MatrixAlgebra, tol: ToleranceConfig | None = None) ->
     a span of rounding noise.
     """
     tol = tol or A.tol
-    mats = []
-    for i, bi in enumerate(A.basis):
-        for bj in A.basis[i + 1 :]:
-            c = bi @ bj - bj @ bi
-            if hs_norm(c) > tol.eq_tol * max(1.0, hs_norm(bi @ bj)):
-                mats.append(c)
-    return orthonormalize(mats, tol, shape=A.space.shape)
-
-
-def _kernel_of_action(mats, acting, tol: ToleranceConfig, side: str, shape) -> Subspace:
-    """Coefficient-space kernel of x -> (x a)_a or (a x)_a over span(mats)."""
-    d = len(mats)
-    if d == 0:
-        return orthonormalize([], tol, shape=shape)
-    if not acting:
-        return orthonormalize(list(mats), tol, shape=shape)
-    blocks = []
-    for a in acting:
-        cols = [(m @ a if side == "left" else a @ m).ravel() for m in mats]
-        blocks.append(np.stack(cols, axis=1))
-    big = np.vstack(blocks)
-    kernel = null_space(big, tol.eq_tol, min_scale=1.0)
-    mats_out = [np.einsum("k,kij->ij", c, np.stack(mats)) for c in kernel]
-    return orthonormalize(mats_out, tol, shape=shape)
+    c = A.structure
+    i, j = np.triu_indices(A.dim, 1)
+    comm = c[i, j] - c[j, i]
+    live = np.linalg.norm(comm, axis=1) > tol.eq_tol * np.maximum(1.0, np.linalg.norm(c[i, j], axis=1))
+    return _span(A, comm[live], tol)
 
 
 def annihilators(A: MatrixAlgebra, tol: ToleranceConfig | None = None):
     """(left, right) annihilators: {a in A : aA = 0} and {a in A : Aa = 0}."""
     tol = tol or A.tol
-    basis = list(A.basis)
-    shape = A.space.shape
-    left = _kernel_of_action(basis, basis, tol, "left", shape)
-    right = _kernel_of_action(basis, basis, tol, "right", shape)
-    return left, right
+    eye = np.eye(A.dim, dtype=complex)
+    return tuple(_span(A, _kernel(A, eye, side, tol), tol) for side in ("left", "right"))
 
 
 def is_left_faithful(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
@@ -235,11 +226,8 @@ def is_c_faithful(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
     J = commutator_subspace(A, tol)
     if J.dim == 0:
         return True
-    basis = list(A.basis)
-    shape = A.space.shape
-    left_kernel = _kernel_of_action(list(J.basis), basis, tol, "left", shape)
-    right_kernel = _kernel_of_action(list(J.basis), basis, tol, "right", shape)
-    return left_kernel.dim == 0 or right_kernel.dim == 0
+    coeffs = np.einsum("aij,kij->ak", J.stack, A.space.stack.conj())
+    return any(len(_kernel(A, coeffs, side, tol)) == 0 for side in ("left", "right"))
 
 
 def is_nilpotent_span(mats, tol: ToleranceConfig | None = None, max_power: int | None = None) -> bool:
@@ -279,20 +267,13 @@ def radical(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Subspace:
     d = A.dim
     if d == 0:
         return A.space
-    basis = list(A.basis)
-    gram = np.zeros((d, d), complex)
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            gram[i, j] = np.trace(bi @ bj)
-    # x = sum c_i b_i is in the kernel iff gram.T @ c = 0
-    kernel = null_space(gram.T, tol.eq_tol, min_scale=1.0)
-    rad_mats = [np.einsum("k,kij->ij", c, A.space.stack) for c in kernel]
-    rad = orthonormalize(rad_mats, tol, shape=A.space.shape)
-
-    for r in rad.basis:
-        for b in basis:
-            if not contains(rad, b @ r, tol) or not contains(rad, r @ b, tol):
-                raise ArithmeticError("radical cross-check failed: trace-form kernel is not an ideal")
+    # trace form tr(b_i b_j) = sum_k c_ijk tr(b_k); x = sum_i y_i b_i is in its kernel iff gram.T @ y = 0
+    gram = A.structure @ np.trace(A.space.stack, axis1=1, axis2=2)
+    rad = _span(A, null_space(gram.T, tol.eq_tol, min_scale=1.0), tol)
+    stack = A.space.stack
+    products = np.concatenate([product_stack(stack, rad.stack), product_stack(rad.stack, stack)])
+    if max_projection_residual(rad, products) > tol.eq_tol:
+        raise ArithmeticError("radical cross-check failed: trace-form kernel is not an ideal")
     if not is_nilpotent_span(list(rad.basis), tol):
         raise ArithmeticError("radical cross-check failed: trace-form kernel is not nilpotent")
     if rad.dim < d:
@@ -309,22 +290,15 @@ def quotient_structure(A: MatrixAlgebra, ideal: Subspace, tol: ToleranceConfig |
     inside A; the table gives the product of two representatives in
     complement coordinates (the ideal component is discarded).
     """
-    tol = tol or A.tol
     d = A.dim
-    ideal_coeffs = np.stack([A.space.coeffs(m) for m in ideal.basis]) if ideal.dim else np.zeros((0, d), complex)
-    proj = ideal_coeffs.conj().T @ ideal_coeffs if ideal.dim else np.zeros((d, d), complex)
-    comp = np.eye(d, dtype=complex) - proj
+    ideal_coeffs = np.einsum("aij,kij->ak", ideal.stack, A.space.stack.conj())
+    comp = np.eye(d, dtype=complex) - ideal_coeffs.conj().T @ ideal_coeffs
     _, s, vh = np.linalg.svd(comp)
     rank = int(np.sum(s > 0.5))  # eigenvalues of a projector are 0 or 1
-    reps_coeffs = vh[:rank].conj()
-    reps = [A.space.from_coeffs(c) for c in reps_coeffs]
-    m = len(reps)
-    table = np.zeros((m, m, m), complex)
-    for i, qi in enumerate(reps):
-        for j, qj in enumerate(reps):
-            c = A.space.coeffs(qi @ qj)
-            table[i, j] = reps_coeffs.conj() @ c
-    return reps, table
+    R = vh[:rank].conj()  # q_i = sum_k R_ik b_k
+    # q_i q_j = sum_kl R_ik R_jl b_k b_l, read back in representative coordinates
+    table = np.einsum("ik,jl,klm,nm->ijn", R, R, A.structure, R.conj(), optimize=True)
+    return list(_elements(A, R)), table
 
 
 def abstract_radical_coeffs(table: np.ndarray, tol: ToleranceConfig | None = None) -> np.ndarray:

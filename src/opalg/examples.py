@@ -11,11 +11,10 @@ import numpy as np
 from .algebra import MatrixAlgebra, verify_algebra
 from .linalg import (
     DEFAULT_TOL,
-    Subspace,
     ToleranceConfig,
     as_matrix,
+    close_span,
     hs_norm,
-    op_norm,
     orthonormalize,
     product_stack,
 )
@@ -42,20 +41,6 @@ def matrix_unit(n: int, i: int, j: int, m: int | None = None) -> np.ndarray:
     out = np.zeros((n, m or n), complex)
     out[i - 1, j - 1] = 1.0
     return out
-
-
-def _product_closure(space: Subspace, tol: ToleranceConfig) -> Subspace:
-    """Close a span under the matrix product."""
-    closed = space
-    for _ in range(space.ambient_rows * space.ambient_cols + 2):
-        if closed.dim == 0:
-            break
-        prods = product_stack(closed.stack, closed.stack)
-        nxt = orthonormalize(np.concatenate([closed.stack, prods]), tol, shape=closed.shape)
-        if nxt.dim == closed.dim:
-            return nxt
-        closed = nxt
-    return closed
 
 
 def car_pair(tol: ToleranceConfig | None = None) -> MatrixAlgebra:
@@ -182,7 +167,7 @@ def car_generators(n: int, tol: ToleranceConfig | None = None):
     tol = tol or DEFAULT_TOL
     gens = car_generator_matrices(n)
     span = orthonormalize(gens, tol)
-    return span, verify_algebra(_product_closure(span, tol), tol)
+    return span, verify_algebra(close_span(gens, lambda w: product_stack(w, w), tol), tol)
 
 
 def strict_upper(n: int, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
@@ -232,7 +217,7 @@ def random_triangular_algebra(
                 mats.append(m)
         if not mats:
             continue
-        closed = _product_closure(orthonormalize(mats, tol, shape=(n, n)), tol)
+        closed = close_span(mats, lambda w: product_stack(w, w), tol, (n, n))
         if 0 < closed.dim <= dim:
             return verify_algebra(closed, tol)
     raise ArithmeticError("could not sample an algebra within the dimension bound")

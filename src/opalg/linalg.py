@@ -23,6 +23,7 @@ __all__ = [
     "hs_norm",
     "op_norm",
     "orthonormalize",
+    "close_span",
     "contains",
     "projection_residual",
     "null_space",
@@ -170,6 +171,24 @@ def orthonormalize(mats, tol: ToleranceConfig | None = None, *, shape=None) -> S
     rank = int(np.sum(s > tol.eq_tol * s[0])) if s.size and s[0] > 0 else 0
     basis = tuple(vh[i].reshape(mshape) for i in range(rank))
     return Subspace(mshape[0], mshape[1], basis)
+
+
+def close_span(seed, step, tol: ToleranceConfig | None = None, shape=None) -> Subspace:
+    """Smallest span containing ``seed`` and closed under ``step``.
+
+    ``step`` maps the stacked orthonormal basis of the current span to a
+    stack of elements the span must also contain.  The span grows by them
+    until its dimension stops growing, for at most rows * cols + 2 rounds.
+    """
+    cur = orthonormalize(seed, tol, shape=shape)
+    for _ in range(cur.ambient_rows * cur.ambient_cols + 2):
+        if cur.dim == 0:
+            break
+        nxt = orthonormalize(np.concatenate([cur.stack, step(cur.stack)]), tol, shape=cur.shape)
+        if nxt.dim == cur.dim:
+            return nxt
+        cur = nxt
+    return cur
 
 
 def projection_residual(space: Subspace, x) -> float:

@@ -22,9 +22,9 @@ from .linalg import (
     as_matrix,
     contains,
     hs_norm,
-    null_space,
     op_norm,
     orthonormalize,
+    product_stack,
 )
 from .tro import TROSpace, block_decompose, generate_tro, injective_envelope
 
@@ -70,74 +70,60 @@ class PairingSolution:
 def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> PairingSolution:
     """Solve for v in the TRO with b_i v* b_j = mu[i][j].
 
-    The map v -> b_i v* b_j is conjugate linear, so the system is solved
-    over real and imaginary parts of v's coordinates (a real system of
-    doubled size).
+    The map v -> b_i v* b_j is conjugate linear, so v is written as
+    sum_k conj(d_k) z_k: the system sum_k d_k b_i z_k* b_j = mu_ij is then
+    complex linear in d.  One SVD of its matrix, truncated at
+    eq_tol * max(1, s_0), gives the minimum-norm solution and the null
+    vectors; each null vector n yields the two real directions n and i n of
+    the solution set.
     """
-    zb = list(z_space.basis)
-    t = len(zb)
+    t = z_space.dim
     if t == 0:
         return PairingSolution(None, np.inf, np.inf, 0, "NONE", inconsistent=True)
-    cols = []
-    rhs = []
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            row = [bi @ z.conj().T @ bj for z in zb]
-            cols.append(row)
-            rhs.append(mu[i][j])
-    # unknown v = sum (x_t + i y_t) z_t; conj(coeff) multiplies the column blocks
-    n_eq = len(rhs)
-    ent = rhs[0].size
-    a_cplx = np.zeros((n_eq * ent, 2 * t), complex)
-    b_cplx = np.zeros(n_eq * ent, complex)
-    for e, (row, target) in enumerate(zip(cols, rhs)):
-        sl = slice(e * ent, (e + 1) * ent)
-        for k, m in enumerate(row):
-            a_cplx[sl, k] = m.ravel()  # x_k coefficient
-            a_cplx[sl, t + k] = -1j * m.ravel()  # y_k coefficient
-        b_cplx[sl] = target.ravel()
-    a_real = np.vstack([a_cplx.real, a_cplx.imag])
-    b_real = np.concatenate([b_cplx.real, b_cplx.imag])
-    sol, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    raw = float(np.linalg.norm(a_real @ sol - b_real))
-    scale = max(1.0, float(np.linalg.norm(b_real)))
-    null = null_space(a_real, tol.eq_tol, min_scale=1.0)
-
-    def to_matrix(u):
-        coeff = u[:t] + 1j * u[t:]
-        return np.einsum("k,kij->ij", coeff, z_space.space.stack)
+    B = np.asarray(basis, dtype=complex)
+    Z = z_space.space.stack
+    mu = np.asarray(mu, dtype=complex)
+    system = np.einsum("iar,ksr,jsc->ijack", B, Z.conj(), B, optimize=True).reshape(-1, t)
+    target = mu.ravel()
+    u, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < t)
+    rank = int(np.sum(s > tol.eq_tol * max(1.0, s[0] if s.size else 0.0)))
+    d = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / s[:rank])
+    raw = float(np.linalg.norm(system @ d - target))
+    scale = max(1.0, float(np.linalg.norm(target)))
+    affine_dim = 2 * (t - rank)
 
     if raw > tol.eq_tol * scale:
-        return PairingSolution(None, raw / scale, np.inf, null.shape[0], "NONE", inconsistent=True)
+        return PairingSolution(None, raw / scale, np.inf, affine_dim, "NONE", inconsistent=True)
 
-    particular = to_matrix(sol)
-    directions = tuple(to_matrix(u) for u in null)
+    # d and the null vectors conj(vh[rank:]) become elements through conj(.) . z
+    particular = np.einsum("k,kij->ij", d.conj(), Z)
+    null_elements = np.einsum("nk,kij->nij", vh[rank:], Z)
+    directions = tuple(e for n in null_elements for e in (n, 1j * n))
     aset = cb.AffineMatrixSet(particular, directions, 0.0)
     res = cb.min_opnorm_affine(aset, tol)
     if res.min_norm > 1.0 + tol.sdp_tol:
         return PairingSolution(
-            None, raw / scale, res.min_norm, null.shape[0], "NONE",
+            None, raw / scale, res.min_norm, affine_dim, "NONE",
             inconsistent=False, norm_certified=res.certified,
         )
     element = res.argmin
-    final_res = 0.0
-    for (i, bi) in enumerate(basis):
-        for (j, bj) in enumerate(basis):
-            diff = bi @ element.conj().T @ bj - mu[i][j]
-            final_res = max(final_res, hs_norm(diff) / max(1.0, hs_norm(mu[i][j])))
+    diff = np.einsum("iar,sr,jsc->ijac", B, element.conj(), B, optimize=True) - mu
+    final_res = float(
+        (np.linalg.norm(diff, axis=(2, 3)) / np.maximum(1.0, np.linalg.norm(mu, axis=(2, 3)))).max()
+    )
     status = "FOUND"
-    if null.shape[0] == 0:
+    if not directions:
         status = "UNIQUE_IN_BALL"
     else:
         exits = all(
-            op_norm(element + eps * d) > 1.0 + tol.sdp_tol
-            for d in directions
+            op_norm(element + eps * direction) > 1.0 + tol.sdp_tol
+            for direction in directions
             for eps in (0.01, -0.01)
         )
         if exits:
             status = "UNIQUE_IN_BALL"
     return PairingSolution(
-        element, final_res, op_norm(element), null.shape[0], status,
+        element, final_res, op_norm(element), affine_dim, status,
         norm_certified=res.certified,
     )
 
@@ -149,14 +135,15 @@ def solve_pairing(
     tol = tol or A.tol
     if A.space.shape != z_space.space.shape:
         raise ValueError("algebra and TRO must share one ambient space")
-    basis = list(A.basis)
+    n = A.ambient
+    products = product_stack(A.space.stack, A.space.stack).reshape(A.dim, A.dim, n, n)
     if target == TARGET_PRODUCT:
-        mu = [[bi @ bj for bj in basis] for bi in basis]
+        mu = products
     elif target == TARGET_REVERSED:
-        mu = [[bj @ bi for bj in basis] for bi in basis]
+        mu = products.transpose(1, 0, 2, 3)
     else:
         raise ValueError(f"unknown target {target!r}")
-    return _solve_pairing_table(basis, mu, z_space, tol)
+    return _solve_pairing_table(A.space.stack, mu, z_space, tol)
 
 
 def certify_reversal_element(
@@ -224,9 +211,8 @@ def decide_reversible(
         return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + ["norm bound uncertified"]))
     # candidate envelope: transport the algebra through the embedding
     basis = [env.embedding.apply(b, tol) for b in A.basis]
-    mu = [[env.embedding.apply(bi @ bj, tol) for bj in A.basis] for bi in A.basis]
-    rev = [[mu[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    sol = _solve_pairing_table(basis, rev, env.envelope, tol)
+    mu = np.array([[env.embedding.apply(bi @ bj, tol) for bj in A.basis] for bi in A.basis])
+    sol = _solve_pairing_table(basis, mu.transpose(1, 0, 2, 3), env.envelope, tol)
     if sol.status != "NONE":
         return ReversibilityVerdict("YES", sol, env.status, tuple(notes))
     return ReversibilityVerdict(

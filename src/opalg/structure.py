@@ -20,9 +20,10 @@ from .linalg import (
     Subspace,
     ToleranceConfig,
     as_matrix,
+    close_span,
     hs_norm,
     null_space,
-    orthonormalize,
+    product_stack,
 )
 
 __all__ = [
@@ -42,14 +43,7 @@ def invariant_orbit(A: MatrixAlgebra, v, tol: ToleranceConfig | None = None) -> 
         raise ValueError("vector length must match the ambient dimension")
     if np.linalg.norm(v) == 0:
         raise ValueError("need a nonzero vector")
-    cur = orthonormalize([v], tol, shape=(A.ambient, 1))
-    for _ in range(A.ambient + 1):
-        extra = [b @ u for b in A.basis for u in cur.basis]
-        nxt = orthonormalize(list(cur.basis) + extra, tol, shape=(A.ambient, 1))
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
-    return cur
+    return close_span([v], lambda u: product_stack(A.space.stack, u), tol, (A.ambient, 1))
 
 
 def _verify_common_eigenvector(mats, v, tol: ToleranceConfig) -> bool:

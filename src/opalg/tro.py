@@ -23,6 +23,7 @@ from .linalg import (
     Subspace,
     ToleranceConfig,
     as_matrix,
+    close_span,
     contains,
     hs_norm,
     identity_map,
@@ -78,16 +79,7 @@ def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpac
     """Smallest TRO containing the subspace: closure under (x, y, z) -> x y* z."""
     tol = tol or DEFAULT_TOL
     shape = space.shape
-    cur = orthonormalize(space.stack, tol, shape=shape)
-    for _ in range(shape[0] * shape[1] + 2):
-        if cur.dim == 0:
-            break
-        triples = _ternary_products(cur.stack, tol, shape)
-        nxt = orthonormalize(np.concatenate([cur.stack, triples]), tol, shape=shape)
-        if nxt.dim == cur.dim:
-            cur = nxt
-            break
-        cur = nxt
+    cur = close_span(space.stack, lambda w: _ternary_products(w, tol, shape), tol, shape)
     if cur.dim == 0:
         return TROSpace(cur, 0.0)
     worst = max_projection_residual(cur, _ternary_products(cur.stack, tol, shape))
@@ -99,19 +91,12 @@ def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> Matr
     tol = tol or DEFAULT_TOL
     m = space.ambient_rows
     seeds = product_stack(space.stack, space.stack.conj().transpose(0, 2, 1))
-    closed = orthonormalize(seeds, tol, shape=(m, m))
-    for _ in range(m * m + 2):
-        if closed.dim == 0:
-            break
-        w = closed.stack
-        extra = np.concatenate([product_stack(w, w), w.conj().transpose(0, 2, 1)])
-        nxt = orthonormalize(np.concatenate([w, extra]), tol, shape=(m, m))
-        if nxt.dim == closed.dim:
-            closed = nxt
-            break
-        closed = nxt
-    if closed.dim == 0:
-        return MatrixAlgebra(closed, 0.0, tol)
+    closed = close_span(
+        seeds,
+        lambda w: np.concatenate([product_stack(w, w), w.conj().transpose(0, 2, 1)]),
+        tol,
+        (m, m),
+    )
     alg = verify_algebra(closed, tol)
     star_res = max_projection_residual(alg.space, alg.space.stack.conj().transpose(0, 2, 1))
     if star_res > tol.eq_tol:
@@ -186,15 +171,11 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
         return BlockStructure((), np.eye(m, dtype=complex), np.eye(n, dtype=complex), (), (), (), ())
     link = linking_algebra(w.space, tol)
     p, q = support_projections(w, tol)
-    # center of the linking algebra, solved as a commutation system in coefficients
-    d = link.dim
-    rows = []
-    for b in link.basis:
-        cols = [(x @ b - b @ x).ravel() for x in link.basis]
-        rows.append(np.stack(cols, axis=1))
-    big = np.vstack(rows)
-    center_coeffs = null_space(big, tol.eq_tol, min_scale=1.0)
-    center = [np.einsum("k,kij->ij", c, link.space.stack) for c in center_coeffs]
+    # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
+    c = link.structure
+    commutators = (c - c.transpose(1, 0, 2)).reshape(link.dim, -1)
+    center_coeffs = null_space(commutators.T, tol.eq_tol, min_scale=1.0)
+    center = list(np.einsum("ck,kij->cij", center_coeffs, link.space.stack))
     r = len(center)
     if r == 0:
         raise ArithmeticError("linking algebra has an empty center")

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's computation paths: the radical comes
 from a composition series of the natural module, pairing systems are
-assembled by explicit loops over a handwritten corner basis, and amplified
-norms are taken from explicitly assembled block matrices.
+assembled by explicit loops over a handwritten corner basis, amplified
+norms are taken from explicitly assembled block matrices, and the algebra
+predicates come from explicit matrix products of pairs and triples rather
+than from the structure tensor.
 """
 
 import numpy as np
@@ -196,3 +198,80 @@ def min_opnorm_grid(particular, directions, span=3.0, steps=61, refine=4):
         center = best[1]
         width = width * 2.2 / steps
     return best[0]
+
+
+def _rank(rows, floor):
+    """Numerical rank; the cutoff is 1e-9 times the top singular value,
+    floored at 1e-9 * floor."""
+    if len(rows) == 0:
+        return 0
+    s = np.linalg.svd(np.asarray(rows), compute_uv=False)
+    return int(np.sum(s > 1e-9 * max(floor, s[0] if s.size else 0.0)))
+
+
+def predicates_by_products(mats, tol=1e-9):
+    """Algebra predicates from explicit products of an orthonormal basis.
+
+    The basis is an SVD basis of the span of ``mats``, so the answers do not
+    depend on how the span was presented.  Returns a dict with the keys
+    commutative, anticommuting, three_commutative, annihilator_dims
+    (left, right), commutator_dim, c_faithful and radical_dim.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    flat = np.stack([m.ravel() for m in mats])
+    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    basis = [vh[k].reshape(mats[0].shape) for k in range(rank)]
+    d = len(basis)
+
+    def rel(x, ref):
+        return np.linalg.norm(x) / max(1.0, np.linalg.norm(ref))
+
+    prod = [[bi @ bj for bj in basis] for bi in basis]
+    commutative = all(rel(prod[i][j] - prod[j][i], prod[i][j]) <= tol for i in range(d) for j in range(d))
+    anticommuting = all(rel(prod[i][j] + prod[j][i], prod[i][j]) <= tol for i in range(d) for j in range(d))
+    three = True
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                ref = prod[i][j] @ basis[k]
+                for p, q, r in ((j, i, k), (i, k, j), (k, j, i), (j, k, i), (k, i, j)):
+                    if rel(prod[p][q] @ basis[r] - ref, ref) > tol:
+                        three = False
+
+    def kernel_dim(elements, side):
+        """dim of {y : (sum_a y_a e_a) b = 0 for all b} ("left") or b (...) = 0."""
+        if not elements:
+            return 0
+        cols = []
+        for e in elements:
+            acts = [e @ b if side == "left" else b @ e for b in basis]
+            cols.append(np.concatenate([a.ravel() for a in acts]))
+        return len(elements) - _rank(np.stack(cols, axis=1), 1.0)
+
+    annihilator_dims = (kernel_dim(basis, "left"), kernel_dim(basis, "right"))
+    comms = [
+        prod[i][j] - prod[j][i]
+        for i in range(d)
+        for j in range(i + 1, d)
+        if rel(prod[i][j] - prod[j][i], prod[i][j]) > tol
+    ]
+    commutator_dim = 0
+    c_faithful = True
+    if comms:
+        cflat = np.stack([c.ravel() for c in comms])
+        _, cs, cvh = np.linalg.svd(cflat, full_matrices=False)
+        commutator_dim = int(np.sum(cs > tol * cs[0]))
+        ideal = [cvh[k].reshape(mats[0].shape) for k in range(commutator_dim)]
+        c_faithful = kernel_dim(ideal, "left") == 0 or kernel_dim(ideal, "right") == 0
+    gram = np.array([[np.trace(prod[i][j]) for j in range(d)] for i in range(d)])
+    radical_dim = d - _rank(gram, 1.0) if d else 0
+    return {
+        "commutative": commutative,
+        "anticommuting": anticommuting,
+        "three_commutative": three,
+        "annihilator_dims": annihilator_dims,
+        "commutator_dim": commutator_dim,
+        "c_faithful": c_faithful,
+        "radical_dim": radical_dim,
+    }

@@ -23,7 +23,7 @@ from opalg.algebra import (
 )
 from opalg.linalg import contains, hs_norm, orthonormalize, random_unitary
 
-from .oracles import radical_by_composition_series
+from .oracles import predicates_by_products, radical_by_composition_series
 
 unit = ex.matrix_unit
 
@@ -235,3 +235,46 @@ def test_commutative_implies_three_commutative():
         A = verify_algebra([g, g @ g, g @ g @ g])
         assert is_commutative(A)
         assert is_three_commutative(A)
+
+
+def _library_predicates(A):
+    left, right = annihilators(A)
+    return {
+        "commutative": is_commutative(A),
+        "anticommuting": is_anticommuting(A),
+        "three_commutative": is_three_commutative(A),
+        "annihilator_dims": (left.dim, right.dim),
+        "commutator_dim": commutator_subspace(A).dim,
+        "c_faithful": is_c_faithful(A),
+        "radical_dim": radical(A).dim,
+    }
+
+
+def _oracle_algebras():
+    # span{e11, e12} is annihilated by e12 from one side only
+    return ex.corpus() + [("row-corner", verify_algebra([unit(2, 1, 1), unit(2, 1, 2)]))]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _oracle_algebras()])
+def test_structure_tensor_predicates_match_product_oracle(name):
+    A = dict(_oracle_algebras())[name]
+    expected = predicates_by_products(A.basis)
+    assert _library_predicates(A) == expected
+    # the same algebra given by a random invertible recombination of its
+    # basis, each input matrix rescaled
+    rng = np.random.default_rng(sum(map(ord, name)))
+    g = rng.standard_normal((A.dim, A.dim)) + 1j * rng.standard_normal((A.dim, A.dim))
+    scales = 10.0 ** rng.uniform(-1.0, 1.0, A.dim)
+    mats = np.einsum("a,ab,bij->aij", scales, g, A.space.stack)
+    B = verify_algebra(list(mats))
+    assert B.dim == A.dim
+    assert _library_predicates(B) == expected
+
+
+def test_structure_tensor_reproduces_products():
+    for _, A in ex.corpus():
+        for i, bi in enumerate(A.basis):
+            for j, bj in enumerate(A.basis):
+                expanded = sum(c * b for c, b in zip(A.structure[i, j], A.basis))
+                err = hs_norm(bi @ bj - expanded) / max(1.0, hs_norm(bi @ bj))
+                assert err <= A.closure_residual + 1e-15

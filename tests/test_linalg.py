@@ -10,11 +10,13 @@ from opalg.linalg import (
     ToleranceConfig,
     amplify,
     as_matrix,
+    close_span,
     contains,
     hs_inner,
     hs_norm,
     op_norm,
     orthonormalize,
+    product_stack,
     random_unitary,
     sqrt_psd,
 )
@@ -73,6 +75,35 @@ def test_reorthonormalize_is_identity(rng):
         assert contains(s2, b)
     gram = np.array([[hs_inner(a, b) for b in s.basis] for a in s.basis])
     assert np.allclose(gram, np.eye(s.dim), atol=1e-12)
+
+
+def test_close_span_product_closure():
+    e12, e23, e13 = matrix_unit(3, 1, 2), matrix_unit(3, 2, 3), matrix_unit(3, 1, 3)
+    closed = close_span([e12, e23], lambda w: product_stack(w, w), shape=(3, 3))
+    assert closed.dim == 3
+    assert all(contains(closed, x) for x in (e12, e23, e13))
+    assert not contains(closed, matrix_unit(3, 2, 1))
+
+
+def test_close_span_zero_seed():
+    never = lambda w: pytest.fail("step called on the zero subspace")  # noqa: E731
+    for seed in ([], np.zeros((0, 2, 3), complex), [np.zeros((2, 3), complex)]):
+        closed = close_span(seed, never, shape=(2, 3))
+        assert closed.dim == 0 and closed.shape == (2, 3)
+
+
+def test_close_span_invariant_orbit_stops_at_fixed_point():
+    # e3 -> e2 = e23 e3 -> e1 = e12 e2: two growing rounds, then one that adds nothing
+    strict = np.stack([matrix_unit(3, 1, 2), matrix_unit(3, 2, 3)])
+    calls = []
+
+    def step(u):
+        calls.append(u.shape[0])
+        return product_stack(strict, u)
+
+    orbit = close_span([np.eye(3)[:, [2]]], step, shape=(3, 1))
+    assert orbit.dim == 3 and orbit.shape == (3, 1)
+    assert calls == [1, 2, 3]
 
 
 def test_contains_basic():

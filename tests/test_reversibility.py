@@ -3,7 +3,7 @@ import pytest
 
 from opalg import examples as ex
 from opalg.algebra import verify_algebra
-from opalg.linalg import contains, hs_norm, op_norm, orthonormalize
+from opalg.linalg import DEFAULT_TOL, contains, hs_norm, op_norm, orthonormalize
 from opalg.reversibility import (
     TARGET_PRODUCT,
     TARGET_REVERSED,
@@ -158,6 +158,23 @@ def test_transpose_double_pairing_found_for_reversible(car_pair):
         mu = [[dbl.products[i][j] for j in range(A.dim)] for i in range(A.dim)]
         sol = _solve_pairing_table(basis, mu, w, A.tol)
         assert sol.status != "NONE"
+
+
+def test_pairing_table_minimizes_norm_along_complex_null_directions():
+    # over the diagonal TRO, b v* b = s b with b = u w^T, u = (1, 1), w = (1, 2i)
+    # says a - 2i b = conj(s) for v = diag(a, b).  The minimum-norm solution
+    # conj(s) (1, 2i) / 5 has norm 2|s|/5 = 1.08; the contraction of least
+    # norm is diag(conj(s), i conj(s)) / 3, of norm |s|/3 = 0.9, and reaching
+    # it needs a complex multiple of the null direction diag(2i, 1).
+    s = 2.7 * np.exp(0.6j)
+    b = np.array([[1.0, 2j], [1.0, 2j]])
+    diag = generate_tro(orthonormalize([unit(2, 1, 1), unit(2, 2, 2)]))
+    sol = _solve_pairing_table([b], [[s * b]], diag, DEFAULT_TOL)
+    assert sol.affine_dim == 2 and not sol.inconsistent
+    assert sol.status == "FOUND"  # the unit ball holds more solutions than the minimizer
+    expected = np.diag([np.conj(s), 1j * np.conj(s)]) / 3
+    assert hs_norm(sol.element - expected) <= 1e-5
+    assert abs(sol.op_norm - 0.9) <= 1e-6
 
 
 def test_block_pairing_reports():
