@@ -124,8 +124,7 @@ def _reproduce_car_pair(t: _Table, tol, seed):
         contains(w_tro.space, eu(4, i, j), tol) for i in (1, 2, 3) for j in (2, 3, 4)
     )
     t.check(g, "tro-is-upper-corner", corner_ok)
-    link = tro.linking_algebra(A.space, tol)
-    t.check(g, "linking-dimension-9", link.dim == 9)
+    t.check(g, "linking-dimension-9", w_tro.linking.dim == 9)
     p, q = tro.support_projections(w_tro, tol)
     t.check(g, "left-support", _close(p, np.diag([1, 1, 1, 0]).astype(complex)))
     t.check(g, "right-support", _close(q, np.diag([0, 1, 1, 1]).astype(complex)))
@@ -177,9 +176,8 @@ def _reproduce_chain(t: _Table, tol, seed):
         t.check(g, f"n{n}-dimension", A.dim == 2 * n + 1)
         t.check(g, f"n{n}-anticommuting", alg.is_anticommuting(A, tol))
         t.check(g, f"n{n}-not-commutative", not alg.is_commutative(A, tol))
-        link = tro.linking_algebra(A.space, tol)
-        t.check(g, f"n{n}-linking-full-corner", link.dim == (2 * n + 1) ** 2)
         w_tro = tro.generate_tro(A.space, tol)
+        t.check(g, f"n{n}-linking-full-corner", w_tro.linking.dim == (2 * n + 1) ** 2)
         p, q = tro.support_projections(w_tro, tol)
         t.check(
             g,
@@ -400,7 +398,8 @@ def _reproduce_consistency(t: _Table, tol, seed):
         comm = alg.is_commutative(A, tol)
         anti = alg.is_anticommuting(A, tol)
         three = alg.is_three_commutative(A, tol)
-        verdict = reversibility.decide_reversible(A, fast, seed)
+        env = tro.injective_envelope(A.space, fast, seed)
+        verdict = reversibility.decide_reversible(A, fast, seed, envelope=env)
         rev = verdict.reversible
         if rev == "YES" and not three:
             violations.append(f"{name}: reversible but not 3-commutative")
@@ -416,7 +415,6 @@ def _reproduce_consistency(t: _Table, tol, seed):
                 for b in A.basis:
                     if hs_norm(j @ b) > 1e-8 or hs_norm(b @ j) > 1e-8:
                         violations.append(f"{name}: commutators fail to annihilate")
-        env = tro.injective_envelope(A.space, fast, seed)
         if env.status == "EXACT":
             z_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_PRODUCT, tol)
             w_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_REVERSED, tol)

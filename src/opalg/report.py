@@ -161,12 +161,15 @@ def analyze_algebra(
         report.certificates["pairing_product"] = _pairing_dict(z_sol)
         if z_sol.element is not None:
             report.z = matrix_to_wire(z_sol.element)
-        w_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_REVERSED, tol)
+        verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
+        report.verdicts["reversible"] = verdict.reversible
+        # the verdict holds the reversed solve; an anticommuting verdict holds -1 instead
+        w_sol = verdict.w if verdict.envelope_status is not None else reversibility.solve_pairing(
+            A, env.envelope, reversibility.TARGET_REVERSED, tol
+        )
         report.certificates["pairing_reversed"] = _pairing_dict(w_sol)
         if w_sol.element is not None:
             report.w = matrix_to_wire(w_sol.element)
-        verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
-        report.verdicts["reversible"] = verdict.reversible
         if verdict.notes:
             report.certificates["reversibility_notes"] = list(verdict.notes)
         if z_sol.element is not None and w_sol.element is not None:

@@ -200,25 +200,20 @@ def decide_reversible(
             return ReversibilityVerdict("YES", sol, None, ("anticommuting, certified by -identity",))
         notes.append("anticommuting certificate unexpectedly failed")
     env = envelope if envelope is not None else injective_envelope(A.space, tol, seed)
-    if env.status == "EXACT":
-        sol = solve_pairing(A, env.envelope, TARGET_REVERSED, tol)
-        if sol.status != "NONE":
-            return ReversibilityVerdict("YES", sol, env.status, tuple(notes))
-        if sol.inconsistent or sol.norm_certified:
-            reason = "pairing system inconsistent" if sol.inconsistent else \
-                f"minimal pairing norm {sol.op_norm:.6g} exceeds the ball"
-            return ReversibilityVerdict("NO", sol, env.status, tuple(notes + [reason]))
-        return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + ["norm bound uncertified"]))
-    # candidate envelope: transport the algebra through the embedding
-    basis = [env.embedding.apply(b, tol) for b in A.basis]
-    mu = np.array([[env.embedding.apply(bi @ bj, tol) for bj in A.basis] for bi in A.basis])
+    # transport the algebra into the envelope; for an exact envelope the embedding is the identity
+    basis = env.embedding.image_stack
+    mu = np.einsum("ijk,kab->ijab", A.structure, basis)
     sol = _solve_pairing_table(basis, mu.transpose(1, 0, 2, 3), env.envelope, tol)
     if sol.status != "NONE":
         return ReversibilityVerdict("YES", sol, env.status, tuple(notes))
-    return ReversibilityVerdict(
-        "UNDECIDED", sol, env.status,
-        tuple(notes + ["no solution, but the envelope is only a candidate"]),
-    )
+    if env.status != "EXACT":
+        reason = "no solution, but the envelope is only a candidate"
+        return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + [reason]))
+    if sol.inconsistent or sol.norm_certified:
+        reason = "pairing system inconsistent" if sol.inconsistent else \
+            f"minimal pairing norm {sol.op_norm:.6g} exceeds the ball"
+        return ReversibilityVerdict("NO", sol, env.status, tuple(notes + [reason]))
+    return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + ["norm bound uncertified"]))
 
 
 @dataclass(frozen=True, eq=False)

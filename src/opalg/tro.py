@@ -11,7 +11,7 @@ that the compression still embeds the input completely isometrically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,8 +56,11 @@ class DegenerateDecompositionError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class TROSpace:
+    """A TRO W with its left linking algebra span(W W*), verified *-closed."""
+
     space: Subspace
     closure_residual: float
+    linking: MatrixAlgebra = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -68,51 +71,56 @@ class TROSpace:
         return self.space.basis
 
 
-def _ternary_products(w_stack: np.ndarray, tol: ToleranceConfig, shape) -> np.ndarray:
-    """A stack spanning W W* W, computed through the pair space W W*."""
+def _pair_space(w_stack: np.ndarray, tol: ToleranceConfig, shape) -> Subspace:
+    """span(W W*), orthonormalized."""
     adj = w_stack.conj().transpose(0, 2, 1)
-    pair = orthonormalize(product_stack(w_stack, adj), tol, shape=(shape[0], shape[0]))
-    return product_stack(pair.stack, w_stack)
+    return orthonormalize(product_stack(w_stack, adj), tol, shape=(shape[0], shape[0]))
 
 
 def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpace:
-    """Smallest TRO containing the subspace: closure under (x, y, z) -> x y* z."""
+    """Smallest TRO W containing the subspace: closure under (x, y, z) -> x y* z.
+
+    The pair space W W* of the closed span, which measures the closure
+    residual, is kept as the linking algebra: it is the *-algebra generated
+    by W W* (and by X X* for the input X), so no second closure is needed.
+    """
     tol = tol or DEFAULT_TOL
     shape = space.shape
-    cur = close_span(space.stack, lambda w: _ternary_products(w, tol, shape), tol, shape)
-    if cur.dim == 0:
-        return TROSpace(cur, 0.0)
-    worst = max_projection_residual(cur, _ternary_products(cur.stack, tol, shape))
-    return TROSpace(cur, worst)
+    cur = close_span(
+        space.stack, lambda w: product_stack(_pair_space(w, tol, shape).stack, w), tol, shape
+    )
+    pair = _pair_space(cur.stack, tol, shape)
+    worst = max_projection_residual(cur, product_stack(pair.stack, cur.stack))
+    link = verify_algebra(pair, tol)
+    if max_projection_residual(pair, pair.stack.conj().transpose(0, 2, 1)) > tol.eq_tol:
+        raise ArithmeticError("linking algebra failed to close under adjoints")
+    return TROSpace(cur, worst, link)
 
 
 def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """The *-algebra generated by the products a b* (acting on the row side)."""
-    tol = tol or DEFAULT_TOL
-    m = space.ambient_rows
-    seeds = product_stack(space.stack, space.stack.conj().transpose(0, 2, 1))
-    closed = close_span(
-        seeds,
-        lambda w: np.concatenate([product_stack(w, w), w.conj().transpose(0, 2, 1)]),
-        tol,
-        (m, m),
-    )
-    alg = verify_algebra(closed, tol)
-    star_res = max_projection_residual(alg.space, alg.space.stack.conj().transpose(0, 2, 1))
-    if star_res > tol.eq_tol:
-        raise ArithmeticError("linking algebra failed to close under adjoints")
-    return alg
+    return generate_tro(space, tol).linking
 
 
-def _range_projection(columns, tol):
-    """Orthogonal projection onto the joint column space of the given matrices."""
-    if not columns:
-        return None
+def _range_columns(columns, tol):
+    """Orthonormal columns spanning the joint column space of the matrices,
+    and orthonormal columns spanning its orthogonal complement, from one SVD."""
     stacked = np.hstack(columns)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+    u, s, _ = np.linalg.svd(stacked, full_matrices=stacked.shape[1] < stacked.shape[0])
     rank = int(np.sum(s > tol.eq_tol * s[0])) if s.size and s[0] > 0 else 0
-    basis = u[:, :rank]
-    return basis @ basis.conj().T
+    return u[:, :rank], u[:, rank:]
+
+
+def _support_columns(w: TROSpace, tol):
+    """(p, q, complement of q's range) for a nonzero TRO, with p x q = x checked."""
+    left, _ = _range_columns(list(w.basis), tol)
+    right, right_rest = _range_columns([x.conj().T for x in w.basis], tol)
+    p = left @ left.conj().T
+    q = right @ right.conj().T
+    for x in w.basis:
+        if hs_norm(p @ x @ q - x) > 10 * tol.eq_tol * max(1.0, hs_norm(x)):
+            raise ArithmeticError("support projections do not reproduce the space")
+    return p, q, right_rest
 
 
 def support_projections(w: TROSpace, tol: ToleranceConfig | None = None):
@@ -121,11 +129,7 @@ def support_projections(w: TROSpace, tol: ToleranceConfig | None = None):
     m, n = w.space.shape
     if w.dim == 0:
         return np.zeros((m, m), complex), np.zeros((n, n), complex)
-    p = _range_projection(list(w.basis), tol)
-    q = _range_projection([x.conj().T for x in w.basis], tol)
-    for x in w.basis:
-        if hs_norm(p @ x @ q - x) > 10 * tol.eq_tol * max(1.0, hs_norm(x)):
-            raise ArithmeticError("support projections do not reproduce the space")
+    p, q, _ = _support_columns(w, tol)
     return p, q
 
 
@@ -163,19 +167,21 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
 
     Minimal central projections of the left linking algebra are separated by
     the spectrum of one random Hermitian center element; a fresh element is
-    drawn when eigenvalues collide (up to ten retries).
+    drawn when eigenvalues collide (up to ten retries).  Each block's
+    eigenvectors are its left columns; the right columns are the row space
+    of the block's slice of the TRO.
     """
     tol = tol or DEFAULT_TOL
     m, n = w.space.shape
     if w.dim == 0:
         return BlockStructure((), np.eye(m, dtype=complex), np.eye(n, dtype=complex), (), (), (), ())
-    link = linking_algebra(w.space, tol)
-    p, q = support_projections(w, tol)
+    link = w.linking
+    p, _, right_rest = _support_columns(w, tol)
     # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
     c = link.structure
     commutators = (c - c.transpose(1, 0, 2)).reshape(link.dim, -1)
     center_coeffs = null_space(commutators.T, tol.eq_tol, min_scale=1.0)
-    center = list(np.einsum("ck,kij->cij", center_coeffs, link.space.stack))
+    center = np.einsum("ck,kij->cij", center_coeffs, link.space.stack)
     r = len(center)
     if r == 0:
         raise ArithmeticError("linking algebra has an empty center")
@@ -184,22 +190,18 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     last_error = None
     for _ in range(10):
         mu = rng.uniform(1.0, 2.0, r) + 1j * rng.uniform(-0.5, 0.5, r)
-        h = sum(c_k * ck for c_k, ck in zip(mu, center))
+        h = np.einsum("c,cij->ij", mu, center)
         h = (h + h.conj().T) / 2.0  # the center is *-closed, so h stays central
         vals, vecs = np.linalg.eigh(h)
         gap = 1e-6 * max(1.0, float(np.abs(vals).max()))
         groups = _cluster(vals, gap)
-        projections = []
-        for g in groups:
-            cols = vecs[:, g]
-            proj = cols @ cols.conj().T
-            mean = float(np.mean(vals[g]))
-            if abs(mean) > gap:
-                projections.append(proj)
-        if len(projections) != r:
-            last_error = f"expected {r} spectral blocks, found {len(projections)}"
+        nonzero = [abs(float(np.mean(vals[g]))) > gap for g in groups]
+        left_cols = [vecs[:, g] for g, nz in zip(groups, nonzero) if nz]
+        left_rest = [vecs[:, g] for g, nz in zip(groups, nonzero) if not nz]
+        if len(left_cols) != r:
+            last_error = f"expected {r} spectral blocks, found {len(left_cols)}"
             continue
-        total = sum(projections)
+        total = sum(cols @ cols.conj().T for cols in left_cols)
         if hs_norm(total - p) > 1e-6 * max(1.0, hs_norm(p)):
             last_error = "spectral projections do not sum to the left support"
             continue
@@ -207,35 +209,16 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     else:
         raise DegenerateDecompositionError(last_error or "no separating center element found")
 
-    lefts, rights = [], []
-    for pk in projections:
-        qk = _range_projection([(pk @ x).conj().T for x in w.basis], tol)
-        if qk is None:
-            qk = np.zeros((n, n), complex)
-        lefts.append(pk)
-        rights.append(qk)
     # deterministic block order: by size, then by first supported row
-    def block_key(idx):
-        pk = lefts[idx]
-        first_row = int(np.argmax(np.abs(np.diag(pk)) > 0.5))
-        return (-int(round(np.trace(lefts[idx]).real)), first_row)
+    def block_key(cols):
+        first_row = int(np.argmax(np.sum(np.abs(cols) ** 2, axis=1) > 0.5))
+        return (-cols.shape[1], first_row)
 
-    order = sorted(range(len(lefts)), key=block_key)
-    lefts = [lefts[i] for i in order]
-    rights = [rights[i] for i in order]
-
-    def column_basis(proj):
-        u, s, _ = np.linalg.svd(proj)
-        rank = int(np.sum(s > 0.5))
-        return u[:, :rank]
-
-    left_cols = [column_basis(pk) for pk in lefts]
-    right_cols = [column_basis(qk) for qk in rights]
-    left_rest = column_basis(np.eye(m) - p)
-    right_rest = column_basis(np.eye(n) - q)
-    lu = np.hstack(left_cols + [left_rest]) if left_cols else np.hstack([left_rest])
-    ru = np.hstack(right_cols + [right_rest]) if right_cols else np.hstack([right_rest])
-    if lu.shape != (m, m) or ru.shape != (n, n):
+    left_cols.sort(key=block_key)
+    right_cols = [_range_columns([x.conj().T @ cols for x in w.basis], tol)[0] for cols in left_cols]
+    lu = np.hstack(left_cols + left_rest)
+    ru = np.hstack(right_cols + [right_rest])
+    if ru.shape != (n, n):
         raise DegenerateDecompositionError("block supports do not fill the ambient space")
 
     blocks = tuple((lc.shape[1], rc.shape[1]) for lc, rc in zip(left_cols, right_cols))
@@ -255,7 +238,8 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
         if np.abs(rot[mask]).max(initial=0.0) > 1e-7 * max(1.0, hs_norm(x)):
             raise DegenerateDecompositionError("rotated space is not supported on its blocks")
     return BlockStructure(
-        blocks, lu, ru, tuple(row_off), tuple(col_off), tuple(lefts), tuple(rights)
+        blocks, lu, ru, tuple(row_off), tuple(col_off),
+        tuple(lc @ lc.conj().T for lc in left_cols), tuple(rc @ rc.conj().T for rc in right_cols),
     )
 
 

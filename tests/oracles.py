@@ -275,3 +275,32 @@ def predicates_by_products(mats, tol=1e-9):
         "c_faithful": c_faithful,
         "radical_dim": radical_dim,
     }
+
+
+def star_closure_of_pairs(mats, tol=1e-10):
+    """Orthonormal basis (a list) of the *-algebra generated by the x y*.
+
+    Starts from every product x y* of the given matrices and adds every
+    pairwise product and every adjoint of the current basis until the
+    dimension stops growing.  Ranks come from an SVD with a cutoff of tol
+    times the top singular value.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    shape = (mats[0].shape[0], mats[0].shape[0])
+
+    def orth(elements):
+        flat = np.stack([e.ravel() for e in elements])
+        _, s, vh = np.linalg.svd(flat, full_matrices=False)
+        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        return [vh[k].reshape(shape) for k in range(rank)]
+
+    basis = orth([x @ y.conj().T for x in mats for y in mats])
+    while basis:
+        grown = list(basis)
+        grown.extend(a.conj().T for a in basis)
+        grown.extend(a @ b for a in basis for b in basis)
+        nxt = orth(grown)
+        if len(nxt) == len(basis):
+            return nxt
+        basis = nxt
+    return basis

@@ -294,3 +294,23 @@ def test_family_n3_pairings():
     assert hs_norm(z.element - p @ q) <= 1e-7
     assert hs_norm(w.element + p @ q) <= 1e-7
     assert decide_reversible(A).reversible == "YES"
+
+
+@pytest.mark.parametrize("make", [lambda: ex.strict_upper(3), ex.car_pair], ids=["strict-upper-3", "car-pair"])
+def test_analyze_solves_each_pairing_system_once(monkeypatch, make):
+    # the product system and the reversed one, each solved once: the
+    # reversed solution comes from decide_reversible, or (anticommuting
+    # algebras, settled by -1) from one direct solve
+    from opalg import report, reversibility
+
+    A = make()
+    calls = []
+    original = reversibility._solve_pairing_table
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reversibility, "_solve_pairing_table", counting)
+    report.analyze_algebra(A, skip={"sdp"})
+    assert len(calls) == 2

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from opalg import examples as ex
-from opalg.linalg import contains, hs_norm, orthonormalize
+from opalg import linalg, tro
+from opalg.linalg import contains, hs_norm, max_projection_residual, orthonormalize, random_unitary
 from opalg.tro import (
     block_decompose,
     generate_tro,
@@ -12,6 +15,8 @@ from opalg.tro import (
     multiplicative_embed,
     support_projections,
 )
+
+from .oracles import star_closure_of_pairs
 
 unit = ex.matrix_unit
 
@@ -64,6 +69,69 @@ def test_linking_algebra_family():
         assert link.dim == (2 * n + 1) ** 2
 
 
+def _linking_inputs():
+    # besides the corpus: a shear, whose x x* alone spans no algebra (it is
+    # not a multiple of a projection), and two generic 2 x 3 matrices, a
+    # rectangular ambient
+    rng = np.random.default_rng(7)
+    rect = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
+    return [(name, A.space) for name, A in ex.corpus()] + [
+        ("shear", orthonormalize([np.eye(2) + unit(2, 1, 2)])),
+        ("rect-pair", orthonormalize(list(rect))),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _linking_inputs()])
+def test_linking_algebra_matches_star_closure_oracle(name):
+    given = dict(_linking_inputs())[name]
+    m, n = given.shape
+    u = random_unitary(m, np.random.default_rng(sum(map(ord, name))))
+    v = random_unitary(n, np.random.default_rng(sum(map(ord, name)) + 1))
+    conjugated = orthonormalize([u.conj().T @ b @ v for b in given.basis])
+    for space in (given, conjugated):
+        link = linking_algebra(space)
+        expected = orthonormalize(star_closure_of_pairs(space.basis))
+        assert link.dim == expected.dim
+        assert max_projection_residual(expected, link.space.stack) <= 1e-9
+        assert max_projection_residual(link.space, expected.stack) <= 1e-9
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ex.corpus()] + ["row-band"])
+def test_generated_linking_algebra_is_adjoint_closed(name):
+    band = orthonormalize([unit(2, i, j, 3) for i in (1, 2) for j in (1, 2, 3)])
+    space = band if name == "row-band" else dict(ex.corpus())[name].space
+    w = generate_tro(space)
+    link = w.linking
+    assert link.space.shape == (space.ambient_rows, space.ambient_rows)
+    assert max_projection_residual(link.space, link.space.stack.conj().transpose(0, 2, 1)) <= 1e-9
+    # it is the pair space of the TRO: every x y* lies in it
+    pairs = np.einsum("aij,bkj->abik", w.space.stack, w.space.stack.conj()).reshape(-1, *link.space.shape)
+    assert max_projection_residual(link.space, pairs) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [lambda: ex.anticommuting_family(2), lambda: ex.diagonal_algebra(3)],
+                         ids=["anticommuting-family-2", "diagonal-3"])
+def test_envelope_closes_one_span_inside_generate_tro(monkeypatch, make):
+    # one closure per envelope: block_decompose reads the linking algebra
+    # that generate_tro kept, so linking_algebra and a second close_span
+    # loop stay out of injective_envelope
+    A = make()
+    original = linalg.close_span
+    callers, linking_calls = [], []
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("opalg") and getattr(module, "close_span", None) is original:
+            monkeypatch.setattr(module, "close_span", spy)
+    monkeypatch.setattr(tro, "linking_algebra", lambda *a, **k: linking_calls.append(1))
+    injective_envelope(A.space)
+    assert linking_calls == []
+    assert callers == ["generate_tro"]
+
+
 def test_support_projections(car_pair, pq):
     w = generate_tro(car_pair.space)
     p, q = support_projections(w)
@@ -113,6 +181,16 @@ def test_block_decompose_two_corners():
     w = generate_tro(orthonormalize([unit(4, 1, 2), unit(4, 3, 4)]))
     bs = block_decompose(w)
     assert bs.blocks == ((1, 1), (1, 1))
+
+
+def test_block_decompose_orders_blocks_by_size_then_first_row():
+    w = generate_tro(orthonormalize([unit(3, 1, 1)] + [unit(3, i, j) for i in (2, 3) for j in (2, 3)]))
+    bs = block_decompose(w)
+    assert bs.blocks == ((2, 2), (1, 1))
+    assert np.allclose(bs.left_projections[0], np.diag([0, 1, 1])) and np.allclose(bs.left_projections[1], unit(3, 1, 1))
+    w = generate_tro(orthonormalize([unit(4, 3, 4), unit(4, 1, 2)]))
+    bs = block_decompose(w)
+    assert np.allclose(bs.left_projections[0], unit(4, 1, 1)) and np.allclose(bs.right_projections[0], unit(4, 2, 2))
 
 
 def test_block_decompose_roundtrip(rng):
