@@ -9,6 +9,14 @@ is alternating projections (Dykstra) between the PSD cone and the affine
 constraint set; an explicit ``u x v`` conjugation certificate and a direct
 search for norm-expanding amplified elements provide fast exits on the
 feasible and infeasible sides.
+
+The conjugation fit works on the stacked domain basis and images, one
+matrix product per alternating step.  The violation search polishes all
+starts of one amplification level together, one batched SVD of the images
+and one of the amplified elements per step.  It climbs to level
+max(kr, kc) for a map into M_{kr, kc}: by Smith's lemma (R. R. Smith,
+J. London Math. Soc. 1983) the cb norm of such a map is the norm of that
+amplification, so no violation is missed for want of a higher level.
 """
 
 from __future__ import annotations
@@ -22,8 +30,6 @@ from .linalg import (
     LinearMapOnSubspace,
     Subspace,
     ToleranceConfig,
-    as_matrix,
-    hs_norm,
     null_space,
     op_norm,
     orthonormalize,
@@ -86,38 +92,28 @@ def choi(phi: LinearMapOnSubspace, tol: ToleranceConfig | None = None) -> np.nda
 # Paulsen-system feasibility program
 
 
-def _corner_embed(x, m, n, where) -> np.ndarray:
-    out = np.zeros((m + n, m + n), complex)
-    if where == "11":
-        out[:m, :m] = x
-    elif where == "22":
-        out[m:, m:] = x
-    elif where == "12":
-        out[:m, m:] = x
-    else:
-        out[m:, :m] = x
-    return out
-
-
 def _paulsen_constraints(phi: LinearMapOnSubspace):
-    """Hermitian, HS-orthonormal pinned directions and their target images."""
+    """Hermitian, HS-orthonormal pinned directions and their target images.
+
+    The directions are the two identity corners of M_{m+n}, then
+    (E + E*)/sqrt 2 and i(E - E*)/sqrt 2 for each E = [[0, s], [0, 0]] with
+    s a domain basis element; the targets are the same with s replaced by
+    its image.
+    """
     m, n = phi.domain.shape
-    kr, kc = phi.codomain_shape
-    gs, targets = [], []
-    gs.append(_corner_embed(np.eye(m), m, n, "11") / np.sqrt(m))
-    targets.append(_corner_embed(np.eye(kr), kr, kc, "11") / np.sqrt(m))
-    gs.append(_corner_embed(np.eye(n), m, n, "22") / np.sqrt(n))
-    targets.append(_corner_embed(np.eye(kc), kr, kc, "22") / np.sqrt(n))
-    for s, ts in zip(phi.domain.basis, phi.images):
-        up = _corner_embed(s, m, n, "12")
-        dn = _corner_embed(s.conj().T, m, n, "21")
-        t_up = _corner_embed(ts, kr, kc, "12")
-        t_dn = _corner_embed(ts.conj().T, kr, kc, "21")
-        gs.append((up + dn) / np.sqrt(2))
-        targets.append((t_up + t_dn) / np.sqrt(2))
-        gs.append((1j * up - 1j * dn) / np.sqrt(2))
-        targets.append((1j * t_up - 1j * t_dn) / np.sqrt(2))
-    return np.stack(gs), np.stack(targets)
+
+    def embed(stack, a, b):
+        out = np.zeros((2 + 2 * len(stack), a + b, a + b), complex)
+        out[0, :a, :a] = np.eye(a) / np.sqrt(m)
+        out[1, a:, a:] = np.eye(b) / np.sqrt(n)
+        up = np.zeros((len(stack), a + b, a + b), complex)
+        up[:, :a, a:] = stack
+        dn = up.conj().transpose(0, 2, 1)
+        out[2::2] = (up + dn) / np.sqrt(2)
+        out[3::2] = (1j * up - 1j * dn) / np.sqrt(2)
+        return out
+
+    return embed(phi.domain.stack, m, n), embed(phi.image_stack, *phi.codomain_shape)
 
 
 def _pinned_values(c4, gs) -> np.ndarray:
@@ -125,21 +121,15 @@ def _pinned_values(c4, gs) -> np.ndarray:
     return np.einsum("gij,iujv->guv", gs, c4)
 
 
-def _affine_project(c4, gs, targets) -> np.ndarray:
-    viol = _pinned_values(c4, gs) - targets
-    return c4 - np.einsum("gij,guv->iujv", gs.conj(), viol)
-
-
 def _psd_project(c: np.ndarray) -> np.ndarray:
     h = (c + c.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     out = (v * w) @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 
-def _constraint_residual(c4, gs, targets) -> float:
-    viol = _pinned_values(c4, gs) - targets
+def _violation_norm(viol) -> float:
     return float(np.sqrt(np.einsum("guv,guv->", viol, viol.conj()).real))
 
 
@@ -150,24 +140,29 @@ def _dykstra_feasibility(gs, targets, ni, no, tol, max_iter):
     stall / iteration cap.
     """
     shape4 = (ni, no, ni, no)
-    c4 = np.einsum("gij,guv->iujv", gs.conj(), targets)  # least-norm affine point
+    gs_conj = gs.conj()
+    psd_floor = -min(tol.psd_tol, tol.sdp_tol)
+    c4 = np.einsum("gij,guv->iujv", gs_conj, targets)  # least-norm affine point
+    viol = _pinned_values(c4, gs) - targets
     q = np.zeros(shape4, complex)
     best = np.inf
     best_point = None
     window = 250
     last_improvement = 0
     for it in range(max_iter):
-        y4 = _affine_project(c4, gs, targets)
+        # affine projection; viol is the constraint violation of c4
+        y4 = c4 - np.einsum("gij,guv->iujv", gs_conj, viol)
         y = y4.reshape(ni * no, ni * no)
         # the affine iterate satisfies the constraints exactly; it certifies
         # feasibility as soon as it is (almost) positive semidefinite
         ymin = float(np.linalg.eigvalsh((y + y.conj().T) / 2.0).min())
-        if ymin >= -min(tol.psd_tol, tol.sdp_tol):
+        if ymin >= psd_floor:
             return FEASIBLE, _psd_project(y), max(0.0, -ymin)
         z = _psd_project((y4 + q).reshape(ni * no, ni * no))
         z4 = z.reshape(shape4)
         q = y4 + q - z4
-        res = _constraint_residual(z4, gs, targets)
+        viol = _pinned_values(z4, gs) - targets
+        res = _violation_norm(viol)
         if res < best * (1.0 - 1e-4):
             best, best_point, last_improvement = res, z, it
         if res <= tol.sdp_tol:
@@ -187,24 +182,33 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """The matrices of a (d, r, c) stack placed side by side: r x (d c)."""
+    d, r, c = stack.shape
+    return stack.transpose(1, 0, 2).reshape(r, d * c)
+
+
 def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int):
     """Search for contractions u, v with phi(x) = u x v on the domain basis.
 
     Tries unitary pairs first (alternating polar factors, which solves the
     Procrustes step exactly), then an unconstrained alternating
-    least-squares whose factors happen to balance into contractions.
+    least-squares whose factors happen to balance into contractions.  Each
+    step works on the whole domain and image stacks S and T: u solves
+    u [S_k v]_k = [T_k]_k side by side, v solves [u S_k]_k v = [T_k]_k
+    stacked.
     """
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
-    basis = list(phi.domain.basis)
-    images = [as_matrix(t) for t in phi.images]
-    if not basis:
+    s, t = phi.domain.stack, phi.image_stack
+    if phi.domain.dim == 0:
         return np.zeros((kr, m), complex), np.zeros((n, kc), complex)
-    scale = max(1.0, np.sqrt(sum(hs_norm(t) ** 2 for t in images)))
+    t_wide, t_tall = _side_by_side(t), t.reshape(-1, kc)
+    scale = max(1.0, float(np.linalg.norm(t)))
     rng = np.random.default_rng(seed)
 
     def fit_of(u, v):
-        return np.sqrt(sum(hs_norm(u @ s @ v - t) ** 2 for s, t in zip(basis, images)))
+        return np.linalg.norm(u @ s @ v - t)
 
     if m == kr and n == kc:
         starts = [np.eye(n, dtype=complex)]
@@ -212,10 +216,9 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             starts.append(_polar_unitary(g))
         for v in starts:
-            u = np.eye(m, dtype=complex)
             for _ in range(120):
-                u = _polar_unitary(sum(t @ (s @ v).conj().T for s, t in zip(basis, images)))
-                v = _polar_unitary(sum((u @ s).conj().T @ t for s, t in zip(basis, images)))
+                u = _polar_unitary(t_wide @ _side_by_side(s @ v).conj().T)
+                v = _polar_unitary((u @ s).reshape(-1, n).conj().T @ t_tall)
                 if fit_of(u, v) <= 1e-11 * scale:
                     return u, v
 
@@ -225,16 +228,10 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
             if trial == 0
             else rng.standard_normal((n, kc)) + 1j * rng.standard_normal((n, kc))
         )
-        u = np.zeros((kr, m), complex)
         for _ in range(60):
-            a = np.hstack([s @ v for s in basis])
-            b = np.hstack(images)
-            u = np.linalg.lstsq(a.T, b.T, rcond=None)[0].T
-            a2 = np.vstack([u @ s for s in basis])
-            b2 = np.vstack(images)
-            v = np.linalg.lstsq(a2, b2, rcond=None)[0]
-            fit = fit_of(u, v)
-            if fit <= 1e-11 * scale:
+            u = np.linalg.lstsq(_side_by_side(s @ v).T, t_wide.T, rcond=None)[0].T
+            v = np.linalg.lstsq((u @ s).reshape(-1, n), t_tall, rcond=None)[0]
+            if fit_of(u, v) <= 1e-11 * scale:
                 break
         else:
             continue
@@ -242,127 +239,125 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
         if nu == 0 or nv == 0:
             return u, v
         if nu * nv <= 1.0 + tol.eq_tol:
-            t = np.sqrt(nv / nu)
-            return u * t, v / t
+            r = np.sqrt(nv / nu)
+            return u * r, v / r
     return None
 
 
 def _conjugation_choi(phi: LinearMapOnSubspace, u, v) -> np.ndarray:
-    """Choi matrix of the unital 2x2 completion of x -> u x v."""
+    """Choi matrix of the unital 2x2 completion of x -> u x v.
+
+    The completion is x -> r x r* plus (1 - u u*)/m and (1 - v* v)/n on
+    the diagonal units of the two corners, with r = u (+) v*; block (i, j)
+    of its Choi matrix is r e_i e_j* r* plus those pads for i = j.
+    """
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
     ni, no = m + n, kr + kc
-    pad1 = np.eye(kr) - u @ u.conj().T
-    pad2 = np.eye(kc) - v.conj().T @ v
     r = np.zeros((no, ni), complex)
     r[:kr, :m] = u
     r[kr:, m:] = v.conj().T
-    out = np.zeros((ni * no, ni * no), complex)
-    unit = np.zeros((ni, ni), complex)
-    for i in range(ni):
-        for j in range(ni):
-            unit[i, j] = 1.0
-            img = r @ unit @ r.conj().T
-            if i == j:
-                if i < m:
-                    img[:kr, :kr] += pad1 / m
-                else:
-                    img[kr:, kr:] += pad2 / n
-            out[i * no : (i + 1) * no, j * no : (j + 1) * no] = img
-            unit[i, j] = 0.0
-    return out
+    out = np.einsum("ai,bj->iajb", r, r.conj())
+    pad = np.zeros((ni, no, no), complex)
+    pad[:m, :kr, :kr] = (np.eye(kr) - u @ u.conj().T) / m
+    pad[m:, kr:, kr:] = (np.eye(kc) - v.conj().T @ v) / n
+    diagonal = np.arange(ni)
+    out[diagonal, :, diagonal, :] += pad
+    return out.reshape(ni * no, ni * no)
 
 
 # ---------------------------------------------------------------------------
 # violation search
 
 
-def _apply_from_coeffs(phi, coeffs):
-    stack = phi.image_stack
-    return np.einsum("k,kij->ij", coeffs, stack)
+def _block_matrices(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """(B, L, L, d) block coefficients against a (d, r, c) stack: B matrices
+    of shape (L r, L c) whose block (u, v) is sum_k coeffs[:, u, v, k] stack[k]."""
+    b, level, _, d = coeffs.shape
+    _, r, c = stack.shape
+    blocks = (coeffs.reshape(-1, d) @ stack.reshape(d, r * c)).reshape(b, level, level, r, c)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(b, level * r, level * c)
 
 
-def _ratio(phi, level, coeffs):
-    """coeffs: (level, level, dim) block coefficients; returns (ratio, X, Y)."""
-    m, n = phi.domain.shape
+def _top_singular(mats: np.ndarray):
+    """Top singular value and singular vectors of each matrix of a batch.
+
+    The vectors are copies, so the full factors are freed on return: at
+    level 8 on M_8 each factor of 13 starts holds 0.85 MB.
+    """
+    u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    return s[:, 0], u[:, :, 0].copy(), vh[:, 0, :].copy()
+
+
+def _polish(phi: LinearMapOnSubspace, coeffs: np.ndarray, steps: int):
+    """Gradient ascent of ||phi_L(X)|| / ||X|| from B starts at once.
+
+    coeffs: (B, L, L, d) block coefficients of the starts at level L.  Each
+    step takes one batched SVD of the images Y = phi_L(X), which gives their
+    norms and their top singular pairs, and one of the X; it moves each start
+    to the block coefficients <T_k, block (u, v) of y1 z1*> of its Y's top
+    singular pair (y1, z1).  A start whose Y or step vanishes stays where it
+    is.  Returns the best ratio of each start and the coefficients that
+    reached it, which take less memory than the amplified elements.
+    """
+    dstack, istack = phi.domain.stack, phi.image_stack
+    level = coeffs.shape[1]
     kr, kc = phi.codomain_shape
-    dstack = phi.domain.stack
-    x = np.zeros((level * m, level * n), complex)
-    y = np.zeros((level * kr, level * kc), complex)
-    for u in range(level):
-        for v in range(level):
-            x[u * m : (u + 1) * m, v * n : (v + 1) * n] = np.einsum("k,kij->ij", coeffs[u, v], dstack)
-            y[u * kr : (u + 1) * kr, v * kc : (v + 1) * kc] = _apply_from_coeffs(phi, coeffs[u, v])
-    nx = op_norm(x)
-    if nx == 0.0:
-        return 0.0, x, y
-    return op_norm(y) / nx, x, y
-
-
-def _polish(phi, level, coeffs, steps=6):
-    best = _ratio(phi, level, coeffs)
-    kr, kc = phi.codomain_shape
-    istack = phi.image_stack
-    for _ in range(steps):
-        _, _, y = _ratio(phi, level, coeffs)
-        uu, ss, vv = np.linalg.svd(y)
-        if ss.size == 0 or ss[0] == 0:
+    moving = np.ones(len(coeffs), bool)
+    best_ratio, best = np.full(len(coeffs), -np.inf), coeffs
+    for step in range(steps + 1):
+        nx = np.linalg.svd(_block_matrices(coeffs, dstack), compute_uv=False)[:, 0]
+        ny, left, right = _top_singular(_block_matrices(coeffs, istack))
+        ratio = np.divide(ny, nx, out=np.zeros_like(nx), where=nx > 0.0)
+        better = moving & (ratio > best_ratio)
+        best_ratio = np.where(better, ratio, best_ratio)
+        best = np.where(better[:, None, None, None], coeffs, best)
+        if step == steps:
             break
-        grad = np.outer(uu[:, 0], vv[0].conj())
-        w = np.empty_like(coeffs)
-        for u in range(level):
-            for v in range(level):
-                block = grad[u * kr : (u + 1) * kr, v * kc : (v + 1) * kc]
-                w[u, v] = np.einsum("kij,ij->k", istack.conj(), block)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            break
-        coeffs = w.conj() / norm
-        cand = _ratio(phi, level, coeffs)
-        if cand[0] > best[0]:
-            best = cand
-    return best
+        left = left.reshape(-1, level, kr)
+        right = right.conj().reshape(-1, level, kc)
+        w = np.einsum("bukj,bvj->buvk", np.einsum("bui,kij->bukj", left, istack.conj()), right)
+        norm = np.linalg.norm(w.reshape(len(w), -1), axis=1)
+        moving &= (ny > 0.0) & (norm > 0.0)
+        step_to = w.conj() / np.where(moving, norm, 1.0)[:, None, None, None]
+        coeffs = np.where(moving[:, None, None, None], step_to, coeffs)
+    return best_ratio, best
 
 
 def _violation_search(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int):
+    """The largest ratio ||phi_L(X)|| / ||X|| found over amplification
+    levels L up to max(kr, kc), and its X, when it exceeds one by more than
+    sdp_tol; else None.  By Smith's lemma the cb norm of a map into
+    M_{kr, kc} is reached at level max(kr, kc)."""
     d = phi.domain.dim
     if d == 0:
         return None
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
     rng = np.random.default_rng(seed)
-    best_ratio, best_x = 0.0, None
 
-    def consider(ratio_x):
-        nonlocal best_ratio, best_x
-        ratio, x, _ = ratio_x
-        if ratio > best_ratio:
-            best_ratio, best_x = ratio, x
+    def random_starts(level):
+        shape = (level, level, d)
+        return np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(12)])
 
-    for i in range(d):
-        c = np.zeros((1, 1, d), complex)
-        c[0, 0, i] = 1.0
-        consider(_ratio(phi, 1, c))
-    for _ in range(12):
-        c = rng.standard_normal((1, 1, d)) + 1j * rng.standard_normal((1, 1, d))
-        consider(_polish(phi, 1, c, steps=4))
-    top = min(max(kr, kc, 2), 4)
-    for level in range(2, top + 1):
-        if m == n and level == m:
-            # blockwise projection of the transpose pattern e_vu at block (u, v)
-            c = np.zeros((level, level, d), complex)
-            unit = np.zeros((m, n), complex)
-            for u in range(level):
-                for v in range(level):
-                    unit[v, u] = 1.0
-                    c[u, v] = phi.domain.coeffs(unit)
-                    unit[v, u] = 0.0
-            consider(_polish(phi, level, c))
-        for _ in range(12):
-            c = rng.standard_normal((level, level, d)) + 1j * rng.standard_normal((level, level, d))
-            consider(_polish(phi, level, c))
+    runs = [
+        _polish(phi, np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0),
+        _polish(phi, random_starts(1), 4),
+    ]
+    for level in range(2, max(kr, kc, 2) + 1):
+        starts = random_starts(level)
+        if m == n == level:
+            # blockwise projection of the transpose pattern: e_vu at block (u, v)
+            pattern = phi.domain.stack.conj().transpose(2, 1, 0)
+            starts = np.concatenate([pattern[None], starts])
+        runs.append(_polish(phi, starts, 6))
+    best_ratio, best = 0.0, None
+    for ratios, coeffs in runs:
+        i = int(np.argmax(ratios))
+        if ratios[i] > best_ratio:
+            best_ratio, best = float(ratios[i]), coeffs[i : i + 1]
     if best_ratio > 1.0 + tol.sdp_tol:
-        return best_ratio, best_x
+        return best_ratio, _block_matrices(best, phi.domain.stack)[0]
     return None
 
 
@@ -390,7 +385,7 @@ def is_completely_contractive(
     if pair is not None:
         witness = _conjugation_choi(phi, *pair)
         w4 = witness.reshape(ni, no, ni, no)
-        res = _constraint_residual(w4, gs, targets)
+        res = _violation_norm(_pinned_values(w4, gs) - targets)
         eigs = np.linalg.eigvalsh((witness + witness.conj().T) / 2.0)
         if res <= tol.sdp_tol and (eigs.size == 0 or eigs.min() >= -tol.psd_tol):
             return FeasibilityOutcome(FEASIBLE, witness, res, "conjugation certificate")
@@ -413,11 +408,9 @@ def inverse_map(phi: LinearMapOnSubspace, tol: ToleranceConfig | None = None) ->
     image_space = orthonormalize(list(phi.images), tol, shape=phi.codomain_shape)
     if image_space.dim != d:
         raise ValueError("map is not injective on its domain")
-    rows = np.stack([t.ravel() for t in phi.images])
-    preimages = []
-    for f in image_space.basis:
-        alpha, *_ = np.linalg.lstsq(rows.T, f.ravel(), rcond=None)
-        preimages.append(np.einsum("k,kij->ij", alpha, phi.domain.stack))
+    # one least-squares solve for the coefficients of every image basis element
+    alpha = np.linalg.lstsq(phi.image_stack.reshape(d, -1).T, image_space.stack.reshape(d, -1).T, rcond=None)[0]
+    preimages = np.einsum("kf,kij->fij", alpha, phi.domain.stack)
     return LinearMapOnSubspace(image_space, tuple(preimages), phi.domain.shape)
 
 
@@ -499,46 +492,44 @@ def affine_from_equations(space: Subspace, eq_matrix, rhs, tol: ToleranceConfig 
     return AffineMatrixSet(particular, tuple(directions), residual)
 
 
-def _project_affine_block(w, particular, dstack):
-    if dstack is None:
-        return particular
-    delta = w - particular
-    coeff = np.einsum("kij,ij->k", dstack.conj(), delta).real
-    return particular + np.einsum("k,kij->ij", coeff, dstack)
-
-
 def _opnorm_feasible(t, particular, dstack, tol, max_iter, start=None):
     """Is there w in the affine set with operator norm at most t?
 
-    Returns (verdict, w, ambiguous): verdict None means the run hit its cap
+    Returns (verdict, w, ambiguous): ambiguous means the run hit its cap
     without either converging or clearly stalling.
     """
     m, n = particular.shape
+    dstack_conj = dstack.conj()
+
+    def project(w):
+        # nearest point of particular + real span of the orthonormal directions
+        coeff = np.einsum("kij,ij->k", dstack_conj, w - particular).real
+        return particular + np.einsum("k,kij->ij", coeff, dstack)
+
+    corners = (t * np.eye(m), t * np.eye(n))
     big = np.zeros((m + n, m + n), complex)
     w0 = start if start is not None else particular
     big[:m, m:] = w0
     big[m:, :m] = w0.conj().T
-    big[:m, :m] = t * np.eye(m)
-    big[m:, m:] = t * np.eye(n)
+    big[:m, :m], big[m:, m:] = corners
     q = np.zeros_like(big)
+    # the affine iterate: only its off-diagonal corners change
+    y = big.copy()
     best = np.inf
     best_w = None
     last_improvement = 0
     window = 200
     for it in range(max_iter):
-        w_proj = _project_affine_block(big[:m, m:], particular, dstack)
-        y = np.zeros_like(big)
-        y[:m, :m] = t * np.eye(m)
-        y[m:, m:] = t * np.eye(n)
+        w_proj = project(big[:m, m:])
         y[:m, m:] = w_proj
         y[m:, :m] = w_proj.conj().T
         z = _psd_project(y + q)
         q = y + q - z
-        w_z = _project_affine_block(z[:m, m:], particular, dstack)
+        w_z = project(z[:m, m:])
         res = np.sqrt(
-            hs_norm(z[:m, :m] - t * np.eye(m)) ** 2
-            + hs_norm(z[m:, m:] - t * np.eye(n)) ** 2
-            + 2.0 * hs_norm(z[:m, m:] - w_z) ** 2
+            np.linalg.norm(z[:m, :m] - corners[0]) ** 2
+            + np.linalg.norm(z[m:, m:] - corners[1]) ** 2
+            + 2.0 * np.linalg.norm(z[:m, m:] - w_z) ** 2
         )
         if res <= tol.sdp_tol:
             return True, w_z, False

@@ -242,7 +242,7 @@ class LinearMapOnSubspace:
             if as_matrix(im).shape != tuple(self.codomain_shape):
                 raise ValueError("image shape does not match declared codomain")
 
-    @property
+    @cached_property
     def image_stack(self) -> np.ndarray:
         if not self.images:
             return np.zeros((0,) + tuple(self.codomain_shape), complex)

@@ -176,6 +176,34 @@ def amplified_norm_ratio(domain_basis, images, block_coeffs):
     return (np.linalg.norm(y, 2) / nx if nx > 0 else 0.0), x
 
 
+def polish_by_blocks(domain_basis, images, block_coeffs, steps):
+    """One start of the violation search's gradient ascent, block by block:
+    move the coefficients to <T_k, block (u, v) of y1 z1*> for the top
+    singular pair (y1, z1) of Y, normalized.  Returns the best ratio seen
+    and the coefficients that reached it."""
+    level = block_coeffs.shape[0]
+    kr, kc = images[0].shape
+    best = (amplified_norm_ratio(domain_basis, images, block_coeffs)[0], block_coeffs)
+    c = block_coeffs
+    for _ in range(steps):
+        y = np.zeros((level * kr, level * kc), complex)
+        for u in range(level):
+            for v in range(level):
+                y[u * kr : (u + 1) * kr, v * kc : (v + 1) * kc] = sum(a * t for a, t in zip(c[u, v], images))
+        left, _, right = np.linalg.svd(y)
+        grad = np.outer(left[:, 0], right[0].conj())
+        w = np.zeros_like(c)
+        for u in range(level):
+            for v in range(level):
+                block = grad[u * kr : (u + 1) * kr, v * kc : (v + 1) * kc]
+                w[u, v] = [np.sum(t.conj() * block) for t in images]
+        c = w.conj() / np.linalg.norm(w)
+        ratio = amplified_norm_ratio(domain_basis, images, c)[0]
+        if ratio > best[0]:
+            best = (ratio, c)
+    return best
+
+
 def min_opnorm_grid(particular, directions, span=3.0, steps=61, refine=4):
     """Coarse-to-fine grid minimization of the operator norm over an affine
     set with at most two real directions."""

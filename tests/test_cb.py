@@ -1,10 +1,13 @@
 import numpy as np
+import numpy.linalg._linalg as numpy_linalg_impl
 import pytest
 
 from opalg import examples as ex
 from opalg.cb import (
     FEASIBLE,
     INFEASIBLE,
+    _polish,
+    _violation_search,
     affine_from_equations,
     choi,
     inverse_map,
@@ -14,6 +17,7 @@ from opalg.cb import (
     min_opnorm_affine,
 )
 from opalg.linalg import (
+    DEFAULT_TOL,
     LinearMapOnSubspace,
     amplify,
     contains,
@@ -23,7 +27,7 @@ from opalg.linalg import (
     random_unitary,
 )
 
-from .oracles import min_opnorm_grid
+from .oracles import min_opnorm_grid, polish_by_blocks
 
 unit = ex.matrix_unit
 
@@ -225,3 +229,147 @@ def test_min_opnorm_matches_grid_oracle():
     # the argmin satisfies the constraints
     assert abs(space.coeffs(res.argmin)[0] - 1.0) <= 1e-7
     assert abs(space.coeffs(res.argmin)[2]) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# oracle cases for the violation search and the Dykstra exit
+
+
+def numpy_ratio(phi, x):
+    """||phi_L(x)|| / ||x|| from `amplify` and numpy's singular values."""
+    level = x.shape[0] // phi.domain.shape[0]
+    y = amplify(phi, level, x)
+    return np.linalg.svd(y, compute_uv=False)[0] / np.linalg.svd(x, compute_uv=False)[0]
+
+
+def psd_unit_diagonal(n, rng):
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v /= np.linalg.norm(v, axis=0)
+    return v.conj().T @ v
+
+
+def map_of(space, fn):
+    return LinearMapOnSubspace(space, tuple(fn(b) for b in space.basis), space.shape)
+
+
+def choi_action(witness, x, no):
+    """Apply the map whose Choi matrix is witness, block by block."""
+    ni = x.shape[0]
+    return sum(
+        x[i, j] * witness[i * no : (i + 1) * no, j * no : (j + 1) * no]
+        for i in range(ni)
+        for j in range(ni)
+    )
+
+
+def assert_paulsen_witness(phi, out, tol=1e-6):
+    """A PSD Choi witness that fixes both identity corners and extends phi."""
+    n = phi.domain.shape[0]
+    w = out.witness
+    assert w.shape == (4 * n * n, 4 * n * n)
+    assert np.linalg.eigvalsh((w + w.conj().T) / 2).min() >= -1e-9
+    corner = np.zeros((2 * n, 2 * n), complex)
+    corner[:n, :n] = np.eye(n)
+    assert np.abs(choi_action(w, corner, 2 * n) - corner).max() <= tol
+    corner = np.eye(2 * n) - corner
+    assert np.abs(choi_action(w, corner, 2 * n) - corner).max() <= tol
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            x, want = np.zeros((2 * n, 2 * n), complex), np.zeros((2 * n, 2 * n), complex)
+            x[:n, n:] = unit(n, i, j)
+            want[:n, n:] = phi.apply(unit(n, i, j))
+            assert np.abs(choi_action(w, x, 2 * n) - want).max() <= tol
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_schur_multiplier_inside_the_ball_feasible_by_dykstra(rng, n):
+    # a PSD symbol with unit diagonal is a completely positive Schur
+    # multiplier of cb norm one (Paulsen 2002), so 0.98 S o x is contractive
+    s = psd_unit_diagonal(n, rng)
+    phi = map_of(full_matrix_space(n), lambda b: 0.98 * s * b)
+    out = is_completely_contractive(phi)
+    assert out.status == FEASIBLE and out.notes == "alternating projections"
+    assert_paulsen_witness(phi, out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_schur_multiplier_outside_the_ball_infeasible(rng, n):
+    s = psd_unit_diagonal(n, rng)
+    phi = map_of(full_matrix_space(n), lambda b: 1.02 * s * b)
+    out = is_completely_contractive(phi)
+    assert out.status == INFEASIBLE
+    ratio = numpy_ratio(phi, out.witness)
+    assert 1.0 < ratio <= 1.02 + 1e-9
+    assert out.residual == pytest.approx(ratio - 1.0, abs=1e-9)
+
+
+def test_diagonal_compression_feasible_by_dykstra():
+    phi = map_of(full_matrix_space(3), lambda b: np.diag(np.diag(b)))
+    out = is_completely_contractive(phi)
+    assert out.status == FEASIBLE and out.notes == "alternating projections"
+    assert_paulsen_witness(phi, out)
+
+
+def test_violation_search_reaches_the_smith_level():
+    # transpose / 4.5 on M_5 has cb norm 5 / 4.5, attained only at level 5
+    phi = map_of(full_matrix_space(5), lambda b: b.T / 4.5)
+    out = is_completely_contractive(phi)
+    assert out.status == INFEASIBLE
+    assert out.witness.shape == (25, 25)
+    assert numpy_ratio(phi, out.witness) == pytest.approx(5 / 4.5, abs=1e-9)
+
+
+def test_symmetry_residual_is_conjugation_invariant(rng):
+    # the transpose's cb norm on car-span-algebra-3 is reached above level 4
+    space = dict(ex.corpus())["car-span-algebra-3"].space
+    q = random_unitary(space.ambient_rows, rng)
+    conj = orthonormalize([q @ b @ q.conj().T for b in space.basis])
+    given, conjugated = is_symmetric_space(space), is_symmetric_space(conj)
+    assert given.status == conjugated.status == INFEASIBLE
+    assert given.residual == pytest.approx(conjugated.residual, abs=1e-9)
+
+
+def test_violation_search_batches_its_svds(monkeypatch):
+    # per level one batched SVD of the images and one of the amplified
+    # elements per polish step: 2 for the unit starts, 2 * 5 for the four
+    # steps at level 1, 2 * 7 for the six steps at each of levels 2 and 3.
+    # Polishing one start at a time took 1082 SVDs here.
+    phi = transpose_map(full_matrix_space(3))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(numpy_linalg_impl, "svd", counting_svd)  # np.linalg.norm(x, 2)
+    found = _violation_search(phi, DEFAULT_TOL, 0)
+    assert found is not None and found[0] == pytest.approx(3.0)
+    assert len(calls) == 2 + 2 * 5 + 2 * 7 * 2
+
+
+def test_rectangular_conjugation_certified(rng):
+    # x -> u x v from M_{2,3} to M_{3,2} with isometric u and v: the pinned
+    # identity corners of the two sides have different sizes
+    full = orthonormalize([unit(2, i, j, 3) for i in (1, 2) for j in (1, 2, 3)])
+    u = random_unitary(3, rng)[:, :2]
+    v = random_unitary(3, rng)[:, :2]
+    phi = LinearMapOnSubspace(full, tuple(u @ b @ v for b in full.basis), (3, 2))
+    out = is_completely_contractive(phi)
+    assert out.status == FEASIBLE and out.notes == "conjugation certificate"
+    assert np.linalg.eigvalsh(out.witness).min() >= -1e-9
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_batched_polish_matches_block_loop(rng, level):
+    # a generic map from a 5-dimensional subspace of M_{2,3} into M_{3,2}
+    space = orthonormalize([rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)) for _ in range(5)])
+    images = tuple(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)) for _ in range(5))
+    phi = LinearMapOnSubspace(space, images, (3, 2))
+    starts = rng.standard_normal((4, level, level, 5)) + 1j * rng.standard_normal((4, level, level, 5))
+    ratios, coeffs = _polish(phi, starts, 6)
+    for start, ratio, c in zip(starts, ratios, coeffs):
+        want_ratio, want_c = polish_by_blocks(list(space.basis), list(images), start, 6)
+        assert ratio == pytest.approx(want_ratio, rel=1e-9)
+        assert np.allclose(c, want_c, atol=1e-9)
