@@ -8,7 +8,8 @@ commutator span, the Jacobson radical's trace form (trace-form kernel, valid
 in characteristic zero) and the quotient tables read that tensor as tensor
 identities or null spaces instead of multiplying matrices again.  On top sits
 the split of a 3-commutative algebra into a unital commutative ideal plus a
-nilpotent ideal.
+nilpotent ideal.  Spans inside an algebra are taken in coefficient space,
+with the rank floored at scale 1, so rounding noise is never structure.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
-    as_matrix,
     contains,
     hs_norm,
     max_projection_residual,
     null_space,
     orthonormalize,
     product_stack,
+    row_basis,
 )
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
     "is_idempotent_algebra",
     "is_c_faithful",
     "radical",
-    "is_nilpotent_span",
+    "is_nilpotent",
     "quotient_structure",
     "abstract_radical_coeffs",
     "wedderburn_split",
@@ -172,8 +173,19 @@ def _elements(A: MatrixAlgebra, coeffs) -> np.ndarray:
     return np.einsum("ck,kij->cij", coeffs, A.space.stack)
 
 
+def _rows(coeffs, tol: ToleranceConfig) -> np.ndarray:
+    """Orthonormal coefficient rows with the same span; a row has its element's norm."""
+    return row_basis(coeffs, tol.eq_tol, min_scale=1.0)
+
+
 def _span(A: MatrixAlgebra, coeffs, tol: ToleranceConfig) -> Subspace:
-    return orthonormalize(_elements(A, coeffs), tol, shape=A.space.shape)
+    # orthonormal rows over an orthonormal basis give orthonormal matrices
+    return Subspace(A.ambient, A.ambient, tuple(_elements(A, _rows(coeffs, tol))))
+
+
+def _products(A: MatrixAlgebra, left, right) -> np.ndarray:
+    """Coefficient rows of every product x y, x and y given by coefficient rows."""
+    return np.einsum("ai,bj,ijk->abk", left, right, A.structure).reshape(-1, A.dim)
 
 
 def _kernel(A: MatrixAlgebra, coeffs, side: str, tol: ToleranceConfig) -> np.ndarray:
@@ -183,19 +195,16 @@ def _kernel(A: MatrixAlgebra, coeffs, side: str, tol: ToleranceConfig) -> np.nda
     return null_space(action.T, tol.eq_tol, min_scale=1.0)
 
 
-def commutator_subspace(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Subspace:
-    """Span of the commutators b_i b_j - b_j b_i.
-
-    Commutators that vanish under the equality tolerance are dropped before
-    spanning, so a commutative algebra yields the zero subspace rather than
-    a span of rounding noise.
-    """
-    tol = tol or A.tol
+def _commutator_rows(A: MatrixAlgebra, tol: ToleranceConfig) -> np.ndarray:
     c = A.structure
     i, j = np.triu_indices(A.dim, 1)
-    comm = c[i, j] - c[j, i]
-    live = np.linalg.norm(comm, axis=1) > tol.eq_tol * np.maximum(1.0, np.linalg.norm(c[i, j], axis=1))
-    return _span(A, comm[live], tol)
+    return _rows(c[i, j] - c[j, i], tol)
+
+
+def commutator_subspace(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Subspace:
+    """Span of the commutators b_i b_j - b_j b_i."""
+    tol = tol or A.tol
+    return _span(A, _commutator_rows(A, tol), tol)
 
 
 def annihilators(A: MatrixAlgebra, tol: ToleranceConfig | None = None):
@@ -216,43 +225,31 @@ def is_right_faithful(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> b
 def is_idempotent_algebra(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
     """True when the span of pairwise products is all of A."""
     tol = tol or A.tol
-    prods = [bi @ bj for bi in A.basis for bj in A.basis]
-    return orthonormalize(prods, tol, shape=A.space.shape).dim == A.dim
+    return len(_rows(A.structure.reshape(A.dim * A.dim, A.dim), tol)) == A.dim
 
 
 def is_c_faithful(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
     """The commutator ideal acts faithfully on A from at least one side."""
     tol = tol or A.tol
-    J = commutator_subspace(A, tol)
-    if J.dim == 0:
-        return True
-    coeffs = np.einsum("aij,kij->ak", J.stack, A.space.stack.conj())
-    return any(len(_kernel(A, coeffs, side, tol)) == 0 for side in ("left", "right"))
+    J = _commutator_rows(A, tol)
+    return any(len(_kernel(A, J, side, tol)) == 0 for side in ("left", "right"))
 
 
-def is_nilpotent_span(mats, tol: ToleranceConfig | None = None, max_power: int | None = None) -> bool:
-    """Does the algebra spanned by mats (assumed product-closed) vanish at some power?"""
-    tol = tol or DEFAULT_TOL
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        return True
-    gens = orthonormalize(mats, tol)
+def is_nilpotent(A: MatrixAlgebra, coeffs=None, tol: ToleranceConfig | None = None) -> bool:
+    """Is the subalgebra of A with these coefficient rows (all of A by default) nilpotent?
+
+    The powers S, S^2, ... are spanned in coefficient space; each is inside
+    the one before, so they either reach zero or stop shrinking.
+    """
+    tol = tol or A.tol
+    gens = _rows(np.eye(A.dim, dtype=complex) if coeffs is None else coeffs, tol)
     cur = gens
-    limit = max_power or (gens.dim + 2)
-    for _ in range(limit):
-        if cur.dim == 0:
-            return True
-        # products of unit-norm factors: anything below eq_tol is zero
-        prods = [
-            p
-            for p in (x @ g for x in cur.basis for g in gens.basis)
-            if hs_norm(p) > tol.eq_tol
-        ]
-        nxt = orthonormalize(prods, tol, shape=gens.shape)
-        if nxt.dim >= cur.dim:
-            return nxt.dim == 0
+    while len(cur):
+        nxt = _rows(_products(A, cur, gens), tol)
+        if len(nxt) >= len(cur):
+            return False
         cur = nxt
-    return cur.dim == 0
+    return True
 
 
 def radical(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Subspace:
@@ -269,12 +266,13 @@ def radical(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Subspace:
         return A.space
     # trace form tr(b_i b_j) = sum_k c_ijk tr(b_k); x = sum_i y_i b_i is in its kernel iff gram.T @ y = 0
     gram = A.structure @ np.trace(A.space.stack, axis1=1, axis2=2)
-    rad = _span(A, null_space(gram.T, tol.eq_tol, min_scale=1.0), tol)
+    kernel = null_space(gram.T, tol.eq_tol, min_scale=1.0)
+    rad = _span(A, kernel, tol)
     stack = A.space.stack
     products = np.concatenate([product_stack(stack, rad.stack), product_stack(rad.stack, stack)])
     if max_projection_residual(rad, products) > tol.eq_tol:
         raise ArithmeticError("radical cross-check failed: trace-form kernel is not an ideal")
-    if not is_nilpotent_span(list(rad.basis), tol):
+    if not is_nilpotent(A, kernel, tol):
         raise ArithmeticError("radical cross-check failed: trace-form kernel is not nilpotent")
     if rad.dim < d:
         _, table = quotient_structure(A, rad, tol)
@@ -355,17 +353,10 @@ def wedderburn_split(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> We
         return WedderburnSplit(True, None, None, None, 0.0)
     reps, table = quotient_structure(A, rad, tol)
     m = len(reps)
-    # identity of the semisimple quotient: u with u q_i = q_i u = q_i for all i
-    rows = []
-    rhs = []
-    eye = np.eye(m, dtype=complex)
-    for i in range(m):
-        rows.append(table[:, i, :].T)  # columns indexed by u-coefficients
-        rhs.append(eye[i])
-        rows.append(table[i, :, :].T)
-        rhs.append(eye[i])
-    big = np.vstack(rows)
-    target = np.concatenate(rhs)
+    # identity of the semisimple quotient: u with u q_i = q_i u = q_i for all i;
+    # rows (i, side, n) and columns indexed by u-coefficients
+    big = np.stack([table.transpose(1, 2, 0), table.transpose(0, 2, 1)], axis=1).reshape(-1, m)
+    target = np.repeat(np.eye(m, dtype=complex), 2, axis=0).ravel()
     u, *_ = np.linalg.lstsq(big, target, rcond=None)
     if hs_norm(big @ u - target) > tol.eq_tol * max(1.0, hs_norm(target)):
         raise ArithmeticError("semisimple quotient has no identity; split aborted")
@@ -374,22 +365,19 @@ def wedderburn_split(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> We
     if not contains(A.space, f, tol):
         raise ArithmeticError("lifted idempotent escaped the algebra")
 
-    # basis elements have unit norm, so anything below eq_tol is a true zero
-    c_mats = [m for m in (f @ b @ f for b in A.basis) if hs_norm(m) > tol.eq_tol]
-    k_mats = [m for m in (b - f @ b for b in A.basis) if hs_norm(m) > tol.eq_tol]
-    c_space = orthonormalize(c_mats, tol, shape=A.space.shape)
-    k_space = orthonormalize(k_mats, tol, shape=A.space.shape)
-    residual = 0.0
-    for b in A.basis:
-        residual = max(residual, hs_norm(f @ b - b @ f) / max(1.0, hs_norm(b)))
-    for c in c_space.basis:
-        for k in k_space.basis:
-            residual = max(residual, hs_norm(c @ k), hs_norm(k @ c))
-    direct = orthonormalize(list(c_space.basis) + list(k_space.basis), tol, shape=A.space.shape)
-    if direct.dim != c_space.dim + k_space.dim or direct.dim != A.dim:
+    # rows j of left and right hold the coefficients of f b_j and b_j f
+    eye, fc = np.eye(A.dim, dtype=complex), A.space.coeffs(f)[None]
+    left, right = _products(A, fc, eye), _products(A, eye, fc)
+    c_rows = _rows(left @ right, tol)  # f b_j f
+    k_rows = _rows(eye - left, tol)  # b_j - f b_j
+    # f is central, and C and K annihilate each other
+    cross = np.concatenate([left - right, _products(A, c_rows, k_rows), _products(A, k_rows, c_rows)])
+    residual = float(np.linalg.norm(cross, axis=1).max())
+    direct = _rows(np.concatenate([c_rows, k_rows]), tol)
+    if len(direct) != len(c_rows) + len(k_rows) or len(direct) != A.dim:
         raise ArithmeticError("split does not decompose the algebra as a direct sum")
-    if not is_nilpotent_span(list(k_space.basis), tol):
+    if not is_nilpotent(A, k_rows, tol):
         raise ArithmeticError("nilpotent summand fails to be nilpotent")
-    C = verify_algebra(c_space, tol)
-    K = verify_algebra(k_space, tol)
+    C = verify_algebra(_span(A, c_rows, tol), tol)
+    K = verify_algebra(_span(A, k_rows, tol), tol)
     return WedderburnSplit(False, C, K, f, residual)

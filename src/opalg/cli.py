@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import cb, examples, reversibility, structure, tro
-from .linalg import ToleranceConfig, contains, hs_norm, op_norm
+from .linalg import ToleranceConfig, contains, hs_norm, null_space, op_norm
 from .report import analyze_algebra, matrix_to_wire, parse_input
 
 
@@ -254,16 +254,12 @@ def _reproduce_isometry(t: _Table, tol, seed):
         t.check(g, f"{label}-reversal-certificate",
                 reversibility.certify_reversal_element(A, wmid, tol=tol))
         # no strictly anticommuting element: every anticommuting solution kills A
-        d = A.dim
         rows = []
         for y in A.basis:
             cols = [(b @ y + y @ b).ravel() for b in A.basis]
             rows.append(np.stack(cols, axis=1))
-        big = np.vstack(rows)
-        _, sv, vh = np.linalg.svd(big, full_matrices=True)
-        rank = int(np.sum(sv > 1e-9 * sv[0])) if sv.size else 0
         strict = False
-        for c in vh[rank:].conj():
+        for c in null_space(np.vstack(rows), 1e-9):
             x = np.einsum("k,kij->ij", c, A.space.stack)
             if any(hs_norm(x @ y) > 1e-9 for y in A.basis):
                 strict = True
@@ -417,7 +413,10 @@ def _reproduce_consistency(t: _Table, tol, seed):
                         violations.append(f"{name}: commutators fail to annihilate")
         if env.status == "EXACT":
             z_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_PRODUCT, tol)
-            w_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_REVERSED, tol)
+            # the verdict holds the reversed solve; an anticommuting verdict holds -1 instead
+            w_sol = verdict.w if verdict.envelope_status is not None else reversibility.solve_pairing(
+                A, env.envelope, reversibility.TARGET_REVERSED, tol
+            )
             if z_sol.element is not None and w_sol.element is not None:
                 same = hs_norm(z_sol.element - w_sol.element) <= 1e-7
                 if same != comm:

@@ -22,6 +22,8 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "op_norm",
+    "numerical_rank",
+    "row_basis",
     "orthonormalize",
     "close_span",
     "contains",
@@ -122,10 +124,7 @@ class Subspace:
         return np.einsum("kij,ij->k", self.stack.conj(), x)
 
     def project(self, x) -> np.ndarray:
-        c = self.coeffs(x)
-        if not self.basis:
-            return np.zeros(self.shape, complex)
-        return np.einsum("k,kij->ij", c, self.stack)
+        return self.from_coeffs(self.coeffs(x))
 
     def from_coeffs(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=complex)
@@ -136,12 +135,28 @@ class Subspace:
         return np.einsum("k,kij->ij", c, self.stack)
 
 
+def numerical_rank(s: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> int:
+    """Number of singular values (descending) above rel_tol * max(min_scale, s_0).
+
+    The one rank rule.  Spans of input matrices pass min_scale=0: a relative
+    cutoff keeps the rank scale-free.  Coordinates against an orthonormal
+    basis are O(1), so min_scale=1 there gives an all-noise system rank zero.
+    """
+    return int(np.sum(s > rel_tol * max(min_scale, s[0]))) if s.size else 0
+
+
+def row_basis(rows: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.ndarray:
+    """Orthonormal rows spanning the row space, rank by :func:`numerical_rank`."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[: numerical_rank(s, rel_tol, min_scale)]
+
+
 def orthonormalize(mats, tol: ToleranceConfig | None = None, *, shape=None) -> Subspace:
     """Orthonormal basis of the span of ``mats``.
 
     Rank is decided by a singular-value cutoff of ``eq_tol`` relative to the
-    largest singular value.  An empty input yields the zero subspace, in
-    which case the ambient ``shape`` must be supplied.
+    largest singular value, with no floor.  An empty input yields the zero
+    subspace, in which case the ambient ``shape`` must be supplied.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(mats, np.ndarray) and mats.ndim == 3:
@@ -167,9 +182,7 @@ def orthonormalize(mats, tol: ToleranceConfig | None = None, *, shape=None) -> S
     rows = stacked.reshape(stacked.shape[0], -1)
     if not np.isfinite(rows).all():
         raise ValueError("matrix entries must be finite")
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > tol.eq_tol * s[0])) if s.size and s[0] > 0 else 0
-    basis = tuple(vh[i].reshape(mshape) for i in range(rank))
+    basis = tuple(v.reshape(mshape) for v in row_basis(rows, tol.eq_tol))
     return Subspace(mshape[0], mshape[1], basis)
 
 
@@ -287,19 +300,13 @@ def amplify(phi: LinearMapOnSubspace, k: int, X, tol: ToleranceConfig | None = N
 def null_space(a: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.ndarray:
     """Rows spanning the kernel {c : a @ c = 0}.
 
-    The cutoff is rel_tol times the top singular value, floored at
-    rel_tol * min_scale; callers whose entries have a natural O(1) scale pass
-    min_scale=1 so that an all-noise system reads as identically zero.
+    Rank follows :func:`numerical_rank`.
     """
     a = np.asarray(a)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=a.dtype)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    scale = max(min_scale, s[0] if s.size else 0.0)
-    if scale == 0.0:
-        scale = 1.0
-    rank = int(np.sum(s > rel_tol * scale))
-    return vh[rank:].conj()
+    return vh[numerical_rank(s, rel_tol, min_scale):].conj()
 
 
 def product_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .linalg import (
     as_matrix,
     contains,
     hs_norm,
+    numerical_rank,
     op_norm,
     orthonormalize,
     product_stack,
@@ -86,7 +87,7 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
     system = np.einsum("iar,ksr,jsc->ijack", B, Z.conj(), B, optimize=True).reshape(-1, t)
     target = mu.ravel()
     u, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < t)
-    rank = int(np.sum(s > tol.eq_tol * max(1.0, s[0] if s.size else 0.0)))
+    rank = numerical_rank(s, tol.eq_tol, min_scale=1.0)
     d = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / s[:rank])
     raw = float(np.linalg.norm(system @ d - target))
     scale = max(1.0, float(np.linalg.norm(target)))

@@ -29,6 +29,7 @@ from .linalg import (
     identity_map,
     max_projection_residual,
     null_space,
+    numerical_rank,
     op_norm,
     orthonormalize,
     product_stack,
@@ -107,7 +108,7 @@ def _range_columns(columns, tol):
     and orthonormal columns spanning its orthogonal complement, from one SVD."""
     stacked = np.hstack(columns)
     u, s, _ = np.linalg.svd(stacked, full_matrices=stacked.shape[1] < stacked.shape[0])
-    rank = int(np.sum(s > tol.eq_tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = numerical_rank(s, tol.eq_tol)
     return u[:, :rank], u[:, rank:]
 
 
@@ -288,11 +289,9 @@ def injective_envelope(
             qr = sum(bs.right_projections[k] for k in kept)
             images = tuple(pl @ x @ qr for x in space.basis)
             emb = LinearMapOnSubspace(space, images, space.shape)
-            stacked = np.stack([im.ravel() for im in images]) if images else np.zeros((0, 1))
-            if images:
-                svals = np.linalg.svd(stacked, compute_uv=False)
-                if svals.size == 0 or svals[-1] <= tol.eq_tol * max(1.0, svals[0]):
-                    continue  # compression kills part of the input
+            flat = np.stack([im.ravel() for im in images]) if images else np.zeros((0, 1))
+            if numerical_rank(np.linalg.svd(flat, compute_uv=False), tol.eq_tol, 1.0) < len(images):
+                continue  # compression kills part of the input
             outcome = cb.is_complete_isometry(emb, tol, seed)
             if outcome.status != cb.FEASIBLE:
                 continue

@@ -237,19 +237,47 @@ def _rank(rows, floor):
     return int(np.sum(s > 1e-9 * max(floor, s[0] if s.size else 0.0)))
 
 
+def _orthonormal_basis(mats, tol, absolute=False):
+    """SVD basis of the span.  The cutoff is tol, times the top singular
+    value unless ``absolute``."""
+    flat = np.stack([np.asarray(m, dtype=complex).ravel() for m in mats])
+    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    cutoff = tol if absolute else tol * s[0]
+    rank = int(np.sum(s > cutoff)) if s.size and s[0] > 0 else 0
+    return [vh[k].reshape(np.shape(mats[0])) for k in range(rank)]
+
+
+def is_nilpotent_by_powers(mats, tol=1e-9):
+    """Does the algebra spanned by mats (assumed product-closed) vanish at some power?
+
+    Forms A^(k+1) = span{x b : x in A^k, b in A} from explicit products of
+    orthonormal bases.  Each power lies inside the one before, so the loop
+    ends when a power has rank 0 (nilpotent) or the rank stops falling.  Unit
+    factors give O(1) products, so the rank takes an absolute cutoff of tol.
+    """
+    basis = _orthonormal_basis(mats, tol) if len(mats) else []
+    power = basis
+    while power:
+        nxt = _orthonormal_basis([x @ b for x in power for b in basis], tol, absolute=True)
+        if len(nxt) >= len(power):
+            return False
+        power = nxt
+    return True
+
+
 def predicates_by_products(mats, tol=1e-9):
     """Algebra predicates from explicit products of an orthonormal basis.
 
     The basis is an SVD basis of the span of ``mats``, so the answers do not
     depend on how the span was presented.  Returns a dict with the keys
-    commutative, anticommuting, three_commutative, annihilator_dims
-    (left, right), commutator_dim, c_faithful and radical_dim.
+    commutative, anticommuting, three_commutative, idempotent,
+    annihilator_dims (left, right), commutator_dim, c_faithful and
+    radical_dim.  Products of orthonormal basis elements have an O(1) scale,
+    so the rank of the products (idempotent means rank d) takes an absolute
+    cutoff of tol.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    flat = np.stack([m.ravel() for m in mats])
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    basis = [vh[k].reshape(mats[0].shape) for k in range(rank)]
+    basis = _orthonormal_basis(mats, tol)
     d = len(basis)
 
     def rel(x, ref):
@@ -277,6 +305,7 @@ def predicates_by_products(mats, tol=1e-9):
             cols.append(np.concatenate([a.ravel() for a in acts]))
         return len(elements) - _rank(np.stack(cols, axis=1), 1.0)
 
+    idempotent = d == 0 or len(_orthonormal_basis([p for row in prod for p in row], tol, absolute=True)) == d
     annihilator_dims = (kernel_dim(basis, "left"), kernel_dim(basis, "right"))
     comms = [
         prod[i][j] - prod[j][i]
@@ -298,6 +327,7 @@ def predicates_by_products(mats, tol=1e-9):
         "commutative": commutative,
         "anticommuting": anticommuting,
         "three_commutative": three,
+        "idempotent": idempotent,
         "annihilator_dims": annihilator_dims,
         "commutator_dim": commutator_dim,
         "c_faithful": c_faithful,

@@ -13,7 +13,7 @@ from opalg.algebra import (
     is_commutative,
     is_idempotent_algebra,
     is_left_faithful,
-    is_nilpotent_span,
+    is_nilpotent,
     is_right_faithful,
     is_three_commutative,
     quotient_structure,
@@ -23,7 +23,7 @@ from opalg.algebra import (
 )
 from opalg.linalg import contains, hs_norm, orthonormalize, random_unitary
 
-from .oracles import predicates_by_products, radical_by_composition_series
+from .oracles import is_nilpotent_by_powers, predicates_by_products, radical_by_composition_series
 
 unit = ex.matrix_unit
 
@@ -159,10 +159,25 @@ def test_radical_is_nilpotent_ideal_with_semisimple_quotient(rng):
             assert len(abstract_radical_coeffs(table)) == 0
 
 
-def test_is_nilpotent_span():
-    assert is_nilpotent_span([unit(3, 1, 2), unit(3, 2, 3), unit(3, 1, 3)])
-    assert not is_nilpotent_span([unit(2, 1, 1)])
-    assert is_nilpotent_span([])
+def test_is_nilpotent():
+    assert is_nilpotent(verify_algebra([unit(3, 1, 2), unit(3, 2, 3), unit(3, 1, 3)]))
+    assert not is_nilpotent(verify_algebra([unit(2, 1, 1)]))
+    # the zero subalgebra, given by no coefficient rows
+    assert is_nilpotent(ex.upper_triangular(2), np.zeros((0, 3)))
+
+
+def _conjugate(A, rng):
+    q = random_unitary(A.ambient, rng)
+    return verify_algebra([q @ b @ q.conj().T for b in A.basis])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ex.corpus()])
+def test_is_nilpotent_matches_power_oracle(name):
+    A = dict(ex.corpus())[name]
+    expected = is_nilpotent_by_powers(A.basis)
+    assert is_nilpotent(A) == expected
+    conj = _conjugate(A, np.random.default_rng(sum(map(ord, name))))
+    assert is_nilpotent(conj) == expected
 
 
 def test_wedderburn_split_pair():
@@ -199,6 +214,7 @@ def test_wedderburn_random_conjugates(rng):
         A = verify_algebra([q @ b @ q.conj().T for b in base.basis])
         split = wedderburn_split(A)
         assert not split.radical_only
+        assert split.unital_part.dim == 1 and split.nilpotent_part.dim == 1
         direct = orthonormalize(
             list(split.unital_part.basis) + list(split.nilpotent_part.basis),
             shape=(4, 4),
@@ -243,6 +259,7 @@ def _library_predicates(A):
         "commutative": is_commutative(A),
         "anticommuting": is_anticommuting(A),
         "three_commutative": is_three_commutative(A),
+        "idempotent": is_idempotent_algebra(A),
         "annihilator_dims": (left.dim, right.dim),
         "commutator_dim": commutator_subspace(A).dim,
         "c_faithful": is_c_faithful(A),
@@ -278,3 +295,28 @@ def test_structure_tensor_reproduces_products():
                 expanded = sum(c * b for c, b in zip(A.structure[i, j], A.basis))
                 err = hs_norm(bi @ bj - expanded) / max(1.0, hs_norm(bi @ bj))
                 assert err <= A.closure_residual + 1e-15
+
+
+@pytest.mark.parametrize(
+    "name", ["strict-upper-2", "single-nilpotent", "random-triangular-4-12", "random-triangular-4-13"]
+)
+def test_idempotent_invariant_under_conjugation(name):
+    # A^2 = 0 for each of these; the products are rounding noise, which a
+    # rank decision must not count, however the algebra is presented
+    A = dict(ex.corpus())[name]
+    expected = predicates_by_products(A.basis)["idempotent"]
+    assert not expected
+    assert is_idempotent_algebra(A) == expected
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        assert is_idempotent_algebra(_conjugate(A, rng)) == expected
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _oracle_algebras()])
+def test_predicates_invariant_under_rescaling(name):
+    # spans of input matrices take a purely relative rank cutoff, so a tiny or
+    # a huge presentation of the same algebra gives the same answers
+    A = dict(_oracle_algebras())[name]
+    expected = _library_predicates(A)
+    for scale in (1e-12, 1e6):
+        assert _library_predicates(verify_algebra(list(scale * A.space.stack))) == expected
