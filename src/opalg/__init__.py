@@ -30,7 +30,6 @@ from .cb import (
     AffineMatrixSet,
     FeasibilityOutcome,
     MinNormResult,
-    affine_from_equations,
     choi,
     is_complete_isometry,
     is_completely_contractive,

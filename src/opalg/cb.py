@@ -11,17 +11,25 @@ search for norm-expanding amplified elements provide fast exits on the
 feasible and infeasible sides.
 
 The conjugation fit works on the stacked domain basis and images, one
-matrix product per alternating step.  The violation search polishes all
+matrix product per alternating step, and drops a start once its misfit
+stalls.  The violation search polishes all
 starts of one amplification level together, one batched SVD of the images
 and one of the amplified elements per step.  It climbs to level
 max(kr, kc) for a map into M_{kr, kc}: by Smith's lemma (R. R. Smith,
 J. London Math. Soc. 1983) the cb norm of such a map is the norm of that
 amplification, so no violation is missed for want of a higher level.
+
+The least operator norm over an affine set, which settles reversibility,
+comes as a bracket: Newton's method on a smoothed top eigenvalue gives the
+upper bound, and its softmax density a trace-norm dual witness for the
+lower one.  A NO verdict carries that witness; UNDECIDED means the bracket
+contains 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,9 +38,9 @@ from .linalg import (
     LinearMapOnSubspace,
     Subspace,
     ToleranceConfig,
-    null_space,
     op_norm,
     orthonormalize,
+    row_basis,
 )
 
 __all__ = [
@@ -47,7 +55,6 @@ __all__ = [
     "inverse_map",
     "AffineMatrixSet",
     "MinNormResult",
-    "affine_from_equations",
     "min_opnorm_affine",
 ]
 
@@ -196,7 +203,8 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
     least-squares whose factors happen to balance into contractions.  Each
     step works on the whole domain and image stacks S and T: u solves
     u [S_k v]_k = [T_k]_k side by side, v solves [u S_k]_k v = [T_k]_k
-    stacked.
+    stacked.  Both steps are exact minimizations, so the misfit never grows:
+    a start is dropped once a step takes off less than a thousandth of it.
     """
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
@@ -216,11 +224,16 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             starts.append(_polar_unitary(g))
         for v in starts:
+            last = np.inf
             for _ in range(120):
                 u = _polar_unitary(t_wide @ _side_by_side(s @ v).conj().T)
                 v = _polar_unitary((u @ s).reshape(-1, n).conj().T @ t_tall)
-                if fit_of(u, v) <= 1e-11 * scale:
+                fit = fit_of(u, v)
+                if fit <= 1e-11 * scale:
                     return u, v
+                if fit > 0.999 * last:
+                    break
+                last = fit
 
     for trial in range(6):
         v = (
@@ -228,12 +241,15 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
             if trial == 0
             else rng.standard_normal((n, kc)) + 1j * rng.standard_normal((n, kc))
         )
+        last = np.inf
         for _ in range(60):
             u = np.linalg.lstsq(_side_by_side(s @ v).T, t_wide.T, rcond=None)[0].T
             v = np.linalg.lstsq((u @ s).reshape(-1, n), t_tall, rcond=None)[0]
-            if fit_of(u, v) <= 1e-11 * scale:
+            fit = fit_of(u, v)
+            if fit <= 1e-11 * scale or fit > 0.999 * last:
                 break
-        else:
+            last = fit
+        if fit > 1e-11 * scale:
             continue
         nu, nv = op_norm(u), op_norm(v)
         if nu == 0 or nv == 0:
@@ -460,118 +476,106 @@ class AffineMatrixSet:
 
 @dataclass(frozen=True, eq=False)
 class MinNormResult:
+    """min_norm = ||argmin|| bounds the least norm above, lower below: witness has trace norm
+    one and is real-orthogonal to the directions, so Re<w, witness> = lower <= ||w|| on the
+    set.  certified: the gap closed to sdp_tol * max(1, min_norm)."""
+
     status: str  # "OK" | "INCONSISTENT"
     min_norm: float
     argmin: np.ndarray | None
     certified: bool
+    lower: float
+    witness: np.ndarray | None
 
 
-def affine_from_equations(space: Subspace, eq_matrix, rhs, tol: ToleranceConfig | None = None) -> AffineMatrixSet:
-    """Solution set of complex-linear equations on coefficients over a subspace."""
-    tol = tol or DEFAULT_TOL
-    eq_matrix = np.asarray(eq_matrix, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex).ravel()
-    if eq_matrix.shape != (rhs.size, space.dim):
-        raise ValueError("equation matrix must be (n_equations, subspace dim)")
-    if eq_matrix.size == 0:
-        sol = np.zeros(space.dim, complex)
-        raw = 0.0
-    else:
-        sol, *_ = np.linalg.lstsq(eq_matrix, rhs, rcond=None)
-        raw = float(np.linalg.norm(eq_matrix @ sol - rhs))
-    residual = raw / max(1.0, float(np.linalg.norm(rhs)))
-    if eq_matrix.size == 0:
-        null = np.eye(space.dim, dtype=complex)
-    else:
-        null = null_space(eq_matrix, tol.eq_tol, min_scale=1.0)
-    particular = space.from_coeffs(sol)
-    directions = []
-    for c in null:
-        base = space.from_coeffs(c)
-        directions.extend([base, 1j * base])
-    return AffineMatrixSet(particular, tuple(directions), residual)
+_EPS = float(np.finfo(float).eps)
 
 
-def _opnorm_feasible(t, particular, dstack, tol, max_iter, start=None):
-    """Is there w in the affine set with operator norm at most t?
+def _smoothed(p0, dstack, c, mu) -> SimpleNamespace:
+    """w = p0 + sum c_k D_k and f = mu log tr exp(H / mu) for its dilation
+    H = [[0, w], [w*, 0]]: p is the softmax of H's spectrum lam over mu, a
+    holds the D_k dilated in H's eigenbasis, g_k = Re<y, D_k> is the
+    gradient of f and y = 2 G_12 the corner of the density G = grad_H f."""
+    m, n = p0.shape
+    w = p0 + np.einsum("k,kij->ij", c, dstack)
+    h = np.zeros((m + n, m + n), complex)
+    h[:m, m:], h[m:, :m] = w, w.conj().T
+    lam, vecs = np.linalg.eigh(h)
+    e = np.exp((lam - lam[-1]) / mu)
+    p = e / e.sum()
+    x = np.einsum("ia,kij,jb->kab", vecs[:m].conj(), dstack, vecs[m:])
+    a = x + x.conj().transpose(0, 2, 1)
+    g = np.einsum("i,kii->k", p, a).real
+    y = 2.0 * (vecs[:m] * p) @ vecs[m:].conj().T
+    return SimpleNamespace(c=c, w=w, lam=lam, p=p, f=lam[-1] + mu * np.log(e.sum()), a=a, g=g, y=y)
 
-    Returns (verdict, w, ambiguous): ambiguous means the run hit its cap
-    without either converging or clearly stalling.
-    """
-    m, n = particular.shape
-    dstack_conj = dstack.conj()
 
-    def project(w):
-        # nearest point of particular + real span of the orthonormal directions
-        coeff = np.einsum("kij,ij->k", dstack_conj, w - particular).real
-        return particular + np.einsum("k,kij->ij", coeff, dstack)
-
-    corners = (t * np.eye(m), t * np.eye(n))
-    big = np.zeros((m + n, m + n), complex)
-    w0 = start if start is not None else particular
-    big[:m, m:] = w0
-    big[m:, :m] = w0.conj().T
-    big[:m, :m], big[m:, m:] = corners
-    q = np.zeros_like(big)
-    # the affine iterate: only its off-diagonal corners change
-    y = big.copy()
-    best = np.inf
-    best_w = None
-    last_improvement = 0
-    window = 200
-    for it in range(max_iter):
-        w_proj = project(big[:m, m:])
-        y[:m, m:] = w_proj
-        y[m:, :m] = w_proj.conj().T
-        z = _psd_project(y + q)
-        q = y + q - z
-        w_z = project(z[:m, m:])
-        res = np.sqrt(
-            np.linalg.norm(z[:m, :m] - corners[0]) ** 2
-            + np.linalg.norm(z[m:, m:] - corners[1]) ** 2
-            + 2.0 * np.linalg.norm(z[:m, m:] - w_z) ** 2
-        )
-        if res <= tol.sdp_tol:
-            return True, w_z, False
-        if res < best * (1.0 - 1e-4):
-            best, best_w, last_improvement = res, w_z, it
-        if it - last_improvement > window and best > 10.0 * tol.sdp_tol:
-            return False, best_w, False
-        big = z
-    return False, best_w, True
+def _newton_step(it: SimpleNamespace, mu) -> np.ndarray:
+    """Newton direction for f, with the Hessian of Daleckii and Krein: the divided differences
+    (p_i - p_j) / (lam_i - lam_j) weight the entries of the dilated directions, less g g* / mu."""
+    diff = it.lam[:, None] - it.lam[None, :]
+    dist = np.maximum(np.abs(diff), _EPS * mu)
+    # taken from the larger weight, so expm1 cannot overflow
+    weights = np.where(diff >= 0.0, it.p[:, None], it.p[None, :]) * np.expm1(-dist / mu) / -dist
+    hess = np.einsum("ij,kij,lij->kl", weights, it.a.conj(), it.a).real - np.outer(it.g, it.g) / mu
+    ev, q = np.linalg.eigh(hess)
+    return -q @ ((q.T @ it.g) / np.maximum(ev, _EPS * max(ev[-1], 1.0)))
 
 
 def min_opnorm_affine(aset: AffineMatrixSet, tol: ToleranceConfig | None = None) -> MinNormResult:
-    """Minimize the operator norm over an affine set of matrices.
+    """Minimize the operator norm over an affine set of matrices, with a certified bracket.
 
-    INCONSISTENT when the defining equations had no solution.  With a
-    zero-dimensional solution set the answer is exact; otherwise a bisection
-    on t over PSD feasibility of [[t I, w], [w*, t I]] runs to sdp_tol.
+    INCONSISTENT when the defining equations had no solution.  The real span of the directions
+    is orthonormalized; with no direction the answer is exact.  Otherwise Newton's method
+    minimizes mu log tr exp(H / mu), H the Hermitian dilation of w (Nesterov, Math. Program.
+    2007), cutting mu tenfold once a stage stops moving.  Each iterate bounds the minimum above
+    by ||w|| and below by the dual witness: the corner y of the softmax density, projected off
+    the directions and scaled to trace norm one.  The loop ends once the gap is at most
+    sdp_tol * max(1, upper), when a stage improves neither bound, or after max_iter steps.
     """
     tol = tol or DEFAULT_TOL
     if aset.residual > tol.eq_tol:
-        return MinNormResult("INCONSISTENT", np.inf, None, True)
-    w0 = aset.particular
-    if not aset.directions:
-        return MinNormResult("OK", op_norm(w0), w0, True)
-    dstack = np.stack(aset.directions)
-    hi = op_norm(w0)
-    lo = 0.0
-    best_w = w0
-    certified = True
-    if hi <= tol.sdp_tol:
-        return MinNormResult("OK", hi, w0, True)
-    per_call = max(2000, tol.max_iter // 10)
-    steps = 0
-    while hi - lo > tol.sdp_tol and steps < 80:
-        steps += 1
-        t = 0.5 * (lo + hi)
-        ok, w, ambiguous = _opnorm_feasible(t, aset.particular, dstack, tol, per_call, start=best_w)
-        if ok:
-            best_w = w
-            hi = min(t, op_norm(w))
-        else:
-            lo = t
-            if ambiguous:
-                certified = False
-    return MinNormResult("OK", op_norm(best_w), best_w, certified)
+        return MinNormResult("INCONSISTENT", np.inf, None, True, np.inf, None)
+    m, n = aset.particular.shape
+    p0, dstack = aset.particular, np.zeros((0, m, n), complex)
+    if len(aset.directions):
+        flat = np.array([np.concatenate([d.real.ravel(), d.imag.ravel()]) for d in aset.directions])
+        rows = row_basis(flat, tol.eq_tol)
+        dstack = (rows[:, : m * n] + 1j * rows[:, m * n :]).reshape(-1, m, n)
+        # start from the point of least Hilbert-Schmidt norm
+        p0 = p0 - np.einsum("k,kij->ij", np.einsum("kij,ij->k", dstack.conj(), p0).real, dstack)
+    if not len(dstack):
+        u, s, vh = np.linalg.svd(p0)
+        return MinNormResult("OK", float(s[0]), p0, True, float(s[0]), np.outer(u[:, 0], vh[0]))
+    upper, argmin, lower, witness = op_norm(p0), p0, 0.0, None
+    mu = max(upper, _EPS) / 10.0
+    it, steps, stage_start, g_least = _smoothed(p0, dstack, np.zeros(len(dstack)), mu), 0, (upper, lower), np.inf
+    while True:
+        if it.lam[-1] < upper:
+            upper, argmin = float(it.lam[-1]), it.w
+        y = it.y - np.einsum("k,kij->ij", it.g, dstack)
+        y_norm = np.linalg.svd(y, compute_uv=False).sum()
+        if y_norm > 0.0 and np.vdot(y, p0).real / y_norm > lower:
+            lower, witness = float(np.vdot(y, p0).real / y_norm), y / y_norm
+        certified = upper - lower <= tol.sdp_tol * max(1.0, upper)
+        if certified or steps >= tol.max_iter:
+            break
+        nxt, g_least = None, min(g_least, np.linalg.norm(it.g))
+        if g_least > 8.0 * _EPS * max(1.0, upper):
+            steps += 1
+            step, t = _newton_step(it, mu), 1.0
+            dec, slack = -float(it.g @ step), 16.0 * _EPS * max(1.0, abs(it.f))
+            while nxt is None and not np.array_equal(it.c + t * step, it.c):
+                trial = _smoothed(p0, dstack, it.c + t * step, mu)
+                # Armijo's rule; below the rounding of f, the full step if it lowers the least
+                # gradient of the stage, so that such steps cannot cycle
+                armijo = trial.f < it.f and trial.f <= it.f - 0.25 * t * dec
+                full = t == 1.0 and trial.f <= it.f + slack and np.linalg.norm(trial.g) < g_least
+                nxt, t = (trial if armijo or full else None), t / 2.0
+        if nxt is None:  # the stage has stopped moving
+            if (upper, lower) == stage_start or mu <= _EPS * upper:
+                break
+            mu, stage_start, g_least = mu / 10.0, (upper, lower), np.inf
+            nxt = _smoothed(p0, dstack, it.c, mu)
+        it = nxt
+    return MinNormResult("OK", op_norm(argmin), argmin, certified, lower, witness)

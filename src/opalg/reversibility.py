@@ -56,7 +56,8 @@ class PairingSolution:
     affine_dim counts real directions of the full solution set before the
     norm constraint.  UNIQUE_IN_BALL is set when every sampled perturbation
     along the solution set leaves the unit ball (vacuously so when the
-    solution set is a single point).
+    solution set is a single point).  op_norm is the least norm found over
+    the solution set and op_norm_lower a certified lower bound on it.
     """
 
     element: np.ndarray | None
@@ -65,7 +66,7 @@ class PairingSolution:
     affine_dim: int
     status: str  # "UNIQUE_IN_BALL" | "FOUND" | "NONE"
     inconsistent: bool = False
-    norm_certified: bool = True
+    op_norm_lower: float = 0.0
 
 
 def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> PairingSolution:
@@ -80,7 +81,7 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
     """
     t = z_space.dim
     if t == 0:
-        return PairingSolution(None, np.inf, np.inf, 0, "NONE", inconsistent=True)
+        return PairingSolution(None, np.inf, np.inf, 0, "NONE", inconsistent=True, op_norm_lower=np.inf)
     B = np.asarray(basis, dtype=complex)
     Z = z_space.space.stack
     mu = np.asarray(mu, dtype=complex)
@@ -94,7 +95,7 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
     affine_dim = 2 * (t - rank)
 
     if raw > tol.eq_tol * scale:
-        return PairingSolution(None, raw / scale, np.inf, affine_dim, "NONE", inconsistent=True)
+        return PairingSolution(None, raw / scale, np.inf, affine_dim, "NONE", inconsistent=True, op_norm_lower=np.inf)
 
     # d and the null vectors conj(vh[rank:]) become elements through conj(.) . z
     particular = np.einsum("k,kij->ij", d.conj(), Z)
@@ -103,10 +104,7 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
     aset = cb.AffineMatrixSet(particular, directions, 0.0)
     res = cb.min_opnorm_affine(aset, tol)
     if res.min_norm > 1.0 + tol.sdp_tol:
-        return PairingSolution(
-            None, raw / scale, res.min_norm, affine_dim, "NONE",
-            inconsistent=False, norm_certified=res.certified,
-        )
+        return PairingSolution(None, raw / scale, res.min_norm, affine_dim, "NONE", op_norm_lower=res.lower)
     element = res.argmin
     diff = np.einsum("iar,sr,jsc->ijac", B, element.conj(), B, optimize=True) - mu
     final_res = float(
@@ -123,10 +121,7 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
         )
         if exits:
             status = "UNIQUE_IN_BALL"
-    return PairingSolution(
-        element, final_res, op_norm(element), affine_dim, status,
-        norm_certified=res.certified,
-    )
+    return PairingSolution(element, final_res, res.min_norm, affine_dim, status, op_norm_lower=res.lower)
 
 
 def solve_pairing(
@@ -189,8 +184,9 @@ def decide_reversible(
 
     Anticommuting algebras are reversible outright (the middle element -1
     certifies).  Otherwise the reversed-product pairing system is solved in
-    the envelope: a solution is a certificate; nonexistence is conclusive
-    only when the envelope is exact.
+    the envelope: a solution in the ball is a certificate.  NO needs an exact
+    envelope and a lower bound on the least norm above 1 + sdp_tol (infinite
+    for an inconsistent system), which the dual witness certifies.
     """
     tol = tol or A.tol
     notes = []
@@ -210,11 +206,11 @@ def decide_reversible(
     if env.status != "EXACT":
         reason = "no solution, but the envelope is only a candidate"
         return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + [reason]))
-    if sol.inconsistent or sol.norm_certified:
-        reason = "pairing system inconsistent" if sol.inconsistent else \
-            f"minimal pairing norm {sol.op_norm:.6g} exceeds the ball"
+    bracket = f"minimal pairing norm in [{sol.op_norm_lower:.9g}, {sol.op_norm:.9g}]"
+    if sol.op_norm_lower > 1.0 + tol.sdp_tol:
+        reason = "pairing system inconsistent" if sol.inconsistent else bracket + ", above the ball"
         return ReversibilityVerdict("NO", sol, env.status, tuple(notes + [reason]))
-    return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + ["norm bound uncertified"]))
+    return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + [bracket + ", which contains 1"]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """Public names: every module's __all__, and the functions the benchmark traces.
 
 The benchmark's tracer (bench/spans.py) looks each traced function up by
-name in its home module, so renaming one breaks every traced run.
+name in its home module, and reads some attributes of their results, so
+renaming either breaks every traced run.
 """
 
 import importlib
@@ -9,9 +10,11 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import opalg
+from opalg import examples as ex
 
 MODULES = ["opalg"] + [f"opalg.{m.name}" for m in pkgutil.iter_modules(opalg.__path__)]
 
@@ -23,11 +26,16 @@ def test_all_names_exist(module):
     assert [name for name in names if not hasattr(mod, name)] == []
 
 
-def test_traced_functions_exist():
+def load_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_functions_exist():
+    spans = load_spans()
     missing = [
         f"{layer}.{name}"
         for layer, names in spans.LAYERS.items()
@@ -35,3 +43,28 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"opalg.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_tracer_reads_every_result_it_keeps():
+    # per_layer reads notes and status of cb outcomes and certified of the
+    # op-norm minimum; a renamed attribute must fail here, not in a traced run
+    spans = load_spans()
+    cb, tro = importlib.import_module("opalg.cb"), importlib.import_module("opalg.tro")
+    closed = cb.AffineMatrixSet(np.diag([2.0, 0.0]).astype(complex), (np.eye(2, dtype=complex) / np.sqrt(2),), 0.0)
+    # {diag(x, x_11)}: deleting the 1 x 1 block is a deletion candidate
+    unit = ex.matrix_unit
+    space = opalg.linalg.orthonormalize([unit(3, 1, 1) + unit(3, 3, 3), unit(3, 1, 2), unit(3, 2, 1), unit(3, 2, 2)])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cb.min_opnorm_affine(closed)
+        cb.is_completely_contractive(opalg.linalg.identity_map(space))
+        tro.injective_envelope(space)
+    finally:
+        tracer.uninstall()
+    out = tracer.per_layer(1)
+    assert out["cb.min_opnorm_affine.calls"] == 1 and out["cb.min_opnorm_affine.uncertified"] == 0
+    assert out["cb.is_completely_contractive.calls"] >= 1
+    assert sum(out[f"cb.exit.{e}.count"] for e in ("conjugation", "violation", "dykstra", "undecided")) \
+        == out["cb.is_completely_contractive.calls"]
+    assert out["tro.deletion_candidates.tried"] >= 1

@@ -3,12 +3,14 @@ import numpy.linalg._linalg as numpy_linalg_impl
 import pytest
 
 from opalg import examples as ex
+from opalg import cb
 from opalg.cb import (
     FEASIBLE,
     INFEASIBLE,
+    AffineMatrixSet,
+    _fit_conjugation_pair,
     _polish,
     _violation_search,
-    affine_from_equations,
     choi,
     inverse_map,
     is_complete_isometry,
@@ -187,48 +189,129 @@ def test_symmetric_space_needs_square():
         is_symmetric_space(space)
 
 
-def test_min_opnorm_pinned_point(car_pair, pq):
-    env_space = orthonormalize(
-        [unit(4, i, j) for i in (1, 2, 3) for j in (2, 3, 4)]
-    )
-    # pin w = pq exactly: identity equations on all coordinates
-    eqs = np.eye(env_space.dim, dtype=complex)
-    rhs = env_space.coeffs(pq)
-    aset = affine_from_equations(env_space, eqs, rhs)
+def assert_bracket(res, aset):
+    """Check the bracket from its certificates alone.
+
+    The witness has trace norm one and is real-orthogonal to every
+    direction, so Re<witness, P> is a lower bound for every point of the
+    set; it must equal res.lower.  The argmin lies in the set and has norm
+    res.min_norm.
+    """
+    y = res.witness
+    assert np.linalg.svd(y, compute_uv=False).sum() == pytest.approx(1.0, abs=1e-12)
+    for d in aset.directions:
+        assert abs(np.vdot(d, y).real) <= 1e-12 * max(1.0, hs_norm(d))
+    assert np.vdot(aset.particular, y).real == pytest.approx(res.lower, abs=1e-12 * max(1.0, res.lower))
+    assert res.lower <= res.min_norm == op_norm(res.argmin)
+    flat = lambda m: np.concatenate([m.real.ravel(), m.imag.ravel()])
+    if aset.directions:
+        basis = np.stack([flat(d) for d in aset.directions], axis=1)
+        delta = flat(res.argmin - aset.particular)
+        coeff = np.linalg.lstsq(basis, delta, rcond=None)[0]
+        assert np.linalg.norm(basis @ coeff - delta) <= 1e-9
+    else:
+        assert np.array_equal(res.argmin, aset.particular)
+
+
+def generic_set(seed=3):
+    """A 3 x 3 point and two real-orthonormal directions, all Gaussian."""
+    g = np.random.default_rng(seed)
+    draw = lambda: g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
+    particular, d1, d2 = draw(), draw(), draw()
+    d1 = d1 / hs_norm(d1)
+    d2 = d2 - np.vdot(d1, d2).real * d1
+    return AffineMatrixSet(particular, (d1, d2 / hs_norm(d2)), 0.0)
+
+
+def test_min_opnorm_pinned_point(pq):
+    # no direction: the point itself, exactly, with its top singular pair as witness
+    aset = AffineMatrixSet(pq, (), 0.0)
     res = min_opnorm_affine(aset)
-    assert res.status == "OK"
+    assert res.status == "OK" and res.certified
     assert res.min_norm == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.argmin, pq)
+    assert_bracket(res, aset)
 
 
 def test_min_opnorm_free_direction():
-    space = orthonormalize([unit(2, 1, 2)])
-    aset = affine_from_equations(space, np.zeros((1, 1), complex), np.zeros(1, complex))
+    aset = AffineMatrixSet(np.zeros((2, 2), complex), (unit(2, 1, 2), 1j * unit(2, 1, 2)), 0.0)
     res = min_opnorm_affine(aset)
     assert res.status == "OK" and res.min_norm == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(res.argmin, 0.0)
 
 
 def test_min_opnorm_inconsistent():
-    space = orthonormalize([unit(2, 1, 2)])
-    aset = affine_from_equations(space, np.zeros((1, 1), complex), np.ones(1, complex))
+    aset = AffineMatrixSet(np.zeros((2, 2), complex), (unit(2, 1, 2), 1j * unit(2, 1, 2)), 1.0)
     assert min_opnorm_affine(aset).status == "INCONSISTENT"
 
 
 def test_min_opnorm_matches_grid_oracle():
-    # one-complex-parameter affine family with an interior minimum
-    space = orthonormalize([unit(2, 1, 1), unit(2, 1, 2), unit(2, 2, 1)])
-    # constrain the e11 coefficient to one, leave e12 free, kill e21
-    eqs = np.array([[1.0, 0, 0], [0, 0, 1.0]], complex)
-    rhs = np.array([1.0, 0.0], complex)
-    aset = affine_from_equations(space, eqs, rhs)
+    # one-complex-parameter affine family with an interior minimum:
+    # the e11 coefficient is one, e12 is free, e21 is zero
+    aset = AffineMatrixSet(unit(2, 1, 1), (unit(2, 1, 2), 1j * unit(2, 1, 2)), 0.0)
     res = min_opnorm_affine(aset)
     oracle = min_opnorm_grid(aset.particular, aset.directions)
-    assert res.status == "OK"
-    assert res.min_norm == pytest.approx(oracle, abs=5e-4)
-    # the argmin satisfies the constraints
-    assert abs(space.coeffs(res.argmin)[0] - 1.0) <= 1e-7
-    assert abs(space.coeffs(res.argmin)[2]) <= 1e-7
+    assert res.status == "OK" and res.certified
+    assert res.lower <= oracle <= res.min_norm + 1e-9
+    assert res.min_norm == pytest.approx(oracle, abs=1e-9)
+    assert_bracket(res, aset)
+    assert abs(res.argmin[0, 0] - 1.0) <= 1e-7 and abs(res.argmin[1, 0]) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [3, 11, 12])
+def test_min_opnorm_generic_bracket_holds_the_grid_minimum(seed):
+    # the grid oracle only samples the set, so it cannot undercut a valid
+    # lower bound, and a true minimizer is never beaten by a sample
+    aset = generic_set(seed)
+    res = min_opnorm_affine(aset)
+    oracle = min_opnorm_grid(aset.particular, aset.directions)
+    assert res.certified
+    assert res.min_norm - res.lower <= DEFAULT_TOL.sdp_tol * res.min_norm
+    assert res.lower <= oracle + 1e-12
+    assert res.min_norm <= oracle + 1e-9
+    assert_bracket(res, aset)
+
+
+def test_min_opnorm_generic_set_reaches_the_minimum():
+    # the minimum is 4.44211795 (the grid oracle finds 4.44265); a minimizer
+    # that stalls early stops well above it
+    res = min_opnorm_affine(generic_set(3))
+    assert res.certified
+    assert res.min_norm < 4.4427
+    assert res.lower >= 4.4421 - 1e-7
+
+
+def test_min_opnorm_closed_form():
+    # min over t of |diag(2, 0) + t I / sqrt 2| is 1, at t = -1 / sqrt 2
+    aset = AffineMatrixSet(np.diag([2.0, 0.0]).astype(complex), (np.eye(2, dtype=complex) / np.sqrt(2),), 0.0)
+    res = min_opnorm_affine(aset)
+    assert res.certified
+    assert res.min_norm == pytest.approx(1.0, abs=1e-12)
+    assert res.lower == pytest.approx(1.0, abs=1e-12)
+    assert_bracket(res, aset)
+
+
+@pytest.mark.parametrize(
+    "scales", [(1,), (3,), (1, 2, 1j)], ids=["e12", "3e12", "e12-2e12-ie12"]
+)
+def test_min_opnorm_directions_need_not_be_orthonormal(scales):
+    # |[[1, 1 + z], [0, 1]]| is least, 1, at z = -1; a long direction,
+    # repeated ones and complex multiples span the same real set
+    aset = AffineMatrixSet(np.array([[1, 1], [0, 1]], complex), tuple(s * unit(2, 1, 2) for s in scales), 0.0)
+    res = min_opnorm_affine(aset)
+    assert res.certified
+    assert res.min_norm == pytest.approx(1.0, abs=1e-12)
+    assert res.min_norm - res.lower <= DEFAULT_TOL.sdp_tol
+    assert_bracket(res, aset)
+
+
+def test_min_opnorm_rectangular_random_sets(rng):
+    for _ in range(5):
+        draw = lambda: rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        aset = AffineMatrixSet(draw(), tuple(draw() for _ in range(3)), 0.0)
+        res = min_opnorm_affine(aset)
+        assert res.certified
+        assert_bracket(res, aset)
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +456,28 @@ def test_batched_polish_matches_block_loop(rng, level):
         want_ratio, want_c = polish_by_blocks(list(space.basis), list(images), start, 6)
         assert ratio == pytest.approx(want_ratio, rel=1e-9)
         assert np.allclose(c, want_c, atol=1e-9)
+
+
+def test_conjugation_fit_stops_once_the_misfit_stalls(monkeypatch):
+    # the transpose of M_2 is no map x -> u x v: every polar start and
+    # every least-squares trial stalls within a few steps; running each to
+    # its cap of 120 or 60 steps would take 1686 polar factors and 720
+    # least-squares solves
+    calls = {"polar": 0, "lstsq": 0}
+    polar, lstsq = cb._polar_unitary, np.linalg.lstsq
+
+    def counting_polar(m):
+        calls["polar"] += 1
+        return polar(m)
+
+    def counting_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(cb, "_polar_unitary", counting_polar)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    assert _fit_conjugation_pair(transpose_map(full_matrix_space(2)), DEFAULT_TOL, 0) is None
+    # 6 random starts, then at most 5 steps of 2 factors for each of 7
+    # polar starts and 6 least-squares trials
+    assert calls["polar"] <= 6 + 7 * 2 * 5
+    assert calls["lstsq"] <= 6 * 2 * 5

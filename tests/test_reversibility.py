@@ -177,6 +177,25 @@ def test_pairing_table_minimizes_norm_along_complex_null_directions():
     assert abs(sol.op_norm - 0.9) <= 1e-6
 
 
+@pytest.mark.parametrize("s, status", [(1 + 1e-6, "NONE"), (1 - 1e-6, "FOUND")])
+def test_pairing_decided_by_the_norm_bracket(s, status):
+    # e11 v* e11 = s e11 pins v_11 = s and leaves v_12, v_21, v_22 free:
+    # 6 real directions, least norm s.  Just outside the ball the lower
+    # bound must refute; just inside, the argmin must certify
+    full = generate_tro(orthonormalize([unit(2, i, j) for i in (1, 2) for j in (1, 2)]))
+    e11 = unit(2, 1, 1)
+    sol = _solve_pairing_table([e11], [[s * e11]], full, DEFAULT_TOL)
+    assert sol.affine_dim == 6 and not sol.inconsistent
+    assert sol.status == status
+    assert sol.op_norm_lower <= s <= sol.op_norm + 1e-12
+    if status == "NONE":
+        assert sol.element is None
+        assert sol.op_norm_lower > 1.0 + DEFAULT_TOL.sdp_tol
+    else:
+        assert op_norm(sol.element) <= 1.0
+        assert hs_norm(e11 @ sol.element.conj().T @ e11 - s * e11) <= 1e-12
+
+
 def test_block_pairing_reports():
     diag = ex.diagonal_algebra(2)
     rep = block_pairing_report(diag)
