@@ -461,15 +461,17 @@ def cmd_reproduce(args) -> int:
 # search
 
 
-def _signature(A, verdict, tol) -> str:
+def _signature(A, verdict, tol) -> tuple:
+    """(signature string, whether A is a noncommutative reversible hit)."""
+    commutative = alg.is_commutative(A, tol)
     parts = [
         f"dim={A.dim}",
-        f"commutative={alg.is_commutative(A, tol)}",
+        f"commutative={commutative}",
         f"anticommuting={alg.is_anticommuting(A, tol)}",
         f"three_commutative={alg.is_three_commutative(A, tol)}",
         f"reversible={verdict}",
     ]
-    return " ".join(parts)
+    return " ".join(parts), verdict == "YES" and not commutative
 
 
 def run_search(
@@ -491,15 +493,13 @@ def run_search(
         )
         if A.ambient != ambient:
             raise ValueError("included algebra does not match the search ambient")
+        # the verdict and the predicates depend only on the subspace
         key = _subspace_key(A)
-        if key in cache:
-            verdict = cache[key]
-        else:
-            verdict = reversibility.decide_reversible(A, tol, seed).reversible
-            cache[key] = verdict
-        sig = _signature(A, verdict, tol)
+        if key not in cache:
+            cache[key] = _signature(A, reversibility.decide_reversible(A, tol, seed).reversible, tol)
+        sig, hit = cache[key]
         signatures[sig] = signatures.get(sig, 0) + 1
-        if verdict == "YES" and not alg.is_commutative(A, tol):
+        if hit:
             hits.append({
                 "seed": trial_seed,
                 "basis": [matrix_to_wire(b) for b in A.basis],

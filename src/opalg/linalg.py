@@ -192,8 +192,9 @@ def close_span(seed, step, tol: ToleranceConfig | None = None, shape=None) -> Su
     ``step`` maps the stacked orthonormal basis of the current span to a
     stack of elements the span must also contain.  The span grows by them
     until its dimension stops growing, for at most rows * cols + 2 rounds.
+    A seed that is already a :class:`Subspace` is taken as it stands.
     """
-    cur = orthonormalize(seed, tol, shape=shape)
+    cur = seed if isinstance(seed, Subspace) else orthonormalize(seed, tol, shape=shape)
     for _ in range(cur.ambient_rows * cur.ambient_cols + 2):
         if cur.dim == 0:
             break

@@ -100,6 +100,7 @@ def _pairing_dict(sol: reversibility.PairingSolution | None) -> dict | None:
         "status": sol.status,
         "residual": float(sol.residual) if np.isfinite(sol.residual) else None,
         "op_norm": float(sol.op_norm) if np.isfinite(sol.op_norm) else None,
+        "op_norm_lower": float(sol.op_norm_lower) if np.isfinite(sol.op_norm_lower) else None,
         "affine_dim": sol.affine_dim,
         "inconsistent": sol.inconsistent,
     }

@@ -69,6 +69,10 @@ class PairingSolution:
     op_norm_lower: float = 0.0
 
 
+# b_i v* first, then times b_j: a fixed contraction order, not planned per call
+_PAIR_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
 def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> PairingSolution:
     """Solve for v in the TRO with b_i v* b_j = mu[i][j].
 
@@ -85,7 +89,7 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
     B = np.asarray(basis, dtype=complex)
     Z = z_space.space.stack
     mu = np.asarray(mu, dtype=complex)
-    system = np.einsum("iar,ksr,jsc->ijack", B, Z.conj(), B, optimize=True).reshape(-1, t)
+    system = np.einsum("iar,ksr,jsc->ijack", B, Z.conj(), B, optimize=_PAIR_PATH).reshape(-1, t)
     target = mu.ravel()
     u, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < t)
     rank = numerical_rank(s, tol.eq_tol, min_scale=1.0)
@@ -106,7 +110,7 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
     if res.min_norm > 1.0 + tol.sdp_tol:
         return PairingSolution(None, raw / scale, res.min_norm, affine_dim, "NONE", op_norm_lower=res.lower)
     element = res.argmin
-    diff = np.einsum("iar,sr,jsc->ijac", B, element.conj(), B, optimize=True) - mu
+    diff = np.einsum("iar,sr,jsc->ijac", B, element.conj(), B, optimize=_PAIR_PATH) - mu
     final_res = float(
         (np.linalg.norm(diff, axis=(2, 3)) / np.maximum(1.0, np.linalg.norm(mu, axis=(2, 3)))).max()
     )

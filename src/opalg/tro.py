@@ -1,11 +1,14 @@
 """Ternary rings of operators: generation, block form, envelopes.
 
-A TRO is a subspace W with W W* W inside W.  Finite dimensional TROs are
+A TRO is a subspace W with W W* W inside W.  The TRO generated by X is
+built from its linking algebra L, the *-algebra generated by X X*, as
+W = X + L X; L = span(W W*) is kept with it.  Finite dimensional TROs are
 unitarily equivalent to direct sums of rectangular matrix blocks; the block
-form is read off from the center of the *-algebra generated by W W*.  The
-injective envelope of a subspace is its generated TRO whenever that TRO is
-simple; otherwise candidates are produced by deleting blocks and certifying
-that the compression still embeds the input completely isometrically.
+form is read off from the center of L, and a one-dimensional center means a
+single block spanned by the supports of W.  The injective envelope of a
+subspace is its generated TRO whenever that TRO is simple; otherwise
+candidates are produced by deleting blocks and certifying that the
+compression still embeds the input completely isometrically.
 """
 
 from __future__ import annotations
@@ -72,30 +75,34 @@ class TROSpace:
         return self.space.basis
 
 
-def _pair_space(w_stack: np.ndarray, tol: ToleranceConfig, shape) -> Subspace:
-    """span(W W*), orthonormalized."""
-    adj = w_stack.conj().transpose(0, 2, 1)
-    return orthonormalize(product_stack(w_stack, adj), tol, shape=(shape[0], shape[0]))
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
 
 
 def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpace:
-    """Smallest TRO W containing the subspace: closure under (x, y, z) -> x y* z.
+    """Smallest TRO W containing the subspace X, built from its linking algebra.
 
-    The pair space W W* of the closed span, which measures the closure
-    residual, is kept as the linking algebra: it is the *-algebra generated
-    by W W* (and by X X* for the input X), so no second closure is needed.
+    G = span(X X*) is *-closed, so the algebra L it generates (the closure of
+    G under left multiplication by G) is a *-algebra, and W = X + L X is the
+    span of the odd alternating words x1 y1* x2 ... xk, the TRO generated by
+    X.  Then W W* lies in L and L in span(W W*), so L is kept as the linking
+    algebra.  The closure residual is that of L W in W; L is certified
+    product- and adjoint-closed and W W* is checked to lie in L, all by
+    projection residuals, without factorizing the d_W^2 stack W W*.
     """
     tol = tol or DEFAULT_TOL
-    shape = space.shape
-    cur = close_span(
-        space.stack, lambda w: product_stack(_pair_space(w, tol, shape).stack, w), tol, shape
-    )
-    pair = _pair_space(cur.stack, tol, shape)
-    worst = max_projection_residual(cur, product_stack(pair.stack, cur.stack))
-    link = verify_algebra(pair, tol)
-    if max_projection_residual(pair, pair.stack.conj().transpose(0, 2, 1)) > tol.eq_tol:
+    x = space.stack
+    gens = orthonormalize(product_stack(x, _adjoints(x)), tol, shape=(space.ambient_rows,) * 2)
+    link_space = close_span(gens, lambda cur: product_stack(gens.stack, cur), tol)
+    lstack = link_space.stack
+    w = orthonormalize(np.concatenate([x, product_stack(lstack, x)]), tol, shape=space.shape)
+    worst = max_projection_residual(w, product_stack(lstack, w.stack))
+    link = verify_algebra(link_space, tol)
+    if max_projection_residual(link_space, _adjoints(lstack)) > tol.eq_tol:
         raise ArithmeticError("linking algebra failed to close under adjoints")
-    return TROSpace(cur, worst, link)
+    if max_projection_residual(link_space, product_stack(w.stack, _adjoints(w.stack))) > tol.eq_tol:
+        raise ArithmeticError("linking algebra does not contain W W*")
+    return TROSpace(w, worst, link)
 
 
 def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
@@ -113,15 +120,17 @@ def _range_columns(columns, tol):
 
 
 def _support_columns(w: TROSpace, tol):
-    """(p, q, complement of q's range) for a nonzero TRO, with p x q = x checked."""
-    left, _ = _range_columns(list(w.basis), tol)
+    """(left, left complement, right, right complement): orthonormal columns
+    of the joint column and row spaces of a nonzero TRO and of their
+    orthogonal complements, with p x q = x checked for the projections p, q."""
+    left, left_rest = _range_columns(list(w.basis), tol)
     right, right_rest = _range_columns([x.conj().T for x in w.basis], tol)
     p = left @ left.conj().T
     q = right @ right.conj().T
     for x in w.basis:
         if hs_norm(p @ x @ q - x) > 10 * tol.eq_tol * max(1.0, hs_norm(x)):
             raise ArithmeticError("support projections do not reproduce the space")
-    return p, q, right_rest
+    return left, left_rest, right, right_rest
 
 
 def support_projections(w: TROSpace, tol: ToleranceConfig | None = None):
@@ -130,8 +139,8 @@ def support_projections(w: TROSpace, tol: ToleranceConfig | None = None):
     m, n = w.space.shape
     if w.dim == 0:
         return np.zeros((m, m), complex), np.zeros((n, n), complex)
-    p, q, _ = _support_columns(w, tol)
-    return p, q
+    left, _, right, _ = _support_columns(w, tol)
+    return left @ left.conj().T, right @ right.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,18 +175,22 @@ def _cluster(values, gap):
 def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int = 0) -> BlockStructure:
     """Unitaries putting the TRO into diagonal rectangular block form.
 
-    Minimal central projections of the left linking algebra are separated by
-    the spectrum of one random Hermitian center element; a fresh element is
-    drawn when eigenvalues collide (up to ten retries).  Each block's
-    eigenvectors are its left columns; the right columns are the row space
-    of the block's slice of the TRO.
+    A one-dimensional center of the left linking algebra means one block,
+    whose left and right columns are the supports of the TRO; its central
+    element must then be a multiple of the left support.  Otherwise minimal
+    central projections are separated by the spectrum of one random
+    Hermitian center element; a fresh element is drawn when eigenvalues
+    collide (up to ten retries).  Each block's eigenvectors are its left
+    columns; the right columns are the row space of the block's slice of
+    the TRO.
     """
     tol = tol or DEFAULT_TOL
     m, n = w.space.shape
     if w.dim == 0:
         return BlockStructure((), np.eye(m, dtype=complex), np.eye(n, dtype=complex), (), (), (), ())
     link = w.linking
-    p, _, right_rest = _support_columns(w, tol)
+    left, left_rest, right, right_rest = _support_columns(w, tol)
+    p = left @ left.conj().T
     # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
     c = link.structure
     commutators = (c - c.transpose(1, 0, 2)).reshape(link.dim, -1)
@@ -186,6 +199,15 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     r = len(center)
     if r == 0:
         raise ArithmeticError("linking algebra has an empty center")
+    if r == 1:
+        # the unit of the linking algebra is p, and a simple algebra's center is C p
+        scale = np.vdot(p, center[0]) / left.shape[1]
+        if hs_norm(center[0] - scale * p) > 1e-6 * max(1.0, hs_norm(center[0])):
+            raise DegenerateDecompositionError("the one-dimensional center is not spanned by the left support")
+        return BlockStructure(
+            ((left.shape[1], right.shape[1]),), np.hstack([left, left_rest]), np.hstack([right, right_rest]),
+            (0,), (0,), (p,), (right @ right.conj().T,),
+        )
 
     rng = np.random.default_rng(seed)
     last_error = None
@@ -198,7 +220,7 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
         groups = _cluster(vals, gap)
         nonzero = [abs(float(np.mean(vals[g]))) > gap for g in groups]
         left_cols = [vecs[:, g] for g, nz in zip(groups, nonzero) if nz]
-        left_rest = [vecs[:, g] for g, nz in zip(groups, nonzero) if not nz]
+        zero_cols = [vecs[:, g] for g, nz in zip(groups, nonzero) if not nz]
         if len(left_cols) != r:
             last_error = f"expected {r} spectral blocks, found {len(left_cols)}"
             continue
@@ -217,7 +239,7 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
 
     left_cols.sort(key=block_key)
     right_cols = [_range_columns([x.conj().T @ cols for x in w.basis], tol)[0] for cols in left_cols]
-    lu = np.hstack(left_cols + left_rest)
+    lu = np.hstack(left_cols + zero_cols)
     ru = np.hstack(right_cols + [right_rest])
     if ru.shape != (n, n):
         raise DegenerateDecompositionError("block supports do not fill the ambient space")

@@ -362,3 +362,25 @@ def star_closure_of_pairs(mats, tol=1e-10):
             return nxt
         basis = nxt
     return basis
+
+
+def tro_by_triple_products(mats, tol=1e-10):
+    """Orthonormal basis (a list) of the TRO generated by the matrices.
+
+    Starts from the span of the matrices and adds every product x y* z of
+    two current basis elements x, y and one input matrix z until the
+    dimension stops growing.  That reaches every odd word x1 y1* x2 ... xk
+    in the inputs, and the span of those words is closed under all triple
+    products.  Ranks come from an SVD with a cutoff of tol times the top
+    singular value.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    basis = _orthonormal_basis(mats, tol)
+    while basis:
+        grown = list(basis)
+        grown.extend(x @ y.conj().T @ z for x in basis for y in basis for z in mats)
+        nxt = _orthonormal_basis(grown, tol)
+        if len(nxt) == len(basis):
+            return nxt
+        basis = nxt
+    return basis

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from opalg import cli
 from opalg import examples as ex
+from opalg.algebra import verify_algebra
 from opalg.cli import main, run_search
-from opalg.linalg import ToleranceConfig
+from opalg.linalg import ToleranceConfig, orthonormalize
 from opalg.report import matrix_from_wire, matrix_to_wire, parse_input
+from opalg.reversibility import solve_pairing
+from opalg.tro import injective_envelope
 
 unit = ex.matrix_unit
 
@@ -67,6 +71,24 @@ def test_analyze_strict_upper(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["verdicts"]["reversible"] == "NO"
+
+
+@pytest.mark.parametrize("name", ["strict-upper-3", "car-span-algebra-3"])
+def test_analyze_reports_the_norm_bracket(tmp_path, capsys, name):
+    # both are NO by an inconsistent reversed system, whose infinite lower
+    # bound reads null; the product pairing is a contraction whose bracket
+    # closed, so its lower bound sits within sdp_tol below op_norm
+    A = dict(ex.corpus())[name]
+    path = write_input(tmp_path / "in.json", A.basis, A.ambient)
+    assert main(["analyze", path, "--skip", "sdp", "--skip", "triangularize"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["reversible"] == "NO"
+    flipped = report["certificates"]["pairing_reversed"]
+    assert flipped["inconsistent"] and flipped["op_norm_lower"] is None
+    product = report["certificates"]["pairing_product"]
+    expected = solve_pairing(A, injective_envelope(A.space).envelope).op_norm_lower
+    assert product["op_norm_lower"] == pytest.approx(expected, abs=1e-9)
+    assert product["op_norm_lower"] <= product["op_norm"] <= product["op_norm_lower"] + 1e-7
 
 
 def test_analyze_diagonal(tmp_path, capsys):
@@ -163,3 +185,27 @@ def test_search_flags_injected_basis():
     target = (unit(4, 1, 3) + unit(4, 2, 4)).ravel()
     coeff, *_ = np.linalg.lstsq(span.T, target, rcond=None)
     assert np.linalg.norm(span.T @ coeff - target) <= 1e-9
+
+
+def test_search_cache_keeps_the_summary_and_runs_predicates_once(monkeypatch):
+    # repeated subspaces (the same algebra twice, and once more in another
+    # basis) are decided and classified once; the summary is that of a run
+    # with no cache
+    A = ex.car_pair()
+    again = ex.car_pair()
+    rebased = orthonormalize([A.basis[0] + A.basis[1], A.basis[1] - A.basis[2], A.basis[2]])
+    include = [A, ex.strict_upper(4), again, verify_algebra(rebased), ex.strict_upper(4)]
+    kwargs = dict(ambient=4, trials=6, seed=5, max_dim=3, tol=ToleranceConfig(), include=include)
+    calls, keys = [], []
+    for name in ("is_commutative", "is_anticommuting", "is_three_commutative"):
+        original = getattr(cli.alg, name)
+        monkeypatch.setattr(cli.alg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    key = cli._subspace_key
+    monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
+    cached = run_search(**kwargs)
+    assert len(keys) == len(include) + 6 and len(set(keys)) < len(keys)
+    assert calls.count("is_commutative") == calls.count("is_three_commutative") == len(set(keys))
+    fresh = iter(range(10**6))
+    monkeypatch.setattr(cli, "_subspace_key", lambda B: next(fresh))
+    assert run_search(**kwargs) == cached
+    assert len(cached["noncommutative_reversible"]) == 3

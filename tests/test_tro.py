@@ -16,7 +16,7 @@ from opalg.tro import (
     support_projections,
 )
 
-from .oracles import star_closure_of_pairs
+from .oracles import star_closure_of_pairs, tro_by_triple_products
 
 unit = ex.matrix_unit
 
@@ -130,6 +130,90 @@ def test_envelope_closes_one_span_inside_generate_tro(monkeypatch, make):
     injective_envelope(A.space)
     assert linking_calls == []
     assert callers == ["generate_tro"]
+
+
+def _tro_inputs():
+    # the inputs above, a unitary two-sided conjugate of each (u* x v is a
+    # ternary isomorphism), and random triangular algebras in M_3 and M_4
+    out = {}
+    for name, space in _linking_inputs():
+        rng = np.random.default_rng(sum(map(ord, name)))
+        u, v = random_unitary(space.ambient_rows, rng), random_unitary(space.ambient_cols, rng)
+        out[name] = space
+        out[f"{name}~conj"] = orthonormalize([u.conj().T @ b @ v for b in space.basis])
+    for ambient, seeds in ((3, range(8)), (4, range(4))):
+        for s in seeds:
+            out[f"triangular-{ambient}-{s}"] = ex.random_triangular_algebra(ambient, 4, 700 + s).space
+    return out
+
+
+TRO_INPUTS = _tro_inputs()
+
+
+@pytest.mark.parametrize("name", list(TRO_INPUTS))
+def test_generate_tro_matches_triple_product_oracle(name):
+    space = TRO_INPUTS[name]
+    w = generate_tro(space)
+    expected = orthonormalize(tro_by_triple_products(space.basis))
+    assert w.dim == expected.dim
+    assert max_projection_residual(expected, w.space.stack) <= 1e-9
+    assert max_projection_residual(w.space, expected.stack) <= 1e-9
+    assert w.closure_residual <= 1e-9
+    # the kept linking algebra is span(W W*) of the oracle's TRO
+    pairs = orthonormalize(
+        np.einsum("aij,bkj->abik", expected.stack, expected.stack.conj()).reshape(-1, space.shape[0], space.shape[0])
+    )
+    assert w.linking.dim == pairs.dim
+    assert max_projection_residual(pairs, w.linking.space.stack) <= 1e-9
+    assert max_projection_residual(w.linking.space, pairs.stack) <= 1e-9
+
+
+def _beside_corner(space):
+    """The direct sum of the space and a 1 x 1 corner, as one space."""
+    m, n = space.shape
+    corner = np.zeros((m + 1, n + 1), complex)
+    corner[m, n] = 1.0
+    return orthonormalize([np.pad(b, ((0, 1), (0, 1))) for b in space.basis] + [corner])
+
+
+@pytest.mark.parametrize("name", list(TRO_INPUTS))
+def test_single_block_path_matches_spectral_split(name):
+    # beside a 1 x 1 corner the center has dimension at least two, so the
+    # blocks come from the eigen-split; they must be the blocks of the space
+    # alone, padded, plus the corner, whichever path the space alone takes
+    space = TRO_INPUTS[name]
+    alone = block_decompose(generate_tro(space))
+    split = block_decompose(generate_tro(_beside_corner(space)))
+    assert sorted(split.blocks) == sorted(alone.blocks + ((1, 1),))
+    pad = lambda p: np.pad(p, ((0, 1), (0, 1)))
+    for shape, lp, rp in zip(alone.blocks, alone.left_projections, alone.right_projections):
+        assert any(
+            shape == other and np.allclose(pad(lp), olp, atol=1e-9) and np.allclose(pad(rp), orp, atol=1e-9)
+            for other, olp, orp in zip(split.blocks, split.left_projections, split.right_projections)
+        )
+
+
+def test_single_block_needs_a_scalar_center(monkeypatch, car_pair):
+    # a one-dimensional center that is not a multiple of the left support
+    # is a wrong state, not one block
+    w = generate_tro(car_pair.space)
+    e11 = w.linking.space.coeffs(unit(4, 1, 1))
+    monkeypatch.setattr(tro, "null_space", lambda *a, **k: e11[None, :])
+    with pytest.raises(tro.DegenerateDecompositionError):
+        block_decompose(w)
+
+
+def test_envelope_svd_count_on_a_search_trial(monkeypatch):
+    # the first trial of `opalg search --ambient 3 --seed 1` has one block;
+    # its envelope factorizes X X*, one closure round of the linking
+    # algebra, X + L X, the two supports and the center: never the d_W^2
+    # stack W W*, and no eigen-split
+    A = ex.random_triangular_algebra(3, 4, 4720721261117928062)
+    original, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or original(*a, **k))
+    env = injective_envelope(A.space)
+    assert env.status == "EXACT" and env.blocks.blocks == ((2, 2),)
+    assert len(calls) == 6
 
 
 def test_support_projections(car_pair, pq):
