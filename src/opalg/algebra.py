@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,14 @@ class MatrixAlgebra:
     def basis(self) -> tuple:
         return self.space.basis
 
+    @cached_property
+    def pair_deviations(self) -> tuple:
+        """(commutator, anticommutator) deviations: the max over basis pairs
+        of |b_i b_j - b_j b_i| and |b_i b_j + b_j b_i|, each over
+        max(1, |b_i b_j|).  Taken once per algebra; they do not depend on a
+        tolerance."""
+        return _pair_deviation(self, -1.0), _pair_deviation(self, +1.0)
+
 
 def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """Certify closure under the product, or raise with the worst violating pair.
@@ -141,13 +150,13 @@ def _pair_deviation(A: MatrixAlgebra, sign: float) -> float:
 
 def is_commutative(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
     tol = tol or A.tol
-    return _pair_deviation(A, -1.0) <= tol.eq_tol
+    return A.pair_deviations[0] <= tol.eq_tol
 
 
 def is_anticommuting(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
     """xy = -yx for all pairs; in particular every element squares to zero."""
     tol = tol or A.tol
-    return _pair_deviation(A, +1.0) <= tol.eq_tol
+    return A.pair_deviations[1] <= tol.eq_tol
 
 
 def is_three_commutative(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:

@@ -12,12 +12,15 @@ feasible and infeasible sides.
 
 The conjugation fit works on the stacked domain basis and images, one
 matrix product per alternating step, and drops a start once its misfit
-stalls.  The violation search polishes all
-starts of one amplification level together, one batched SVD of the images
-and one of the amplified elements per step.  It climbs to level
-max(kr, kc) for a map into M_{kr, kc}: by Smith's lemma (R. R. Smith,
-J. London Math. Soc. 1983) the cb norm of such a map is the norm of that
-amplification, so no violation is missed for want of a higher level.
+stalls.  The violation search polishes all starts of one amplification
+level together.  Each step takes one batched Hermitian eigensolve for the
+top singular pairs of the images and one for the norms of the amplified
+elements, both on the Gram matrices of the shorter side; it takes no SVD.
+It climbs to level max(kr, kc) for a map into M_{kr, kc}: by Smith's lemma
+(R. R. Smith, J. London Math. Soc. 1983) the cb norm of such a map is the
+norm of that amplification, so no violation is missed for want of a higher
+level.  Dykstra's constraint map and its adjoint are single matrix
+products.
 
 The least operator norm over an affine set, which settles reversibility,
 comes as a bracket: Newton's method on a smoothed top eigenvalue gives the
@@ -124,8 +127,18 @@ def _paulsen_constraints(phi: LinearMapOnSubspace):
 
 
 def _pinned_values(c4, gs) -> np.ndarray:
-    # block combination sum_ij g_ij C_ij per pinned direction
-    return np.einsum("gij,iujv->guv", gs, c4)
+    # block combination sum_ij g_ij C_ij per pinned direction, as one product
+    ni, no = c4.shape[:2]
+    flat = c4.transpose(0, 2, 1, 3).reshape(ni * ni, no * no)
+    return (gs.reshape(len(gs), ni * ni) @ flat).reshape(-1, no, no)
+
+
+def _pinned_adjoint(gs_conj, vals) -> np.ndarray:
+    # adjoint of _pinned_values: block (i, j) is sum_g conj(g_ij) V_g, in (i, u, j, v) order
+    g, ni, _ = gs_conj.shape
+    no = vals.shape[1]
+    flat = gs_conj.reshape(g, ni * ni).T @ vals.reshape(g, no * no)
+    return flat.reshape(ni, ni, no, no).transpose(0, 2, 1, 3)
 
 
 def _psd_project(c: np.ndarray) -> np.ndarray:
@@ -134,10 +147,6 @@ def _psd_project(c: np.ndarray) -> np.ndarray:
     w = np.maximum(w, 0.0)
     out = (v * w) @ v.conj().T
     return (out + out.conj().T) / 2.0
-
-
-def _violation_norm(viol) -> float:
-    return float(np.sqrt(np.einsum("guv,guv->", viol, viol.conj()).real))
 
 
 def _dykstra_feasibility(gs, targets, ni, no, tol, max_iter):
@@ -149,7 +158,7 @@ def _dykstra_feasibility(gs, targets, ni, no, tol, max_iter):
     shape4 = (ni, no, ni, no)
     gs_conj = gs.conj()
     psd_floor = -min(tol.psd_tol, tol.sdp_tol)
-    c4 = np.einsum("gij,guv->iujv", gs_conj, targets)  # least-norm affine point
+    c4 = _pinned_adjoint(gs_conj, targets)  # least-norm affine point
     viol = _pinned_values(c4, gs) - targets
     q = np.zeros(shape4, complex)
     best = np.inf
@@ -158,7 +167,7 @@ def _dykstra_feasibility(gs, targets, ni, no, tol, max_iter):
     last_improvement = 0
     for it in range(max_iter):
         # affine projection; viol is the constraint violation of c4
-        y4 = c4 - np.einsum("gij,guv->iujv", gs_conj, viol)
+        y4 = c4 - _pinned_adjoint(gs_conj, viol)
         y = y4.reshape(ni * no, ni * no)
         # the affine iterate satisfies the constraints exactly; it certifies
         # feasibility as soon as it is (almost) positive semidefinite
@@ -169,7 +178,7 @@ def _dykstra_feasibility(gs, targets, ni, no, tol, max_iter):
         z4 = z.reshape(shape4)
         q = y4 + q - z4
         viol = _pinned_values(z4, gs) - targets
-        res = _violation_norm(viol)
+        res = float(np.linalg.norm(viol))
         if res < best * (1.0 - 1e-4):
             best, best_point, last_improvement = res, z, it
         if res <= tol.sdp_tol:
@@ -295,26 +304,44 @@ def _block_matrices(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 1, 3, 2, 4).reshape(b, level * r, level * c)
 
 
-def _top_singular(mats: np.ndarray):
-    """Top singular value and singular vectors of each matrix of a batch.
+def _short_gram(mats: np.ndarray):
+    """Each matrix of a batch, conjugate-transposed if it is tall, and the
+    Gram matrix a a* of that shorter side."""
+    a = mats if mats.shape[1] <= mats.shape[2] else mats.conj().transpose(0, 2, 1)
+    return a, a @ a.conj().transpose(0, 2, 1)
 
-    The vectors are copies, so the full factors are freed on return: at
-    level 8 on M_8 each factor of 13 starts holds 0.85 MB.
+
+def _top_singular(mats: np.ndarray):
+    """Top singular value s and singular vectors u, vh of each matrix of a
+    batch, with mats ~ s u vh at the top.
+
+    One Hermitian eigensolve of the Gram matrix of the shorter side gives s
+    as the root of its top eigenvalue and the singular vector on that side;
+    the matrix maps that vector to s times the other one.  A zero matrix
+    gives s = 0 and a zero vector on the longer side.
     """
-    u, s, vh = np.linalg.svd(mats, full_matrices=False)
-    return s[:, 0], u[:, :, 0].copy(), vh[:, 0, :].copy()
+    a, gram = _short_gram(mats)
+    lam, vecs = np.linalg.eigh(gram)
+    s = np.sqrt(np.maximum(lam[:, -1], 0.0))
+    near = vecs[:, :, -1].copy()  # frees the full eigenbasis on return
+    far = (near.conj()[:, None, :] @ a)[:, 0] / np.where(s > 0.0, s, 1.0)[:, None]
+    if a is mats:
+        return s, near, far
+    return s, far.conj(), near.conj()
 
 
 def _polish(phi: LinearMapOnSubspace, coeffs: np.ndarray, steps: int):
     """Gradient ascent of ||phi_L(X)|| / ||X|| from B starts at once.
 
     coeffs: (B, L, L, d) block coefficients of the starts at level L.  Each
-    step takes one batched SVD of the images Y = phi_L(X), which gives their
-    norms and their top singular pairs, and one of the X; it moves each start
-    to the block coefficients <T_k, block (u, v) of y1 z1*> of its Y's top
-    singular pair (y1, z1).  A start whose Y or step vanishes stays where it
-    is.  Returns the best ratio of each start and the coefficients that
-    reached it, which take less memory than the amplified elements.
+    step takes one batched Hermitian eigensolve of the images Y = phi_L(X)
+    through _top_singular, which gives their norms and top singular pairs,
+    and one batched eigvalsh of the X's Gram matrices, whose top eigenvalue
+    is ||X||^2; no SVD.  It moves each start to the block coefficients
+    <T_k, block (u, v) of y1 z1*> of its Y's top singular pair (y1, z1).  A
+    start whose Y or step vanishes stays where it is.  Returns the best
+    ratio of each start and the coefficients that reached it, which take
+    less memory than the amplified elements.
     """
     dstack, istack = phi.domain.stack, phi.image_stack
     level = coeffs.shape[1]
@@ -322,7 +349,8 @@ def _polish(phi: LinearMapOnSubspace, coeffs: np.ndarray, steps: int):
     moving = np.ones(len(coeffs), bool)
     best_ratio, best = np.full(len(coeffs), -np.inf), coeffs
     for step in range(steps + 1):
-        nx = np.linalg.svd(_block_matrices(coeffs, dstack), compute_uv=False)[:, 0]
+        lam = np.linalg.eigvalsh(_short_gram(_block_matrices(coeffs, dstack))[1])
+        nx = np.sqrt(np.maximum(lam[:, -1], 0.0))
         ny, left, right = _top_singular(_block_matrices(coeffs, istack))
         ratio = np.divide(ny, nx, out=np.zeros_like(nx), where=nx > 0.0)
         better = moving & (ratio > best_ratio)
@@ -401,7 +429,7 @@ def is_completely_contractive(
     if pair is not None:
         witness = _conjugation_choi(phi, *pair)
         w4 = witness.reshape(ni, no, ni, no)
-        res = _violation_norm(_pinned_values(w4, gs) - targets)
+        res = float(np.linalg.norm(_pinned_values(w4, gs) - targets))
         eigs = np.linalg.eigvalsh((witness + witness.conj().T) / 2.0)
         if res <= tol.sdp_tol and (eigs.size == 0 or eigs.min() >= -tol.psd_tol):
             return FeasibilityOutcome(FEASIBLE, witness, res, "conjugation certificate")

@@ -204,6 +204,17 @@ def polish_by_blocks(domain_basis, images, block_coeffs, steps):
     return best
 
 
+def pinned_values_by_einsum(c4, gs):
+    """Block combination sum_ij g_ij C_ij of a 4-index (i, u, j, v) Choi
+    array per pinned direction g, by einsum."""
+    return np.einsum("gij,iujv->guv", gs, c4)
+
+
+def pinned_adjoint_by_einsum(gs, vals):
+    """The adjoint of that map: block (i, j) is sum_g conj(g_ij) V_g, by einsum."""
+    return np.einsum("gij,guv->iujv", gs.conj(), vals)
+
+
 def min_opnorm_grid(particular, directions, span=3.0, steps=61, refine=4):
     """Coarse-to-fine grid minimization of the operator norm over an affine
     set with at most two real directions."""

@@ -9,7 +9,10 @@ from opalg.cb import (
     INFEASIBLE,
     AffineMatrixSet,
     _fit_conjugation_pair,
+    _pinned_adjoint,
+    _pinned_values,
     _polish,
+    _top_singular,
     _violation_search,
     choi,
     inverse_map,
@@ -29,7 +32,7 @@ from opalg.linalg import (
     random_unitary,
 )
 
-from .oracles import min_opnorm_grid, polish_by_blocks
+from .oracles import min_opnorm_grid, pinned_adjoint_by_einsum, pinned_values_by_einsum, polish_by_blocks
 
 unit = ex.matrix_unit
 
@@ -412,24 +415,31 @@ def test_symmetry_residual_is_conjugation_invariant(rng):
     assert given.residual == pytest.approx(conjugated.residual, abs=1e-9)
 
 
-def test_violation_search_batches_its_svds(monkeypatch):
-    # per level one batched SVD of the images and one of the amplified
-    # elements per polish step: 2 for the unit starts, 2 * 5 for the four
-    # steps at level 1, 2 * 7 for the six steps at each of levels 2 and 3.
-    # Polishing one start at a time took 1082 SVDs here.
+def test_violation_search_batches_its_eigensolves(monkeypatch):
+    # per level one batched Hermitian eigensolve of the images' Gram matrices
+    # and one of the amplified elements' per polish step: 2 for the unit
+    # starts, 2 * 5 for the four steps at level 1, 2 * 7 for the six steps at
+    # each of levels 2 and 3.  No SVD is taken.  Polishing one start at a
+    # time took 1082 SVDs here.
     phi = transpose_map(full_matrix_space(3))
-    calls = []
-    svd = np.linalg.svd
+    calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
 
-    def counting_svd(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def counting(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(numpy_linalg_impl, "svd", counting_svd)  # np.linalg.norm(x, 2)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(numpy_linalg_impl, name, counted)  # np.linalg.norm(x, 2)
+
+    for name in calls:
+        counting(name)
     found = _violation_search(phi, DEFAULT_TOL, 0)
     assert found is not None and found[0] == pytest.approx(3.0)
-    assert len(calls) == 2 + 2 * 5 + 2 * 7 * 2
+    assert calls["svd"] == 0
+    assert calls["eigh"] + calls["eigvalsh"] == 2 + 2 * 5 + 2 * 7 * 2
 
 
 def test_rectangular_conjugation_certified(rng):
@@ -481,3 +491,53 @@ def test_conjugation_fit_stops_once_the_misfit_stalls(monkeypatch):
     # polar starts and 6 least-squares trials
     assert calls["polar"] <= 6 + 7 * 2 * 5
     assert calls["lstsq"] <= 6 * 2 * 5
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _repeated_top(rng):
+    # two equal top singular values: the vectors may be any unit pair of the
+    # top singular subspaces, so they are checked through u* Y v = sigma only
+    spectrum = np.diag([3.0, 3.0, 1.0, 0.5])
+    return np.stack([random_unitary(5, rng)[:, :4] @ spectrum @ random_unitary(4, rng) for _ in range(3)])
+
+
+TOP_SINGULAR_BATCHES = {
+    "wide": lambda rng: _complex(rng, (4, 3, 7)),
+    "tall": lambda rng: _complex(rng, (4, 7, 3)),
+    "square": lambda rng: _complex(rng, (4, 5, 5)),
+    "rank-deficient-wide": lambda rng: _complex(rng, (4, 4, 2)) @ _complex(rng, (4, 2, 6)),
+    "rank-deficient-tall": lambda rng: _complex(rng, (4, 6, 2)) @ _complex(rng, (4, 2, 4)),
+    "repeated-top": _repeated_top,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TOP_SINGULAR_BATCHES))
+def test_top_singular_matches_svd(rng, kind):
+    mats = TOP_SINGULAR_BATCHES[kind](rng)
+    s, u, vh = _top_singular(mats)
+    assert np.allclose(s, np.linalg.svd(mats, compute_uv=False)[:, 0], rtol=1e-12, atol=0.0)
+    assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(vh, axis=1), 1.0, atol=1e-12)
+    # vh is a row vector, mats ~ s u vh at the top: u* Y vh* = s
+    assert np.allclose(np.einsum("bi,bij,bj->b", u.conj(), mats, vh.conj()), s, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 5), (3, 5, 2), (2, 4, 4)])
+def test_top_singular_of_zero_matrices_is_finite(shape):
+    s, u, vh = _top_singular(np.zeros(shape, complex))
+    assert np.array_equal(s, np.zeros(shape[0]))
+    assert np.isfinite(u).all() and np.isfinite(vh).all()
+
+
+@pytest.mark.parametrize("ni, no", [(3, 5), (5, 2)])
+def test_pinned_values_and_adjoint_match_einsum(rng, ni, no):
+    g = 7
+    gs, c4, vals = _complex(rng, (g, ni, ni)), _complex(rng, (ni, no, ni, no)), _complex(rng, (g, no, no))
+    pinned = _pinned_values(c4, gs)
+    adjoint = _pinned_adjoint(gs.conj(), vals)
+    assert np.allclose(pinned, pinned_values_by_einsum(c4, gs), rtol=0.0, atol=1e-12)
+    assert np.allclose(adjoint, pinned_adjoint_by_einsum(gs, vals), rtol=0.0, atol=1e-12)
+    assert np.vdot(pinned, vals).real == pytest.approx(np.vdot(c4, adjoint).real, rel=1e-12)

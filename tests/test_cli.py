@@ -5,12 +5,15 @@ import pytest
 
 from opalg import cli
 from opalg import examples as ex
+from opalg import reversibility
 from opalg.algebra import verify_algebra
 from opalg.cli import main, run_search
 from opalg.linalg import ToleranceConfig, orthonormalize
 from opalg.report import matrix_from_wire, matrix_to_wire, parse_input
 from opalg.reversibility import solve_pairing
 from opalg.tro import injective_envelope
+
+from .oracles import predicates_by_products
 
 unit = ex.matrix_unit
 
@@ -209,3 +212,23 @@ def test_search_cache_keeps_the_summary_and_runs_predicates_once(monkeypatch):
     monkeypatch.setattr(cli, "_subspace_key", lambda B: next(fresh))
     assert run_search(**kwargs) == cached
     assert len(cached["noncommutative_reversible"]) == 3
+
+
+def test_search_takes_pair_deviations_once_per_subspace(monkeypatch):
+    # decide_reversible and the signature both ask is_anticommuting; the
+    # deviations behind it are taken once per algebra.  The summary is the
+    # one whose two predicates come from explicit products of the basis.
+    kwargs = dict(ambient=3, trials=60, seed=1, max_dim=3, tol=ToleranceConfig())
+    calls, keys = [], []
+    deviation = cli.alg._pair_deviation
+    monkeypatch.setattr(cli.alg, "_pair_deviation", lambda A, sign: calls.append(A) or deviation(A, sign))
+    key = cli._subspace_key
+    monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
+    summary = run_search(**kwargs)
+    assert 0 < len(calls) <= 2 * len(set(keys))
+    monkeypatch.undo()
+    for name in ("commutative", "anticommuting"):
+        oracle = lambda A, tol=None, _n=name: predicates_by_products(A.basis)[_n]  # noqa: E731
+        monkeypatch.setattr(cli.alg, f"is_{name}", oracle)
+        monkeypatch.setattr(reversibility, f"is_{name}", oracle)
+    assert run_search(**kwargs) == summary
