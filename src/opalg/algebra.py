@@ -303,11 +303,9 @@ def quotient_structure(A: MatrixAlgebra, ideal: Subspace, tol: ToleranceConfig |
     _, s, vh = np.linalg.svd(comp)
     rank = int(np.sum(s > 0.5))  # eigenvalues of a projector are 0 or 1
     R = vh[:rank].conj()  # q_i = sum_k R_ik b_k
-    # q_i q_j = sum_kl R_ik R_jl b_k b_l, read back in representative coordinates
-    # fixed contraction order (R into the first, then the second factor, then
-    # the read-back), so the path is not planned on every call
-    path = ["einsum_path", (0, 2), (0, 2), (0, 1)]
-    table = np.einsum("ik,jl,klm,nm->ijn", R, R, A.structure, R.conj(), optimize=path)
+    # q_i q_j = sum_kl R_ik R_jl b_k b_l, read back in representative coordinates:
+    # R into the first factor, then into the second, then the read-back
+    table = (R @ np.tensordot(R, A.structure, axes=1)) @ R.conj().T
     return list(_elements(A, R)), table
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "amplify",
     "identity_map",
     "product_stack",
+    "max_relative_gap",
     "max_projection_residual",
     "random_unitary",
 ]
@@ -311,11 +312,21 @@ def null_space(a: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.ndar
 
 
 def product_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """All pairwise products of two stacks of matrices, as one stack."""
-    if left.shape[0] == 0 or right.shape[0] == 0:
-        return np.zeros((0, left.shape[1] if left.shape[0] else right.shape[1], right.shape[2] if right.shape[0] else left.shape[2]), complex)
-    out = np.einsum("aij,bjk->abik", left, right)
-    return out.reshape(-1, left.shape[1], right.shape[2])
+    """All pairwise products of two stacks of matrices, as one stack.
+
+    The stack is a-major: entry a * len(right) + b is left[a] @ right[b].
+    All of them come from one matrix product (a i, j) @ (j, b k).
+    """
+    a, i, j = left.shape
+    b, _, k = right.shape
+    flat = left.reshape(a * i, j) @ right.transpose(1, 0, 2).reshape(j, b * k)
+    return flat.reshape(a, i, b, k).transpose(0, 2, 1, 3).reshape(a * b, i, k)
+
+
+def max_relative_gap(ref: np.ndarray, other: np.ndarray) -> float:
+    """Largest |ref - other| / max(1, |ref|) over two stacks of matrices (0 when empty)."""
+    gaps = np.linalg.norm(ref - other, axis=(-2, -1)) / np.maximum(1.0, np.linalg.norm(ref, axis=(-2, -1)))
+    return float(gaps.max(initial=0.0))
 
 
 def max_projection_residual(space: Subspace, stack: np.ndarray) -> float:

@@ -22,6 +22,8 @@ from .linalg import (
     as_matrix,
     contains,
     hs_norm,
+    max_projection_residual,
+    max_relative_gap,
     numerical_rank,
     op_norm,
     orthonormalize,
@@ -69,10 +71,6 @@ class PairingSolution:
     op_norm_lower: float = 0.0
 
 
-# b_i v* first, then times b_j: a fixed contraction order, not planned per call
-_PAIR_PATH = ["einsum_path", (0, 1), (0, 1)]
-
-
 def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> PairingSolution:
     """Solve for v in the TRO with b_i v* b_j = mu[i][j].
 
@@ -89,8 +87,13 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
     B = np.asarray(basis, dtype=complex)
     Z = z_space.space.stack
     mu = np.asarray(mu, dtype=complex)
-    system = np.einsum("iar,ksr,jsc->ijack", B, Z.conj(), B, optimize=_PAIR_PATH).reshape(-1, t)
-    target = mu.ravel()
+    # b_i z_k* = (z_k b_i*)* in (k, i) order, so one product with the b_j lays
+    # out column k of the system contiguously, its rows (i, a, j, c) for the
+    # entry (a, c) of b_i z_k* b_j
+    m = B.shape[1]
+    left = product_stack(Z, B.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+    system = (left.reshape(-1, m) @ B.transpose(1, 0, 2).reshape(m, -1)).reshape(t, -1).T
+    target = mu.transpose(0, 2, 1, 3).ravel()
     u, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < t)
     rank = numerical_rank(s, tol.eq_tol, min_scale=1.0)
     d = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / s[:rank])
@@ -110,10 +113,7 @@ def _solve_pairing_table(basis, mu, z_space: TROSpace, tol: ToleranceConfig) -> 
     if res.min_norm > 1.0 + tol.sdp_tol:
         return PairingSolution(None, raw / scale, res.min_norm, affine_dim, "NONE", op_norm_lower=res.lower)
     element = res.argmin
-    diff = np.einsum("iar,sr,jsc->ijac", B, element.conj(), B, optimize=_PAIR_PATH) - mu
-    final_res = float(
-        (np.linalg.norm(diff, axis=(2, 3)) / np.maximum(1.0, np.linalg.norm(mu, axis=(2, 3)))).max()
-    )
+    final_res = max_relative_gap(mu, product_stack(B @ element.conj().T, B).reshape(mu.shape))
     status = "FOUND"
     if not directions:
         status = "UNIQUE_IN_BALL"
@@ -162,15 +162,11 @@ def certify_reversal_element(
         raise ValueError("certificate element must be a contraction")
     if ambient is not None and not contains(ambient.space, w, tol):
         raise ValueError("certificate element must lie in the ambient TRO")
-    for bi in A.basis:
-        for bj in A.basis:
-            prod = bi @ w @ bj
-            target = bj @ bi
-            if hs_norm(prod - target) > tol.eq_tol * max(1.0, hs_norm(target)):
-                return False
-            if not contains(A.space, prod, tol):
-                return False
-    return True
+    B, d, n = A.space.stack, A.dim, A.ambient
+    prods = product_stack(B @ w, B)
+    # b_i w b_j against b_j b_i, the product stack of B with itself transposed in (i, j)
+    targets = product_stack(B, B).reshape(d, d, n, n).transpose(1, 0, 2, 3).reshape(prods.shape)
+    return max(max_relative_gap(targets, prods), max_projection_residual(A.space, prods)) <= tol.eq_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +199,7 @@ def decide_reversible(
     env = envelope if envelope is not None else injective_envelope(A.space, tol, seed)
     # transport the algebra into the envelope; for an exact envelope the embedding is the identity
     basis = env.embedding.image_stack
-    mu = np.einsum("ijk,kab->ijab", A.structure, basis)
+    mu = np.tensordot(A.structure, basis, axes=1)
     sol = _solve_pairing_table(basis, mu.transpose(1, 0, 2, 3), env.envelope, tol)
     if sol.status != "NONE":
         return ReversibilityVerdict("YES", sol, env.status, tuple(notes))
@@ -240,38 +236,25 @@ def pairing_consistency(A: MatrixAlgebra, z, w, tol: ToleranceConfig | None = No
     tol = tol or A.tol
     z = as_matrix(z)
     w = as_matrix(w)
-    basis = list(A.basis)
+    B, d, n = A.space.stack, A.dim, A.ambient
     zs, ws = z.conj().T, w.conj().T
-    derived = {}
-    worst = 0.0
-    families = {
-        "right_by_z": lambda x, y: (x @ zs @ y @ zs, y @ zs @ x @ zs),
-        "right_by_w": lambda x, y: (x @ ws @ y @ ws, y @ ws @ x @ ws),
-        "left_by_z": lambda x, y: (zs @ x @ zs @ y, zs @ y @ zs @ x),
-        "left_by_w": lambda x, y: (ws @ x @ ws @ y, ws @ y @ ws @ x),
-    }
-    for name, fn in families.items():
-        res = 0.0
-        for x in basis:
-            for y in basis:
-                a, b = fn(x, y)
-                res = max(res, hs_norm(a - b) / max(1.0, hs_norm(a)))
-        derived[name] = res <= tol.eq_tol
-        worst = max(worst, res)
-    inter_res = 0.0
-    for x in basis:
-        for y in basis:
-            for u in basis:
-                ref = x @ zs @ y @ zs @ u
-                for mid1 in (zs, ws):
-                    for mid2 in (zs, ws):
-                        alt = x @ mid1 @ y @ mid2 @ u
-                        inter_res = max(inter_res, hs_norm(alt - ref) / max(1.0, hs_norm(ref)))
+    sides = {"right_by_z": B @ zs, "right_by_w": B @ ws, "left_by_z": zs @ B, "left_by_w": ws @ B}
+    residuals = {}
+    for name, side in sides.items():
+        pairs = product_stack(side, side).reshape(d, d, n, n)  # (x, y) against (y, x)
+        residuals[name] = max_relative_gap(pairs, pairs.transpose(1, 0, 2, 3))
+    derived = {name: res <= tol.eq_tol for name, res in residuals.items()}
+
+    def triples(mid1, mid2):  # x mid1 y mid2 u over basis triples (x, y, u)
+        return product_stack(product_stack(B @ mid1, B @ mid2), B)
+
+    ref = triples(zs, zs)
+    inter_res = max(max_relative_gap(ref, triples(m1, m2)) for m1, m2 in ((zs, ws), (ws, zs), (ws, ws)))
     comm = is_commutative(A, tol)
     zw = hs_norm(z - w) <= tol.eq_tol * max(1.0, hs_norm(z))
     return PairingConsistency(
         derived_commutative=derived,
-        derived_residual=worst,
+        derived_residual=max(residuals.values()),
         interchange_ok=inter_res <= tol.eq_tol,
         interchange_residual=inter_res,
         z_equals_w=zw,

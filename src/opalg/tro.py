@@ -31,6 +31,7 @@ from .linalg import (
     hs_norm,
     identity_map,
     max_projection_residual,
+    max_relative_gap,
     null_space,
     numerical_rank,
     op_norm,
@@ -88,7 +89,8 @@ def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpac
     X.  Then W W* lies in L and L in span(W W*), so L is kept as the linking
     algebra.  The closure residual is that of L W in W; L is certified
     product- and adjoint-closed and W W* is checked to lie in L, all by
-    projection residuals, without factorizing the d_W^2 stack W W*.
+    projection residuals; W W* is checked one slice w W* at a time, so the
+    d_W^2 stack is neither factorized nor held whole.
     """
     tol = tol or DEFAULT_TOL
     x = space.stack
@@ -100,8 +102,10 @@ def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpac
     link = verify_algebra(link_space, tol)
     if max_projection_residual(link_space, _adjoints(lstack)) > tol.eq_tol:
         raise ArithmeticError("linking algebra failed to close under adjoints")
-    if max_projection_residual(link_space, product_stack(w.stack, _adjoints(w.stack))) > tol.eq_tol:
-        raise ArithmeticError("linking algebra does not contain W W*")
+    wstar = _adjoints(w.stack)
+    for wa in w.stack:
+        if max_projection_residual(link_space, product_stack(wa[None], wstar)) > tol.eq_tol:
+            raise ArithmeticError("linking algebra does not contain W W*")
     return TROSpace(w, worst, link)
 
 
@@ -127,9 +131,8 @@ def _support_columns(w: TROSpace, tol):
     right, right_rest = _range_columns([x.conj().T for x in w.basis], tol)
     p = left @ left.conj().T
     q = right @ right.conj().T
-    for x in w.basis:
-        if hs_norm(p @ x @ q - x) > 10 * tol.eq_tol * max(1.0, hs_norm(x)):
-            raise ArithmeticError("support projections do not reproduce the space")
+    if max_relative_gap(w.space.stack, p @ w.space.stack @ q) > 10 * tol.eq_tol:
+        raise ArithmeticError("support projections do not reproduce the space")
     return left, left_rest, right, right_rest
 
 
@@ -347,25 +350,21 @@ def multiplicative_embed(
     m, n = z_space.space.shape
     defect = sqrt_psd(np.eye(n) - z.conj().T @ z, tol)
 
-    def embed(x):
-        out = np.zeros((m + n, m + n), complex)
-        out[:m, :m] = x @ z.conj().T
-        out[:m, m:] = x @ defect
-        return out
+    basis = z_space.space.stack
+    ims = np.zeros((len(basis), m + n, m + n), complex)
+    ims[:, :m, :m], ims[:, :m, m:] = basis @ z.conj().T, basis @ defect
+    phi = LinearMapOnSubspace(z_space.space, tuple(ims), (m + n, m + n))
+    # phi(proj(s)) is vec(s) @ lift: the coefficients of s against the basis, then the images
+    lift = basis.reshape(len(basis), m * n).conj().T @ ims.reshape(len(ims), (m + n) ** 2)
 
-    images = tuple(embed(x) for x in z_space.basis)
-    phi = LinearMapOnSubspace(z_space.space, images, (m + n, m + n))
-    # ternary morphism and multiplicativity against the pairing, on the basis
-    for x in z_space.basis:
-        for y in z_space.basis:
-            px, py = phi.apply(x, tol), phi.apply(y, tol)
-            prod = px @ py
-            target = phi.apply(z_space.space.project(x @ z.conj().T @ y), tol)
-            if hs_norm(prod - target) > 1e-6 * max(1.0, hs_norm(prod)):
-                raise ArithmeticError("embedding failed to be multiplicative")
-            for v in z_space.basis:
-                tern = px @ phi.apply(v, tol).conj().T @ py
-                target3 = phi.apply(z_space.space.project(x @ v.conj().T @ y), tol)
-                if hs_norm(tern - target3) > 1e-6 * max(1.0, hs_norm(tern)):
-                    raise ArithmeticError("embedding failed to be a ternary morphism")
+    def fails(got, preimages):
+        return max_relative_gap(got, (preimages.reshape(-1, m * n) @ lift).reshape(got.shape)) > 1e-6
+
+    # multiplicativity against the pairing, phi(x) phi(y) = phi(x z* y), on basis pairs
+    if fails(product_stack(ims, ims), product_stack(basis @ z.conj().T, basis)):
+        raise ArithmeticError("embedding failed to be multiplicative")
+    # ternary morphism, phi(x) phi(v)* phi(y) = phi(x v* y), on basis triples, one x at a time
+    for x, im in zip(basis, ims):
+        if fails(product_stack(im @ _adjoints(ims), ims), product_stack(x @ _adjoints(basis), basis)):
+            raise ArithmeticError("embedding failed to be a ternary morphism")
     return phi

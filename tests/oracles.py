@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's computation paths: the radical comes
 from a composition series of the natural module, pairing systems are
-assembled by explicit loops over a handwritten corner basis, amplified
+assembled by explicit loops over a handwritten corner basis or by einsum
+contractions, product stacks and the pairing identities come from einsum or
+from loops over basis pairs and triples rather than matrix products, amplified
 norms are taken from explicitly assembled block matrices, and the algebra
 predicates come from explicit matrix products of pairs and triples rather
 than from the structure tensor.
@@ -157,6 +159,81 @@ def pairing_system_bruteforce(algebra_basis, tro_basis, reversed_product):
     residual = float(np.linalg.norm(big @ d - target))
     v = sum(np.conj(dt) * z for dt, z in zip(d, tro_basis))
     return residual, v
+
+
+def product_stack_by_einsum(left, right):
+    """All pairwise products left[a] @ right[b], a-major, by einsum."""
+    return np.einsum("aij,bjk->abik", left, right).reshape(-1, left.shape[1], right.shape[2])
+
+
+def pairing_system_by_einsum(basis, tro_stack):
+    """The pairing system's matrix: rows (i, j, entry), column k holding
+    b_i z_k* b_j, contracted by einsum along a fixed path."""
+    path = ["einsum_path", (0, 1), (0, 1)]
+    system = np.einsum("iar,ksr,jsc->ijack", basis, tro_stack.conj(), basis, optimize=path)
+    return system.reshape(-1, len(tro_stack))
+
+
+def pairing_residual_by_einsum(basis, v, mu):
+    """max over (i, j) of |b_i v* b_j - mu_ij| / max(1, |mu_ij|), by einsum."""
+    diff = np.einsum("iar,sr,jsc->ijac", basis, v.conj(), basis) - mu
+    return float((np.linalg.norm(diff, axis=(2, 3)) / np.maximum(1.0, np.linalg.norm(mu, axis=(2, 3)))).max())
+
+
+def pairing_consistency_by_loops(basis, z, w):
+    """Per-family residuals of the four one-sided commutativity identities
+    and the middle-factor interchange residual, over basis pairs and triples."""
+    zs, ws = z.conj().T, w.conj().T
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a))
+
+    families = {
+        "right_by_z": lambda x, y: (x @ zs @ y @ zs, y @ zs @ x @ zs),
+        "right_by_w": lambda x, y: (x @ ws @ y @ ws, y @ ws @ x @ ws),
+        "left_by_z": lambda x, y: (zs @ x @ zs @ y, zs @ y @ zs @ x),
+        "left_by_w": lambda x, y: (ws @ x @ ws @ y, ws @ y @ ws @ x),
+    }
+    derived = {name: max((rel(*fn(x, y)) for x in basis for y in basis), default=0.0)
+               for name, fn in families.items()}
+    interchange = 0.0
+    for x in basis:
+        for y in basis:
+            for u in basis:
+                ref = x @ zs @ y @ zs @ u
+                for mid1 in (zs, ws):
+                    for mid2 in (zs, ws):
+                        interchange = max(interchange, rel(ref, x @ mid1 @ y @ mid2 @ u))
+    return derived, interchange
+
+
+def embedding_residuals_by_loops(basis, z):
+    """Images [[x z*, x (1 - z* z)^(1/2)], [0, 0]] of an orthonormal basis,
+    and the worst relative residuals of phi(x) phi(y) = phi(x z* y) and
+    phi(x) phi(v)* phi(y) = phi(x v* y), phi(s) taken from the coefficients
+    of s against the basis, over basis pairs and triples."""
+    m, n = z.shape
+    vals, vecs = np.linalg.eigh(np.eye(n) - z.conj().T @ z)
+    defect = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    images = []
+    for x in basis:
+        im = np.zeros((m + n, m + n), complex)
+        im[:m, :m], im[:m, m:] = x @ z.conj().T, x @ defect
+        images.append(im)
+
+    def phi(s):
+        return sum(np.vdot(b, s) * im for b, im in zip(basis, images))
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / max(1.0, np.linalg.norm(got))
+
+    mult = tern = 0.0
+    for x, px in zip(basis, images):
+        for y, py in zip(basis, images):
+            mult = max(mult, rel(px @ py, phi(x @ z.conj().T @ y)))
+            for v, pv in zip(basis, images):
+                tern = max(tern, rel(px @ pv.conj().T @ py, phi(x @ v.conj().T @ y)))
+    return images, mult, tern
 
 
 def amplified_norm_ratio(domain_basis, images, block_coeffs):

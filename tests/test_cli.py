@@ -5,7 +5,7 @@ import pytest
 
 from opalg import cli
 from opalg import examples as ex
-from opalg import reversibility
+from opalg import report, reversibility
 from opalg.algebra import verify_algebra
 from opalg.cli import main, run_search
 from opalg.linalg import ToleranceConfig, orthonormalize
@@ -232,3 +232,17 @@ def test_search_takes_pair_deviations_once_per_subspace(monkeypatch):
         monkeypatch.setattr(cli.alg, f"is_{name}", oracle)
         monkeypatch.setattr(reversibility, f"is_{name}", oracle)
     assert run_search(**kwargs) == summary
+
+
+def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):
+    # product stacks, the pairing system and its residual, the consistency
+    # identities and the reversal certificate run on matrix products; the
+    # einsum calls left contract the structure tensor or combine a basis
+    # with coefficients (einsum product stacks took 61 and 256 here)
+    original, calls = np.einsum, []
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
+    report.analyze_algebra(car_pair)
+    assert len(calls) == 27
+    calls.clear()
+    run_search(ambient=3, trials=20, seed=1, max_dim=3, tol=ToleranceConfig())
+    assert len(calls) == 50

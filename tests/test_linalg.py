@@ -21,7 +21,7 @@ from opalg.linalg import (
     sqrt_psd,
 )
 
-from .oracles import amplified_norm_ratio
+from .oracles import amplified_norm_ratio, product_stack_by_einsum
 
 
 def test_tolerance_validation():
@@ -104,6 +104,21 @@ def test_close_span_invariant_orbit_stops_at_fixed_point():
     orbit = close_span([np.eye(3)[:, [2]]], step, shape=(3, 1))
     assert orbit.dim == 3 and orbit.shape == (3, 1)
     assert calls == [1, 2, 3]
+
+
+@pytest.mark.parametrize("shapes", [((3, 2, 2), (3, 2, 2)), ((2, 4, 4), (5, 4, 4)), ((4, 2, 3), (3, 3, 5))])
+def test_product_stack_matches_einsum(rng, shapes):
+    # a-major: entry a * len(right) + b is left[a] @ right[b]
+    left, right = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+    out = product_stack(left, right)
+    assert out.shape == (shapes[0][0] * shapes[1][0], shapes[0][1], shapes[1][2])
+    assert np.abs(out - product_stack_by_einsum(left, right)).max() <= 1e-13
+    assert np.allclose(out[1 * len(right) + 2], left[1] @ right[2])
+
+
+def test_product_stack_of_empty_stacks():
+    assert product_stack(np.zeros((0, 2, 3)), np.ones((4, 3, 5))).shape == (0, 2, 5)
+    assert product_stack(np.ones((4, 2, 3)), np.zeros((0, 3, 5))).shape == (0, 2, 5)
 
 
 def test_contains_basic():

@@ -3,7 +3,7 @@ import pytest
 
 from opalg import examples as ex
 from opalg.algebra import verify_algebra
-from opalg.linalg import DEFAULT_TOL, contains, hs_norm, op_norm, orthonormalize
+from opalg.linalg import DEFAULT_TOL, contains, hs_norm, op_norm, orthonormalize, product_stack, random_unitary
 from opalg.reversibility import (
     TARGET_PRODUCT,
     TARGET_REVERSED,
@@ -17,7 +17,12 @@ from opalg.reversibility import (
 )
 from opalg.tro import block_decompose, generate_tro, injective_envelope
 
-from .oracles import pairing_system_bruteforce
+from .oracles import (
+    pairing_consistency_by_loops,
+    pairing_residual_by_einsum,
+    pairing_system_by_einsum,
+    pairing_system_bruteforce,
+)
 
 unit = ex.matrix_unit
 
@@ -128,6 +133,56 @@ def test_pairing_consistency_commutative():
     w = solve_pairing(A, env.envelope, TARGET_REVERSED).element
     rep = pairing_consistency(A, z, w)
     assert rep.z_equals_w and rep.commutative and rep.consistent
+
+
+def corpus_and_conjugates(rng):
+    for name, A in ex.corpus():
+        q = random_unitary(A.ambient, rng)
+        yield name, A
+        yield name + "~conj", verify_algebra([q @ b @ q.conj().T for b in A.basis])
+
+
+def test_pairing_system_and_residual_match_einsum(monkeypatch, rng):
+    # the reversed-product system in the generated TRO of each corpus algebra
+    # and of a conjugate, then a rectangular TRO with a solvable target
+    cases = []
+    for name, A in corpus_and_conjugates(rng):
+        n = A.ambient
+        mu = product_stack(A.space.stack, A.space.stack).reshape(A.dim, A.dim, n, n)
+        cases.append((name, A.space.stack, mu.transpose(1, 0, 2, 3), generate_tro(A.space)))
+    x = orthonormalize(list(rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))))
+    w = generate_tro(x)
+    basis, v0 = w.space.stack[:3], 0.3 * w.basis[1] / op_norm(w.basis[1])
+    mu = np.array([[bi @ v0.conj().T @ bj for bj in basis] for bi in basis])
+    cases.append(("rectangular-3x5", basis, mu, w))
+    original = np.linalg.svd
+    for name, basis, mu, tro in cases:
+        factorized = []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: factorized.append(a) or original(a, *r, **k))
+        sol = _solve_pairing_table(basis, mu, tro, DEFAULT_TOL)
+        monkeypatch.setattr(np.linalg, "svd", original)
+        d, m, n = basis.shape  # the solve orders its rows (i, a, j, c), the oracle (i, j, a, c)
+        ref = pairing_system_by_einsum(basis, tro.space.stack).reshape(d, d, m, n, -1).transpose(0, 2, 1, 3, 4)
+        ref = ref.reshape(-1, tro.dim)
+        assert np.abs(factorized[0] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), name
+        if sol.element is not None:
+            assert sol.residual == pytest.approx(pairing_residual_by_einsum(basis, sol.element, mu), abs=1e-12), name
+    assert sol.status != "NONE" and sol.residual <= 1e-9  # the rectangular target, last, is solvable
+
+
+def test_pairing_consistency_matches_loops(rng, car_pair, pq):
+    # random middle factors make every identity fail by an O(1) amount
+    cases = [("car-pair-solved", car_pair, pq, -pq)]
+    for name, A in corpus_and_conjugates(rng):
+        z, w = (rng.standard_normal((2, A.ambient, A.ambient)) + 1j * rng.standard_normal((2, A.ambient, A.ambient)))
+        cases.append((name, A, z / op_norm(z), w / op_norm(w)))
+    for name, A, z, w in cases:
+        rep = pairing_consistency(A, z, w)
+        derived, interchange = pairing_consistency_by_loops(A.basis, z, w)
+        assert rep.derived_commutative == {k: v <= DEFAULT_TOL.eq_tol for k, v in derived.items()}, name
+        assert rep.derived_residual == pytest.approx(max(derived.values()), rel=1e-9, abs=1e-12), name
+        assert rep.interchange_residual == pytest.approx(interchange, rel=1e-9, abs=1e-12), name
+        assert rep.interchange_ok == (interchange <= DEFAULT_TOL.eq_tol), name
 
 
 def test_jordan_identity_car(car_pair, pq):

@@ -5,8 +5,9 @@ import pytest
 
 from opalg import examples as ex
 from opalg import linalg, tro
-from opalg.linalg import contains, hs_norm, max_projection_residual, orthonormalize, random_unitary
+from opalg.linalg import contains, hs_norm, max_projection_residual, op_norm, orthonormalize, random_unitary
 from opalg.tro import (
+    TROSpace,
     block_decompose,
     generate_tro,
     injective_envelope,
@@ -16,7 +17,7 @@ from opalg.tro import (
     support_projections,
 )
 
-from .oracles import star_closure_of_pairs, tro_by_triple_products
+from .oracles import embedding_residuals_by_loops, star_closure_of_pairs, tro_by_triple_products
 
 unit = ex.matrix_unit
 
@@ -375,3 +376,31 @@ def test_multiplicative_embed_errors(car_pair, pq):
         multiplicative_embed(env.envelope, 2.0 * pq)
     with pytest.raises(ValueError):
         multiplicative_embed(env.envelope, np.eye(4, dtype=complex))  # not in the TRO
+
+
+def test_multiplicative_embed_matches_loops(rng):
+    # a contraction inside the generated TRO of each small corpus algebra and
+    # of a conjugate: the images agree with the loops, and both checks pass
+    for name, A in ex.corpus():
+        if A.ambient > 4:  # keeps the TRO at dimension 9 or less for the loops
+            continue
+        q = random_unitary(A.ambient, rng)
+        for space in (A.space, orthonormalize([q @ b @ q.conj().T for b in A.basis])):
+            w = generate_tro(space)
+            z = w.space.from_coeffs(rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim))
+            z = 0.9 * z / op_norm(z)
+            phi = multiplicative_embed(w, z)
+            images, mult, tern = embedding_residuals_by_loops(w.basis, z)
+            assert max(mult, tern) <= 1e-12, name
+            assert np.abs(phi.image_stack - np.array(images)).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("z, failure", [(np.zeros((2, 2), complex), "ternary"), (unit(2, 1, 1), "multiplicative")])
+def test_multiplicative_embed_rejects_a_space_that_is_not_a_tro(z, failure):
+    # (e12 + e21) e11* (e12 + e21) = e22 leaves span{e11, e12 + e21}; with
+    # z = 0 only the ternary identity sees it, with z = e11 the product does
+    space = orthonormalize([unit(2, 1, 1), unit(2, 1, 2) + unit(2, 2, 1)])
+    _, mult, tern = embedding_residuals_by_loops(space.basis, z)
+    assert (mult > 1e-6) == (failure == "multiplicative") and tern > 1e-6
+    with pytest.raises(ArithmeticError, match=f"failed to be (a )?{failure}"):
+        multiplicative_embed(TROSpace(space, 0.0, None), z)
