@@ -479,7 +479,9 @@ def run_search(
 ) -> dict:
     """Classify random triangular algebras; report signatures and the
     noncommutative reversible hits.  `include` prepends known algebras to the
-    sample (useful to confirm a specific basis would be flagged)."""
+    sample (useful to confirm a specific basis would be flagged).  Each span
+    is decided and classified once: the cache key is its rounded projector
+    with signed zeros cleared, which depends on the span and not the basis."""
     rng = np.random.default_rng(seed)
     trial_seeds = rng.integers(0, 2**63 - 1, size=trials)
     signatures: dict = {}
@@ -513,10 +515,11 @@ def run_search(
 
 
 def _subspace_key(A) -> bytes:
-    # the orthogonal projector onto the span identifies the subspace
+    # the rounded projector onto the span, with the -0.0 that rounding leaves
+    # for -1e-17 cleared, depends on the span and not on the basis
     stack = A.space.stack.reshape(A.dim, -1)
     proj = stack.conj().T @ stack
-    return np.round(proj, 8).tobytes()
+    return (np.round(proj, 8) + 0.0).tobytes()
 
 
 def cmd_search(args) -> int:

@@ -8,7 +8,7 @@ from opalg import examples as ex
 from opalg import report, reversibility
 from opalg.algebra import verify_algebra
 from opalg.cli import main, run_search
-from opalg.linalg import ToleranceConfig, orthonormalize
+from opalg.linalg import Subspace, ToleranceConfig, orthonormalize
 from opalg.report import matrix_from_wire, matrix_to_wire, parse_input
 from opalg.reversibility import solve_pairing
 from opalg.tro import injective_envelope
@@ -234,15 +234,66 @@ def test_search_takes_pair_deviations_once_per_subspace(monkeypatch):
     assert run_search(**kwargs) == summary
 
 
+def _projector(A):
+    stack = A.space.stack.reshape(A.dim, -1)
+    return stack.conj().T @ stack
+
+
+def test_subspace_key_ignores_the_basis(tol):
+    # every corpus algebra keeps its key under unitary re-mixings of its
+    # orthonormal basis
+    rng = np.random.default_rng(7)
+    for name, A in ex.corpus(tol):
+        key = cli._subspace_key(A)
+        for _ in range(20):
+            z = rng.standard_normal((2, A.dim, A.dim))
+            u, _ = np.linalg.qr(z[0] + 1j * z[1])
+            mixed = Subspace(*A.space.shape, tuple(np.tensordot(u, A.space.stack, 1)))
+            assert cli._subspace_key(verify_algebra(mixed, tol)) == key, name
+
+
+def test_subspace_key_of_draws_that_close_onto_strict_upper_3(tol):
+    # two random draws close onto the same span in different bases; one of
+    # them has a projector that rounds to -0.0 where the standard basis has 0.0
+    draws = [ex.random_triangular_algebra(3, 3, s, tol) for s in (0, 1)]
+    standard = ex.strict_upper(3, tol)
+    assert all(A.dim == 3 for A in draws)
+    assert not np.allclose(draws[0].space.stack, draws[1].space.stack)
+    assert np.signbit(np.round(_projector(draws[0]), 8).view(float)).any()
+    assert not np.signbit(np.round(_projector(standard), 8).view(float)).any()
+    assert {cli._subspace_key(A) for A in [*draws, standard]} == {cli._subspace_key(standard)}
+
+
+def test_subspace_key_separates_spans(tol):
+    spans = [[unit(3, 1, 2)], [unit(3, 1, 3)], [unit(3, 1, 2), unit(3, 1, 3)]]
+    assert len({cli._subspace_key(verify_algebra(s, tol)) for s in spans}) == 3
+
+
+def test_search_decides_each_distinct_subspace_once(monkeypatch):
+    # strict-upper-3 is the one 3-dimensional subspace in reach, and no two
+    # decided algebras share a span
+    decided, keys = [], []
+    decide = reversibility.decide_reversible
+    monkeypatch.setattr(reversibility, "decide_reversible", lambda A, *a: decided.append(A) or decide(A, *a))
+    key = cli._subspace_key
+    monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
+    run_search(ambient=3, trials=200, seed=1, max_dim=3, tol=ToleranceConfig())
+    assert len(keys) == 200 and len(decided) == len(set(keys))
+    assert sum(A.dim == 3 for A in decided) == 1
+    projectors = [_projector(A) for A in decided]
+    assert not any(np.allclose(p, q, atol=1e-6) for i, p in enumerate(projectors) for q in projectors[:i])
+
+
 def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):
     # product stacks, the pairing system and its residual, the consistency
     # identities and the reversal certificate run on matrix products; the
     # einsum calls left contract the structure tensor or combine a basis
-    # with coefficients (einsum product stacks took 61 and 256 here)
+    # with coefficients (einsum product stacks took 61 and 256 here).  The
+    # search decides each span once, whatever its basis
     original, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
     report.analyze_algebra(car_pair)
     assert len(calls) == 27
     calls.clear()
     run_search(ambient=3, trials=20, seed=1, max_dim=3, tol=ToleranceConfig())
-    assert len(calls) == 50
+    assert len(calls) == 28
