@@ -30,7 +30,6 @@ from .cb import (
     AffineMatrixSet,
     FeasibilityOutcome,
     MinNormResult,
-    choi,
     is_complete_isometry,
     is_completely_contractive,
     is_symmetric_space,
@@ -41,7 +40,6 @@ from .linalg import (
     LinearMapOnSubspace,
     Subspace,
     ToleranceConfig,
-    amplify,
     contains,
     hs_inner,
     hs_norm,
@@ -51,21 +49,18 @@ from .linalg import (
 )
 from .report import AnalysisReport, analyze_algebra
 from .reversibility import (
-    TARGET_PRODUCT,
-    TARGET_REVERSED,
     PairingSolution,
+    Pairings,
     ReversibilityVerdict,
     block_pairing_report,
     certify_reversal_element,
     decide_reversible,
     pairing_consistency,
     solve_pairing,
-    transpose_double,
 )
 from .structure import (
     TriangularizationResult,
     common_eigenvector,
-    invariant_orbit,
     nilpotent_part_strict,
     triangularize,
 )
@@ -76,7 +71,6 @@ from .tro import (
     block_decompose,
     generate_tro,
     injective_envelope,
-    is_simple_tro,
     linking_algebra,
     multiplicative_embed,
     support_projections,

@@ -51,7 +51,6 @@ __all__ = [
     "INFEASIBLE",
     "UNDECIDED",
     "FeasibilityOutcome",
-    "choi",
     "is_completely_contractive",
     "is_complete_isometry",
     "is_symmetric_space",
@@ -79,23 +78,6 @@ class FeasibilityOutcome:
     witness: np.ndarray | None
     residual: float
     notes: str = ""
-
-
-def choi(phi: LinearMapOnSubspace, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Choi matrix sum_ij e_ij (x) phi(e_ij) for a map defined on all of M_n."""
-    tol = tol or DEFAULT_TOL
-    m, n = phi.domain.shape
-    if m != n or phi.domain.dim != n * n:
-        raise ValueError("the Choi matrix needs a map defined on a full matrix space")
-    kr, kc = phi.codomain_shape
-    out = np.zeros((n * kr, n * kc), complex)
-    unit = np.zeros((n, n), complex)
-    for i in range(n):
-        for j in range(n):
-            unit[i, j] = 1.0
-            out[i * kr : (i + 1) * kr, j * kc : (j + 1) * kc] = phi.apply(unit, tol)
-            unit[i, j] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -136,12 +136,12 @@ def _reproduce_car_pair(t: _Table, tol, seed):
     env = tro.injective_envelope(A.space, tol, seed)
     t.check(g, "envelope-exact", env.status == "EXACT")
     t.check(g, "envelope-single-3x3-block", env.blocks.blocks == ((3, 3),))
-    z_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_PRODUCT, tol)
+    verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
+    pairings = verdict.pairings or reversibility.solve_pairing(A, env, tol)
+    z_sol, w_sol = pairings.product, pairings.reversed
     t.check(g, "z-equals-pq", z_sol.element is not None and _close(z_sol.element, pq, 1e-7))
-    w_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_REVERSED, tol)
     t.check(g, "w-equals-minus-pq", w_sol.element is not None and _close(w_sol.element, -pq, 1e-7))
     t.check(g, "z-not-w", z_sol.element is not None and hs_norm(z_sol.element - w_sol.element) > 1e-3)
-    verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
     t.check(g, "reversible", verdict.reversible == "YES")
 
     theta = examples.car_pair_symmetry_unitary()
@@ -189,11 +189,11 @@ def _reproduce_chain(t: _Table, tol, seed):
         t.check(g, f"n{n}-envelope-exact", env.status == "EXACT")
         t.check(g, f"n{n}-envelope-block", env.blocks.blocks == ((2 * n + 1, 2 * n + 1),))
         pq = p @ q
-        z_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_PRODUCT, tol)
-        w_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_REVERSED, tol)
+        verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
+        pairings = verdict.pairings or reversibility.solve_pairing(A, env, tol)
+        z_sol, w_sol = pairings.product, pairings.reversed
         t.check(g, f"n{n}-z-pq", z_sol.element is not None and _close(z_sol.element, pq, 1e-7))
         t.check(g, f"n{n}-w-minus-pq", w_sol.element is not None and _close(w_sol.element, -pq, 1e-7))
-        verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
         t.check(g, f"n{n}-reversible", verdict.reversible == "YES")
     # pairwise distance law u_i u_j = 0 for |i-j| > 1, on the raw generators
     n = 3
@@ -320,12 +320,11 @@ def _reproduce_strict_upper(t: _Table, tol, seed):
     eu = examples.matrix_unit
     corner_ok = all(contains(env.envelope.space, eu(3, i, j), tol) for i in (1, 2) for j in (2, 3))
     t.check(g, "m3-envelope-is-upper-right-corner", corner_ok)
-    sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_REVERSED, tol)
-    t.check(g, "m3-reversed-system-inconsistent", sol.inconsistent)
     verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
+    pairings = verdict.pairings or reversibility.solve_pairing(A, env, tol)
+    t.check(g, "m3-reversed-system-inconsistent", pairings.reversed.inconsistent)
     t.check(g, "m3-not-reversible", verdict.reversible == "NO")
-    z_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_PRODUCT, tol)
-    t.check(g, "m3-product-pairing-found", z_sol.status == "UNIQUE_IN_BALL")
+    t.check(g, "m3-product-pairing-found", pairings.product.status == "UNIQUE_IN_BALL")
     # contrast: in M_4 the triple e12 e23 e34 is nonzero, so 3-commutativity fails
     A4 = examples.strict_upper(4, tol)
     t.check(g, "m4-not-three-commutative", not alg.is_three_commutative(A4, tol))
@@ -412,11 +411,8 @@ def _reproduce_consistency(t: _Table, tol, seed):
                     if hs_norm(j @ b) > 1e-8 or hs_norm(b @ j) > 1e-8:
                         violations.append(f"{name}: commutators fail to annihilate")
         if env.status == "EXACT":
-            z_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_PRODUCT, tol)
-            # the verdict holds the reversed solve; an anticommuting verdict holds -1 instead
-            w_sol = verdict.w if verdict.envelope_status is not None else reversibility.solve_pairing(
-                A, env.envelope, reversibility.TARGET_REVERSED, tol
-            )
+            pairings = verdict.pairings or reversibility.solve_pairing(A, env, tol)
+            z_sol, w_sol = pairings.product, pairings.reversed
             if z_sol.element is not None and w_sol.element is not None:
                 same = hs_norm(z_sol.element - w_sol.element) <= 1e-7
                 if same != comm:

@@ -30,7 +30,6 @@ __all__ = [
     "projection_residual",
     "null_space",
     "sqrt_psd",
-    "amplify",
     "identity_map",
     "product_stack",
     "max_relative_gap",
@@ -276,27 +275,6 @@ class LinearMapOnSubspace:
 
 def identity_map(space: Subspace) -> LinearMapOnSubspace:
     return LinearMapOnSubspace(space, tuple(space.basis), space.shape)
-
-
-def amplify(phi: LinearMapOnSubspace, k: int, X, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Entrywise amplification: apply phi to each block of a k x k block matrix."""
-    tol = tol or DEFAULT_TOL
-    if k < 1:
-        raise ValueError("amplification level must be positive")
-    X = as_matrix(X)
-    m, n = phi.domain.shape
-    if X.shape != (k * m, k * n):
-        raise ValueError(f"expected a {k}x{k} block matrix of {m}x{n} blocks, got {X.shape}")
-    kr, kc = phi.codomain_shape
-    out = np.zeros((k * kr, k * kc), complex)
-    for u in range(k):
-        for v in range(k):
-            block = X[u * m : (u + 1) * m, v * n : (v + 1) * n]
-            try:
-                out[u * kr : (u + 1) * kr, v * kc : (v + 1) * kc] = phi.apply(block, tol)
-            except ValueError as exc:
-                raise ValueError(f"block ({u}, {v}) is outside the map's domain") from exc
-    return out
 
 
 def null_space(a: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.ndarray:

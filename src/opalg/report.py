@@ -158,16 +158,13 @@ def analyze_algebra(
             "deleted_blocks": list(env.deleted_blocks),
             "dimension": env.envelope.dim,
         }
-        z_sol = reversibility.solve_pairing(A, env.envelope, reversibility.TARGET_PRODUCT, tol)
+        verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
+        report.verdicts["reversible"] = verdict.reversible
+        pairings = verdict.pairings or reversibility.solve_pairing(A, env, tol)
+        z_sol, w_sol = pairings.product, pairings.reversed
         report.certificates["pairing_product"] = _pairing_dict(z_sol)
         if z_sol.element is not None:
             report.z = matrix_to_wire(z_sol.element)
-        verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
-        report.verdicts["reversible"] = verdict.reversible
-        # the verdict holds the reversed solve; an anticommuting verdict holds -1 instead
-        w_sol = verdict.w if verdict.envelope_status is not None else reversibility.solve_pairing(
-            A, env.envelope, reversibility.TARGET_REVERSED, tol
-        )
         report.certificates["pairing_reversed"] = _pairing_dict(w_sol)
         if w_sol.element is not None:
             report.w = matrix_to_wire(w_sol.element)

@@ -15,35 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MatrixAlgebra, is_three_commutative
-from .linalg import (
-    DEFAULT_TOL,
-    Subspace,
-    ToleranceConfig,
-    as_matrix,
-    close_span,
-    hs_norm,
-    null_space,
-    product_stack,
-)
+from .linalg import ToleranceConfig, as_matrix, hs_norm, null_space
 
 __all__ = [
     "TriangularizationResult",
-    "invariant_orbit",
     "common_eigenvector",
     "triangularize",
     "nilpotent_part_strict",
 ]
-
-
-def invariant_orbit(A: MatrixAlgebra, v, tol: ToleranceConfig | None = None) -> Subspace:
-    """Smallest A-invariant column space containing v (Krylov-style closure)."""
-    tol = tol or A.tol
-    v = np.asarray(v, dtype=complex).reshape(-1, 1)
-    if v.shape[0] != A.ambient:
-        raise ValueError("vector length must match the ambient dimension")
-    if np.linalg.norm(v) == 0:
-        raise ValueError("need a nonzero vector")
-    return close_span([v], lambda u: product_stack(A.space.stack, u), tol, (A.ambient, 1))
 
 
 def _verify_common_eigenvector(mats, v, tol: ToleranceConfig) -> bool:

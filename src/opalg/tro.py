@@ -49,7 +49,6 @@ __all__ = [
     "linking_algebra",
     "support_projections",
     "block_decompose",
-    "is_simple_tro",
     "injective_envelope",
     "multiplicative_embed",
 ]
@@ -267,11 +266,6 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
         blocks, lu, ru, tuple(row_off), tuple(col_off),
         tuple(lc @ lc.conj().T for lc in left_cols), tuple(rc @ rc.conj().T for rc in right_cols),
     )
-
-
-def is_simple_tro(w: TROSpace, tol: ToleranceConfig | None = None, seed: int = 0) -> bool:
-    """A TRO is simple when its block form has exactly one block."""
-    return len(block_decompose(w, tol, seed).blocks) == 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,9 @@ contractions, product stacks and the pairing identities come from einsum or
 from loops over basis pairs and triples rather than matrix products, amplified
 norms are taken from explicitly assembled block matrices, and the algebra
 predicates come from explicit matrix products of pairs and triples rather
-than from the structure tensor.
+than from the structure tensor.  The amplification and the Choi matrix apply
+a map block by block, and the blockwise pairing report loops over basis
+pairs.
 """
 
 import numpy as np
@@ -472,3 +474,83 @@ def tro_by_triple_products(mats, tol=1e-10):
             return nxt
         basis = nxt
     return basis
+
+
+def amplify(phi, k, x):
+    """Entrywise amplification: apply phi to each block of a k x k block matrix."""
+    if k < 1:
+        raise ValueError("amplification level must be positive")
+    x = np.asarray(x, dtype=complex)
+    m, n = phi.domain.shape
+    if x.shape != (k * m, k * n):
+        raise ValueError(f"expected a {k}x{k} block matrix of {m}x{n} blocks, got {x.shape}")
+    kr, kc = phi.codomain_shape
+    out = np.zeros((k * kr, k * kc), complex)
+    for u in range(k):
+        for v in range(k):
+            block = x[u * m : (u + 1) * m, v * n : (v + 1) * n]
+            try:
+                out[u * kr : (u + 1) * kr, v * kc : (v + 1) * kc] = phi.apply(block)
+            except ValueError as exc:
+                raise ValueError(f"block ({u}, {v}) is outside the map's domain") from exc
+    return out
+
+
+def choi(phi):
+    """Choi matrix sum_ij e_ij (x) phi(e_ij) for a map defined on all of M_n."""
+    m, n = phi.domain.shape
+    if m != n or phi.domain.dim != n * n:
+        raise ValueError("the Choi matrix needs a map defined on a full matrix space")
+    kr, kc = phi.codomain_shape
+    out = np.zeros((n * kr, n * kc), complex)
+    unit = np.zeros((n, n), complex)
+    for i in range(n):
+        for j in range(n):
+            unit[i, j] = 1.0
+            out[i * kr : (i + 1) * kr, j * kc : (j + 1) * kc] = phi.apply(unit)
+            unit[i, j] = 0.0
+    return out
+
+
+def block_pairing_report_by_loops(basis, left_projections, right_projections, eq_tol):
+    """The fields of a blockwise pairing report, by loops over basis pairs.
+
+    For each block (p_k, q_k): whether a_i z_k* a_j stays in span{a} for
+    a = p_k b q_k and z_k = p_k q_k, the worst relative gap to p_k (b_i b_j)
+    q_k, whether both one-sided pairings commute, and which one-sided
+    identity z_k* holds; then the worst relative gap between b_i b_j and
+    the sum of the blockwise products.  Returns (corner_closed,
+    candidate_residuals, left_commutative, right_commutative,
+    one_sided_identity, reconstruction_residual), the per-block entries as
+    lists.
+    """
+    def rel(a, ref):
+        return np.linalg.norm(a - ref) / max(1.0, np.linalg.norm(a))
+
+    closed, cand, lcomm, rcomm, oneid = [], [], [], [], []
+    for pk, qk in zip(left_projections, right_projections):
+        ak = [pk @ b @ qk for b in basis]
+        span = _orthonormal_basis(ak, eq_tol)
+        zs = (pk @ qk).conj().T
+        res_close = res_cand = lres = rres = 0.0
+        for bi, ci in zip(basis, ak):
+            for bj, cj in zip(basis, ak):
+                prod = ci @ zs @ cj
+                proj = sum((np.vdot(e, prod) * e for e in span), np.zeros_like(prod))
+                res_close = max(res_close, rel(prod, proj))
+                res_cand = max(res_cand, rel(prod, pk @ (bi @ bj) @ qk))
+                lres = max(lres, rel(zs @ ci @ zs @ cj, zs @ cj @ zs @ ci))
+                rres = max(rres, rel(ci @ zs @ cj @ zs, cj @ zs @ ci @ zs))
+        left_id = all(rel(c, zs @ c) <= eq_tol for c in ak)
+        right_id = all(rel(c, c @ zs) <= eq_tol for c in ak)
+        closed.append(res_close <= eq_tol)
+        cand.append(res_cand)
+        lcomm.append(lres <= eq_tol)
+        rcomm.append(rres <= eq_tol)
+        oneid.append("both" if left_id and right_id else "left" if left_id else "right" if right_id else "none")
+    recon = 0.0
+    for bi in basis:
+        for bj in basis:
+            total = sum((pk @ bi @ qk) @ (pk @ bj @ qk) for pk, qk in zip(left_projections, right_projections))
+            recon = max(recon, rel(bi @ bj, total))
+    return closed, cand, lcomm, rcomm, oneid, recon

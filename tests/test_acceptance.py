@@ -28,24 +28,17 @@ from opalg.cli import main, run_search
 from opalg.linalg import (
     LinearMapOnSubspace,
     ToleranceConfig,
-    amplify,
     contains,
     hs_norm,
     op_norm,
     orthonormalize,
     random_unitary,
 )
-from opalg.reversibility import (
-    TARGET_PRODUCT,
-    TARGET_REVERSED,
-    certify_reversal_element,
-    decide_reversible,
-    solve_pairing,
-)
+from opalg.reversibility import certify_reversal_element, decide_reversible, solve_pairing
 from opalg.structure import triangularize
-from opalg.tro import generate_tro, injective_envelope, is_simple_tro, support_projections
+from opalg.tro import block_decompose, generate_tro, injective_envelope, support_projections
 
-from .oracles import pairing_system_bruteforce, radical_by_composition_series
+from .oracles import amplify, pairing_system_bruteforce, radical_by_composition_series
 
 unit = ex.matrix_unit
 
@@ -61,13 +54,14 @@ def test_criterion_1_car_pair_pipeline():
     w_tro = generate_tro(A.space)
     ok = w_tro.dim == 9
     ok &= all(contains(w_tro.space, unit(4, i, j)) for i in (1, 2, 3) for j in (2, 3, 4))
-    ok &= is_simple_tro(w_tro)
+    ok &= len(block_decompose(w_tro).blocks) == 1
     env = injective_envelope(A.space)
     ok &= env.status == "EXACT"
     pq = np.diag([0, 1.0, 1.0, 0]).astype(complex)
-    z = solve_pairing(A, env.envelope, TARGET_PRODUCT)
+    pairings = solve_pairing(A, env)
+    z = pairings.product
     ok &= z.element is not None and hs_norm(z.element - pq) <= 1e-7
-    w = solve_pairing(A, env.envelope, TARGET_REVERSED)
+    w = pairings.reversed
     ok &= w.element is not None and hs_norm(w.element + pq) <= 1e-7
     ok &= decide_reversible(A).reversible == "YES"
     ok &= not is_commutative(A)
@@ -93,7 +87,7 @@ def test_criterion_2_strict_upper_m3():
     corner = [unit(3, 1, 2), unit(3, 1, 3), unit(3, 2, 2), unit(3, 2, 3)]
     residual, _ = pairing_system_bruteforce(list(A.basis), corner, reversed_product=True)
     ok &= residual > 1e-6
-    sol = solve_pairing(A, env.envelope, TARGET_REVERSED)
+    sol = solve_pairing(A, env).reversed
     ok &= sol.status == "NONE" and sol.inconsistent
     ok &= decide_reversible(A).reversible == "NO"
     elapsed = time.perf_counter() - t0
@@ -108,8 +102,8 @@ def test_criterion_3_family_n2():
     ok = env.status == "EXACT" and env.blocks.blocks == ((5, 5),)
     p, q = support_projections(generate_tro(A.space))
     pq = p @ q
-    z = solve_pairing(A, env.envelope, TARGET_PRODUCT)
-    w = solve_pairing(A, env.envelope, TARGET_REVERSED)
+    pairings = solve_pairing(A, env)
+    z, w = pairings.product, pairings.reversed
     ok &= z.element is not None and hs_norm(z.element - pq) <= 1e-7
     ok &= w.element is not None and hs_norm(w.element + pq) <= 1e-7
     ok &= decide_reversible(A).reversible == "YES"
@@ -208,8 +202,8 @@ def test_criterion_7_theorem_consistency_sweep():
                         break
         env = injective_envelope(A.space)
         if env.status == "EXACT":
-            z = solve_pairing(A, env.envelope, TARGET_PRODUCT)
-            w = solve_pairing(A, env.envelope, TARGET_REVERSED)
+            pairings = solve_pairing(A, env)
+            z, w = pairings.product, pairings.reversed
             if z.element is not None and w.element is not None:
                 if (hs_norm(z.element - w.element) <= 1e-7) != comm:
                     violations.append(f"{name}: pairing equality vs commutativity")

@@ -1,10 +1,12 @@
-"""Public names: every module's __all__, and the functions the benchmark traces.
+"""Public names: every module's __all__ exists and has a user, and the
+functions the benchmark traces exist.
 
 The benchmark's tracer (bench/spans.py) looks each traced function up by
 name in its home module, and reads some attributes of their results, so
 renaming either breaks every traced run.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -68,3 +70,41 @@ def test_tracer_reads_every_result_it_keeps():
     assert sum(out[f"cb.exit.{e}.count"] for e in ("conjugation", "violation", "dykstra", "undecided")) \
         == out["cb.is_completely_contractive.calls"]
     assert out["tro.deletion_candidates.tried"] >= 1
+
+
+# public names no module in src/opalg or bench/ uses: kept as library entry points
+UNUSED_ALLOWED = {"hs_inner", "random_unitary", "common_eigenvector"}
+
+
+def used_names(path):
+    """Identifiers a file reads, imports or names as a string constant,
+    the strings of its own __all__ list aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(id(n) for n in ast.walk(node))
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_user():
+    # a name in __all__ must be used in src/opalg (the package's re-exports
+    # aside) or in bench/; anything else is public API that nothing calls
+    root = Path(__file__).resolve().parents[1]
+    src = [p for p in (root / "src" / "opalg").glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*(used_names(p) for p in src + list((root / "bench").rglob("*.py"))))
+    public = {name for module in MODULES[1:] for name in getattr(importlib.import_module(module), "__all__", [])}
+    assert sorted(public - used - UNUSED_ALLOWED) == []
+    assert UNUSED_ALLOWED <= public - used

@@ -14,7 +14,6 @@ from opalg.cb import (
     _polish,
     _top_singular,
     _violation_search,
-    choi,
     inverse_map,
     is_complete_isometry,
     is_completely_contractive,
@@ -24,7 +23,6 @@ from opalg.cb import (
 from opalg.linalg import (
     DEFAULT_TOL,
     LinearMapOnSubspace,
-    amplify,
     contains,
     hs_norm,
     op_norm,
@@ -32,7 +30,7 @@ from opalg.linalg import (
     random_unitary,
 )
 
-from .oracles import min_opnorm_grid, pinned_adjoint_by_einsum, pinned_values_by_einsum, polish_by_blocks
+from .oracles import amplify, choi, min_opnorm_grid, pinned_adjoint_by_einsum, pinned_values_by_einsum, polish_by_blocks
 
 unit = ex.matrix_unit
 

@@ -89,7 +89,7 @@ def test_analyze_reports_the_norm_bracket(tmp_path, capsys, name):
     flipped = report["certificates"]["pairing_reversed"]
     assert flipped["inconsistent"] and flipped["op_norm_lower"] is None
     product = report["certificates"]["pairing_product"]
-    expected = solve_pairing(A, injective_envelope(A.space).envelope).op_norm_lower
+    expected = solve_pairing(A, injective_envelope(A.space)).product.op_norm_lower
     assert product["op_norm_lower"] == pytest.approx(expected, abs=1e-9)
     assert product["op_norm_lower"] <= product["op_norm"] <= product["op_norm_lower"] + 1e-7
 

@@ -8,7 +8,6 @@ from opalg.linalg import (
     LinearMapOnSubspace,
     Subspace,
     ToleranceConfig,
-    amplify,
     as_matrix,
     close_span,
     contains,
@@ -21,7 +20,7 @@ from opalg.linalg import (
     sqrt_psd,
 )
 
-from .oracles import amplified_norm_ratio, product_stack_by_einsum
+from .oracles import amplified_norm_ratio, amplify, product_stack_by_einsum
 
 
 def test_tolerance_validation():

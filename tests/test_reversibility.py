@@ -3,21 +3,29 @@ import pytest
 
 from opalg import examples as ex
 from opalg.algebra import verify_algebra
-from opalg.linalg import DEFAULT_TOL, contains, hs_norm, op_norm, orthonormalize, product_stack, random_unitary
+from opalg.linalg import (
+    DEFAULT_TOL,
+    LinearMapOnSubspace,
+    contains,
+    hs_norm,
+    identity_map,
+    op_norm,
+    orthonormalize,
+    product_stack,
+    random_unitary,
+)
 from opalg.reversibility import (
-    TARGET_PRODUCT,
-    TARGET_REVERSED,
+    Pairings,
     block_pairing_report,
     certify_reversal_element,
     decide_reversible,
     pairing_consistency,
     solve_pairing,
-    transpose_double,
-    _solve_pairing_table,
 )
-from opalg.tro import block_decompose, generate_tro, injective_envelope
+from opalg.tro import EnvelopeResult, block_decompose, generate_tro, injective_envelope
 
 from .oracles import (
+    block_pairing_report_by_loops,
     pairing_consistency_by_loops,
     pairing_residual_by_einsum,
     pairing_system_by_einsum,
@@ -27,14 +35,21 @@ from .oracles import (
 unit = ex.matrix_unit
 
 
+def envelope_in(tro, embedding):
+    """A hand-built envelope: the given TRO, and the embedding carrying the
+    algebra into it."""
+    return EnvelopeResult(tro, "CANDIDATE", (), embedding, block_decompose(tro))
+
+
 def test_pairing_car_pair(car_pair, pq):
     env = injective_envelope(car_pair.space)
-    z = solve_pairing(car_pair, env.envelope, TARGET_PRODUCT)
+    pairings = solve_pairing(car_pair, env)
+    z = pairings.product
     assert z.status == "UNIQUE_IN_BALL"
     assert z.affine_dim == 0
     assert hs_norm(z.element - pq) <= 1e-7
     assert z.op_norm == pytest.approx(1.0, abs=1e-9)
-    w = solve_pairing(car_pair, env.envelope, TARGET_REVERSED)
+    w = pairings.reversed
     assert w.status == "UNIQUE_IN_BALL"
     assert hs_norm(w.element + pq) <= 1e-7
 
@@ -42,7 +57,7 @@ def test_pairing_car_pair(car_pair, pq):
 def test_pairing_strict_upper_reversed_inconsistent():
     A = ex.strict_upper(3)
     env = injective_envelope(A.space)
-    sol = solve_pairing(A, env.envelope, TARGET_REVERSED)
+    sol = solve_pairing(A, env).reversed
     assert sol.status == "NONE" and sol.inconsistent
     # independent oracle over the handwritten corner basis
     corner = [unit(3, 1, 2), unit(3, 1, 3), unit(3, 2, 2), unit(3, 2, 3)]
@@ -53,7 +68,7 @@ def test_pairing_strict_upper_reversed_inconsistent():
 def test_pairing_strict_upper_product_found():
     A = ex.strict_upper(3)
     env = injective_envelope(A.space)
-    sol = solve_pairing(A, env.envelope, TARGET_PRODUCT)
+    sol = solve_pairing(A, env).product
     assert sol.status == "UNIQUE_IN_BALL"
     assert hs_norm(sol.element - unit(3, 2, 2)) <= 1e-9
     corner = [unit(3, 1, 2), unit(3, 1, 3), unit(3, 2, 2), unit(3, 2, 3)]
@@ -74,7 +89,7 @@ def test_pairing_oracle_agreement_car(car_pair, pq):
 def test_pairing_ambient_mismatch(car_pair):
     other = generate_tro(orthonormalize([unit(2, 1, 2)]))
     with pytest.raises(ValueError):
-        solve_pairing(car_pair, other, TARGET_PRODUCT)
+        solve_pairing(car_pair, envelope_in(other, identity_map(car_pair.space)))
 
 
 def test_decide_reversible_verdicts(car_pair):
@@ -87,8 +102,8 @@ def test_decide_reversible_verdicts(car_pair):
 def test_commutative_pairings_coincide():
     A = ex.diagonal_algebra(3)
     env = injective_envelope(A.space)
-    z = solve_pairing(A, env.envelope, TARGET_PRODUCT)
-    w = solve_pairing(A, env.envelope, TARGET_REVERSED)
+    pairings = solve_pairing(A, env)
+    z, w = pairings.product, pairings.reversed
     assert z.element is not None and w.element is not None
     assert hs_norm(z.element - w.element) <= 1e-9
 
@@ -112,7 +127,7 @@ def test_certify_isometry_example():
 def test_certify_commutative_with_solved_pairing():
     A = ex.diagonal_algebra(2)
     env = injective_envelope(A.space)
-    z = solve_pairing(A, env.envelope, TARGET_PRODUCT)
+    z = solve_pairing(A, env).product
     # the certificate takes the middle element, the adjoint of the ball element
     assert certify_reversal_element(A, z.element.conj().T)
 
@@ -129,8 +144,8 @@ def test_pairing_consistency_car(car_pair, pq):
 def test_pairing_consistency_commutative():
     A = ex.diagonal_algebra(2)
     env = injective_envelope(A.space)
-    z = solve_pairing(A, env.envelope, TARGET_PRODUCT).element
-    w = solve_pairing(A, env.envelope, TARGET_REVERSED).element
+    pairings = solve_pairing(A, env)
+    z, w = pairings.product.element, pairings.reversed.element
     rep = pairing_consistency(A, z, w)
     assert rep.z_equals_w and rep.commutative and rep.consistent
 
@@ -159,7 +174,7 @@ def test_pairing_system_and_residual_match_einsum(monkeypatch, rng):
     for name, basis, mu, tro in cases:
         factorized = []
         monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: factorized.append(a) or original(a, *r, **k))
-        sol = _solve_pairing_table(basis, mu, tro, DEFAULT_TOL)
+        sol = Pairings(basis, mu, tro, DEFAULT_TOL).product
         monkeypatch.setattr(np.linalg, "svd", original)
         d, m, n = basis.shape  # the solve orders its rows (i, a, j, c), the oracle (i, j, a, c)
         ref = pairing_system_by_einsum(basis, tro.space.stack).reshape(d, d, m, n, -1).transpose(0, 2, 1, 3, 4)
@@ -193,28 +208,6 @@ def test_jordan_identity_car(car_pair, pq):
         assert hs_norm(a @ a) <= 1e-9
 
 
-def test_transpose_double_shapes(car_pair):
-    dbl = transpose_double(car_pair)
-    assert dbl.space.dim == 3
-    assert dbl.space.shape == (8, 8)
-    assert not dbl.matches_concrete  # (xy)^T differs from (yx)^T here
-    comm = transpose_double(ex.diagonal_algebra(2))
-    assert comm.matches_concrete
-    zero = transpose_double(verify_algebra([unit(2, 1, 2)]))
-    assert all(hs_norm(p) <= 1e-12 for row in zero.products for p in row)
-
-
-def test_transpose_double_pairing_found_for_reversible(car_pair):
-    # a reversible algebra keeps an operator algebra product on the double
-    for A in (car_pair, ex.diagonal_algebra(2)):
-        dbl = transpose_double(A)
-        w = generate_tro(dbl.space)
-        basis = list(dbl.reps)
-        mu = [[dbl.products[i][j] for j in range(A.dim)] for i in range(A.dim)]
-        sol = _solve_pairing_table(basis, mu, w, A.tol)
-        assert sol.status != "NONE"
-
-
 def test_pairing_table_minimizes_norm_along_complex_null_directions():
     # over the diagonal TRO, b v* b = s b with b = u w^T, u = (1, 1), w = (1, 2i)
     # says a - 2i b = conj(s) for v = diag(a, b).  The minimum-norm solution
@@ -224,7 +217,7 @@ def test_pairing_table_minimizes_norm_along_complex_null_directions():
     s = 2.7 * np.exp(0.6j)
     b = np.array([[1.0, 2j], [1.0, 2j]])
     diag = generate_tro(orthonormalize([unit(2, 1, 1), unit(2, 2, 2)]))
-    sol = _solve_pairing_table([b], [[s * b]], diag, DEFAULT_TOL)
+    sol = Pairings([b], [[s * b]], diag, DEFAULT_TOL).product
     assert sol.affine_dim == 2 and not sol.inconsistent
     assert sol.status == "FOUND"  # the unit ball holds more solutions than the minimizer
     expected = np.diag([np.conj(s), 1j * np.conj(s)]) / 3
@@ -239,7 +232,7 @@ def test_pairing_decided_by_the_norm_bracket(s, status):
     # bound must refute; just inside, the argmin must certify
     full = generate_tro(orthonormalize([unit(2, i, j) for i in (1, 2) for j in (1, 2)]))
     e11 = unit(2, 1, 1)
-    sol = _solve_pairing_table([e11], [[s * e11]], full, DEFAULT_TOL)
+    sol = Pairings([e11], [[s * e11]], full, DEFAULT_TOL).product
     assert sol.affine_dim == 6 and not sol.inconsistent
     assert sol.status == status
     assert sol.op_norm_lower <= s <= sol.op_norm + 1e-12
@@ -272,7 +265,7 @@ def test_block_pairing_reports():
 
 def test_reversal_uniqueness_sampling(car_pair):
     env = injective_envelope(car_pair.space)
-    sol = solve_pairing(car_pair, env.envelope, TARGET_REVERSED)
+    sol = solve_pairing(car_pair, env).reversed
     # the full solution set is a point, so uniqueness in the ball is automatic
     assert sol.affine_dim == 0 and sol.status == "UNIQUE_IN_BALL"
 
@@ -282,7 +275,7 @@ def test_pairing_not_unique_in_larger_tro():
     # solution set, and small perturbations stay inside the ball
     nil = verify_algebra([unit(2, 1, 2)])
     full = generate_tro(orthonormalize([unit(2, i, j) for i in (1, 2) for j in (1, 2)]))
-    sol = solve_pairing(nil, full, TARGET_REVERSED)
+    sol = solve_pairing(nil, envelope_in(full, identity_map(nil.space))).reversed
     assert sol.status == "FOUND"
     assert sol.affine_dim == 6
     assert sol.op_norm <= 1e-9
@@ -316,7 +309,7 @@ def test_shift_family_certificates_verify():
         A = ex.shift_family(n)
         env = injective_envelope(A.space)
         assert env.status == "EXACT"
-        sol = solve_pairing(A, env.envelope, TARGET_REVERSED)
+        sol = solve_pairing(A, env).reversed
         assert sol.status == "UNIQUE_IN_BALL"
         w = sol.element
         worst = max(
@@ -340,7 +333,7 @@ def test_verdicts_invariant_under_conjugation(rng, car_pair):
             assert env.status == "EXACT"
             assert decide_reversible(B).reversible == expect
             if expect == "YES":
-                z = solve_pairing(B, env.envelope, TARGET_PRODUCT)
+                z = solve_pairing(B, env).product
                 assert hs_norm(z.element - q @ pq @ q.conj().T) <= 1e-6
 
 
@@ -353,7 +346,7 @@ def test_car_three_generated_algebra_refuted():
     _, A3 = ex.car_generators(3)
     env = injective_envelope(A3.space)
     assert env.status == "EXACT"
-    sol = solve_pairing(A3, env.envelope, TARGET_REVERSED)
+    sol = solve_pairing(A3, env).reversed
     assert sol.status == "NONE" and sol.inconsistent
     assert decide_reversible(A3).reversible == "NO"
     assert is_symmetric_space(A3.space).status == INFEASIBLE
@@ -363,8 +356,8 @@ def test_family_n3_pairings():
     A = ex.anticommuting_family(3)
     env = injective_envelope(A.space)
     p, q = np.diag([1.0] * 7 + [0.0]).astype(complex), np.diag([0.0] + [1.0] * 7).astype(complex)
-    z = solve_pairing(A, env.envelope, TARGET_PRODUCT)
-    w = solve_pairing(A, env.envelope, TARGET_REVERSED)
+    pairings = solve_pairing(A, env)
+    z, w = pairings.product, pairings.reversed
     assert hs_norm(z.element - p @ q) <= 1e-7
     assert hs_norm(w.element + p @ q) <= 1e-7
     assert decide_reversible(A).reversible == "YES"
@@ -372,19 +365,78 @@ def test_family_n3_pairings():
 
 @pytest.mark.parametrize("make", [lambda: ex.strict_upper(3), ex.car_pair], ids=["strict-upper-3", "car-pair"])
 def test_analyze_solves_each_pairing_system_once(monkeypatch, make):
-    # the product system and the reversed one, each solved once: the
-    # reversed solution comes from decide_reversible, or (anticommuting
-    # algebras, settled by -1) from one direct solve
-    from opalg import report, reversibility
+    # the product system and the reversed one share one factorization: the
+    # pairings come from decide_reversible, or (anticommuting algebras,
+    # settled by -1) from one direct solve
+    import sys
+
+    from opalg import report
 
     A = make()
     calls = []
-    original = reversibility._solve_pairing_table
+    original = np.linalg.svd
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        if sys._getframe(1).f_globals["__name__"] == "opalg.reversibility":
+            calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(reversibility, "_solve_pairing_table", counting)
-    report.analyze_algebra(A, skip={"sdp"})
-    assert len(calls) == 2
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rep = report.analyze_algebra(A, skip={"sdp"})
+    assert len(calls) == 1
+    assert rep.z is not None and rep.certificates["pairing_reversed"] is not None
+
+
+def test_pairings_in_a_conjugated_envelope(rng, car_pair, pq):
+    # the envelope holds q A q*, not A: both systems must be posed on the
+    # transported basis q b q*, where z = q pq q* and w = -q pq q* solve them
+    q = random_unitary(4, rng)
+    images = tuple(q @ b @ q.conj().T for b in car_pair.basis)
+    tro = generate_tro(orthonormalize(list(images)))
+    assert not all(contains(tro.space, b) for b in car_pair.basis)
+    pairings = solve_pairing(car_pair, envelope_in(tro, LinearMapOnSubspace(car_pair.space, images, (4, 4))))
+    z, w = pairings.product, pairings.reversed
+    assert z.residual <= DEFAULT_TOL.eq_tol and w.residual <= DEFAULT_TOL.eq_tol
+    assert hs_norm(z.element - q @ pq @ q.conj().T) <= 1e-7
+    assert hs_norm(w.element + q @ pq @ q.conj().T) <= 1e-7
+    assert contains(tro.space, z.element) and contains(tro.space, w.element)
+
+
+def test_search_solves_only_the_reversed_system(monkeypatch):
+    # decide_reversible reads the reversed solution alone, so each call
+    # minimizes the pairing norm at most once
+    from opalg import cb, cli, reversibility
+
+    minimized, per_call = [], []
+    decide, minimize = reversibility.decide_reversible, cb.min_opnorm_affine
+
+    def counting_decide(*args, **kwargs):
+        before = len(minimized)
+        verdict = decide(*args, **kwargs)
+        per_call.append(len(minimized) - before)
+        return verdict
+
+    def counting_minimize(*args, **kwargs):
+        minimized.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(reversibility, "decide_reversible", counting_decide)
+    monkeypatch.setattr(cb, "min_opnorm_affine", counting_minimize)
+    cli.run_search(ambient=3, trials=200, seed=1, max_dim=3, tol=DEFAULT_TOL)
+    assert per_call and max(per_call) <= 1
+    assert sum(per_call) > 0
+
+
+def test_block_pairing_report_matches_loops(rng):
+    for name, A in corpus_and_conjugates(rng):
+        rep = block_pairing_report(A)
+        bs = block_decompose(generate_tro(A.space))
+        closed, cand, lcomm, rcomm, oneid, recon = block_pairing_report_by_loops(
+            A.basis, bs.left_projections, bs.right_projections, DEFAULT_TOL.eq_tol
+        )
+        assert rep.block_shapes == bs.blocks, name
+        assert (list(rep.corner_closed), list(rep.left_commutative), list(rep.right_commutative)) \
+            == (closed, lcomm, rcomm), name
+        assert list(rep.one_sided_identity) == oneid, name
+        assert rep.candidate_residuals == pytest.approx(cand, abs=1e-12), name
+        assert rep.reconstruction_residual == pytest.approx(recon, abs=1e-12), name

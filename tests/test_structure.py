@@ -8,38 +8,11 @@ from opalg.algebra import verify_algebra, wedderburn_split
 from opalg.linalg import hs_norm, random_unitary
 from opalg.structure import (
     common_eigenvector,
-    invariant_orbit,
     nilpotent_part_strict,
     triangularize,
 )
 
 unit = ex.matrix_unit
-
-
-def test_invariant_orbit_strict_upper():
-    A = ex.strict_upper(3)
-    e3 = np.array([0, 0, 1.0], complex)
-    orbit = invariant_orbit(A, e3)
-    assert orbit.dim == 3
-    e1 = np.array([1.0, 0, 0], complex)
-    assert invariant_orbit(A, e1).dim == 1
-
-
-def test_invariant_orbit_common_kernel(car_pair):
-    e1 = np.zeros(4, complex)
-    e1[0] = 1.0
-    assert invariant_orbit(car_pair, e1).dim == 1
-
-
-def test_invariant_orbit_full_matrix_algebra(rng):
-    A = verify_algebra([unit(2, i, j) for i in (1, 2) for j in (1, 2)])
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert invariant_orbit(A, v).dim == 2
-
-
-def test_invariant_orbit_rejects_zero():
-    with pytest.raises(ValueError):
-        invariant_orbit(ex.strict_upper(3), np.zeros(3))
 
 
 def test_common_eigenvector_car(car_pair):

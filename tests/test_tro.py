@@ -11,7 +11,6 @@ from opalg.tro import (
     block_decompose,
     generate_tro,
     injective_envelope,
-    is_simple_tro,
     linking_algebra,
     multiplicative_embed,
     support_projections,
@@ -252,14 +251,12 @@ def test_block_decompose_simple(car_pair):
     w = generate_tro(car_pair.space)
     bs = block_decompose(w)
     assert bs.blocks == ((3, 3),)
-    assert is_simple_tro(w)
 
 
 def test_block_decompose_diagonal():
     w = generate_tro(orthonormalize([unit(2, 1, 1), unit(2, 2, 2)]))
     bs = block_decompose(w)
     assert bs.blocks == ((1, 1), (1, 1))
-    assert not is_simple_tro(w)
 
 
 def test_block_decompose_two_corners():
@@ -295,7 +292,6 @@ def test_full_rectangular_is_simple():
     mats = [unit(2, i, j, 3) for i in (1, 2) for j in (1, 2, 3)]
     w = generate_tro(orthonormalize(mats))
     assert w.dim == 6
-    assert is_simple_tro(w)
     assert block_decompose(w).blocks == ((2, 3),)
 
 
