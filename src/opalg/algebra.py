@@ -103,6 +103,11 @@ class MatrixAlgebra:
         tolerance."""
         return _pair_deviation(self, -1.0), _pair_deviation(self, +1.0)
 
+    @cached_property
+    def _radicals(self) -> dict:
+        """The radical per tolerance, filled by :func:`radical`."""
+        return {}
+
 
 def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """Certify closure under the product, or raise with the worst violating pair.
@@ -267,9 +272,12 @@ def radical(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Subspace:
     For a faithfully represented finite dimensional algebra over the complex
     numbers, {x in A : trace(x b) = 0 for all b in A} is the largest
     nilpotent ideal.  The result is cross-checked to be a nilpotent ideal
-    whose quotient has zero radical.
+    whose quotient has zero radical.  It is taken once per algebra and
+    tolerance.
     """
     tol = tol or A.tol
+    if tol in A._radicals:
+        return A._radicals[tol]
     d = A.dim
     if d == 0:
         return A.space
@@ -287,6 +295,7 @@ def radical(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Subspace:
         _, table = quotient_structure(A, rad, tol)
         if len(abstract_radical_coeffs(table, tol)) != 0:
             raise ArithmeticError("radical cross-check failed: quotient still has a radical")
+    A._radicals[tol] = rad
     return rad
 
 

@@ -139,7 +139,7 @@ def _dykstra_feasibility(gs, targets, ni, no, tol, max_iter):
     """
     shape4 = (ni, no, ni, no)
     gs_conj = gs.conj()
-    psd_floor = -min(tol.psd_tol, tol.sdp_tol)
+    psd_floor = -tol.eq_tol
     c4 = _pinned_adjoint(gs_conj, targets)  # least-norm affine point
     viol = _pinned_values(c4, gs) - targets
     q = np.zeros(shape4, complex)
@@ -413,7 +413,7 @@ def is_completely_contractive(
         w4 = witness.reshape(ni, no, ni, no)
         res = float(np.linalg.norm(_pinned_values(w4, gs) - targets))
         eigs = np.linalg.eigvalsh((witness + witness.conj().T) / 2.0)
-        if res <= tol.sdp_tol and (eigs.size == 0 or eigs.min() >= -tol.psd_tol):
+        if res <= tol.sdp_tol and (eigs.size == 0 or eigs.min() >= -tol.eq_tol):
             return FeasibilityOutcome(FEASIBLE, witness, res, "conjugation certificate")
 
     found = _violation_search(phi, tol, seed)

@@ -8,6 +8,7 @@ iteration-capped verdict came back undecided.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,9 +21,12 @@ from .report import analyze_algebra, matrix_to_wire, parse_input
 
 
 def _tolerances(args) -> ToleranceConfig:
-    return ToleranceConfig(
-        eq_tol=args.tol, psd_tol=args.tol, sdp_tol=args.sdp_tol, max_iter=args.max_iter
-    )
+    return ToleranceConfig(eq_tol=args.tol, sdp_tol=args.sdp_tol, max_iter=args.max_iter)
+
+
+def _capped(tol: ToleranceConfig) -> ToleranceConfig:
+    """The tolerances with the iteration cap of the reproduce sweeps."""
+    return dataclasses.replace(tol, max_iter=min(tol.max_iter, 4000))
 
 
 def _add_common(parser):
@@ -301,8 +305,7 @@ def _reproduce_car(t: _Table, tol, seed):
     # outcomes for n = 3 are recorded, not asserted: the negative answers are
     # expected but there is no independent witness to pin them against
     span3, A3 = examples.car_generators(3, tol)
-    fast = ToleranceConfig(eq_tol=tol.eq_tol, psd_tol=tol.psd_tol, sdp_tol=tol.sdp_tol,
-                           max_iter=min(tol.max_iter, 4000))
+    fast = _capped(tol)
     sym3 = cb.is_symmetric_space(A3.space, fast, seed)
     t.info(g, "phi3-algebra-symmetric", sym3.status)
     rev3 = reversibility.decide_reversible(A3, fast, seed)
@@ -384,8 +387,7 @@ def _reproduce_wedderburn(t: _Table, tol, seed):
 
 def _reproduce_consistency(t: _Table, tol, seed):
     g = "consistency"
-    fast = ToleranceConfig(eq_tol=tol.eq_tol, psd_tol=tol.psd_tol,
-                           sdp_tol=tol.sdp_tol, max_iter=min(tol.max_iter, 4000))
+    fast = _capped(tol)
     violations = []
     count = 0
     for name, A in examples.corpus(tol):

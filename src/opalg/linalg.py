@@ -42,19 +42,18 @@ __all__ = [
 class ToleranceConfig:
     """Numerical thresholds shared by every decision procedure.
 
-    eq_tol bounds residuals treated as equality, psd_tol bounds how negative
-    an eigenvalue may be before a matrix stops counting as positive
-    semidefinite, sdp_tol is the feasibility residual for the semidefinite
+    eq_tol bounds residuals treated as equality, and how negative an
+    eigenvalue may be before a matrix stops counting as positive
+    semidefinite; sdp_tol is the feasibility residual for the semidefinite
     solvers, and max_iter caps their iteration count.
     """
 
     eq_tol: float = 1e-9
-    psd_tol: float = 1e-9
     sdp_tol: float = 1e-7
     max_iter: int = 50000
 
     def __post_init__(self) -> None:
-        if min(self.eq_tol, self.psd_tol, self.sdp_tol) <= 0.0:
+        if min(self.eq_tol, self.sdp_tol) <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.eq_tol > self.sdp_tol:
             raise ValueError("eq_tol must not exceed sdp_tol")
@@ -223,8 +222,8 @@ def contains(space: Subspace, x, tol: ToleranceConfig | None = None) -> bool:
 def sqrt_psd(x, tol: ToleranceConfig | None = None) -> np.ndarray:
     """Hermitian positive-semidefinite square root.
 
-    Eigenvalues in [-psd_tol, 0) are clipped to zero; anything below
-    -psd_tol, or a non-Hermitian input, is an error.
+    Eigenvalues in [-eq_tol, 0) are clipped to zero; anything below
+    -eq_tol, or a non-Hermitian input, is an error.
     """
     tol = tol or DEFAULT_TOL
     x = as_matrix(x)
@@ -234,7 +233,7 @@ def sqrt_psd(x, tol: ToleranceConfig | None = None) -> np.ndarray:
     if hs_norm(x - x.conj().T) > tol.eq_tol * scale:
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh((x + x.conj().T) / 2.0)
-    if w.size and w.min() < -tol.psd_tol:
+    if w.size and w.min() < -tol.eq_tol:
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.conj().T

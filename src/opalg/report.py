@@ -118,7 +118,6 @@ def analyze_algebra(
     report = AnalysisReport()
     report.tolerances = {
         "eq_tol": tol.eq_tol,
-        "psd_tol": tol.psd_tol,
         "sdp_tol": tol.sdp_tol,
         "max_iter": tol.max_iter,
     }

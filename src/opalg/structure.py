@@ -1,10 +1,14 @@
-"""Invariant subspaces and simultaneous triangularization.
+"""Simultaneous triangularization through the Jacobson radical.
 
-A 3-commutative matrix algebra always has a common eigenvector: its
-commutator ideal annihilates the algebra on both sides, so any nonzero
-column of a nonzero commutator sits in the common kernel; if there are no
-commutators the algebra commutes and iterated eigenspace refinement applies.
-Deflating against a flag of such vectors triangularizes the algebra.
+McCoy's theorem: a matrix algebra A is triangularizable exactly when
+A/rad A is commutative.  The kernel chain V_0 = 0, V_k = {v : r v in V_{k-1}
+for every r in rad A} climbs to the whole space through A-invariant
+subspaces, and on each layer V_k minus V_{k-1} the algebra acts through
+A/rad A.  There the compressed algebra is semisimple, so it commutes exactly
+when it is simultaneously diagonalizable; one fixed generic element h
+separates its joint eigenspaces.  Deflating against eigenvectors of h,
+layer by layer, builds the flag, and a layer with no common eigenvector
+means A is not triangularizable.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, is_three_commutative
-from .linalg import ToleranceConfig, as_matrix, hs_norm, null_space
+from .algebra import MatrixAlgebra, is_three_commutative, radical
+from .linalg import ToleranceConfig, hs_norm, null_space
 
 __all__ = [
     "TriangularizationResult",
@@ -34,98 +38,49 @@ def _verify_common_eigenvector(mats, v, tol: ToleranceConfig) -> bool:
     return True
 
 
-def _eigenspaces(b, tol):
-    """Geometric eigenspaces of b, smallest first, deterministic order."""
-    vals = np.linalg.eigvals(b)
-    # cluster eigenvalues
-    clusters = []
-    for lam in sorted(vals, key=lambda z: (round(z.real, 7), round(z.imag, 7))):
-        for c in clusters:
-            if abs(lam - c[0]) <= 1e-7 * max(1.0, abs(lam)):
-                break
-        else:
-            clusters.append((lam,))
-    spaces = []
-    n = b.shape[0]
-    for (lam,) in clusters:
-        _, s, vh = np.linalg.svd(b - lam * np.eye(n))
-        cutoff = max(1e-8, 1e-8 * (s[0] if s.size else 1.0))
-        rank = int(np.sum(s > cutoff))
-        basis = vh[rank:].conj().T
-        if basis.shape[1]:
-            spaces.append((lam, basis))
-    spaces.sort(key=lambda t: (t[1].shape[1], round(t[0].real, 7), round(t[0].imag, 7)))
-    return spaces
+def _layers(A: MatrixAlgebra, tol: ToleranceConfig):
+    """Orthonormal columns of each layer U_k = V_k minus V_{k-1} of the kernel chain."""
+    n = A.ambient
+    rad = radical(A, tol).stack
+    below = np.zeros((0, n), complex)  # conjugated orthonormal rows of V_{k-1}
+    while len(below) < n:
+        # v is in U_k when it is orthogonal to V_{k-1} and (1 - P_{k-1}) r v = 0 for every r
+        off = rad - below.conj().T @ (below @ rad)
+        layer = null_space(np.concatenate([off.reshape(-1, n), below]), tol.eq_tol, min_scale=1.0)
+        if not len(layer):
+            raise ArithmeticError("the radical's kernel chain stalled below the whole space")
+        below = np.concatenate([below, layer.conj()])
+        yield layer.T
 
 
-def _common_eigvec_mats(mats, tol: ToleranceConfig, depth: int = 0):
-    """Common eigenvector of a list of matrices, or None.
+def _generic_element(A: MatrixAlgebra) -> np.ndarray:
+    """One fixed combination of the basis with generic coefficients."""
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+    return np.tensordot(c, A.space.stack, axes=1)
 
-    Commutator columns cover the 3-commutative case; eigenspace refinement
-    covers the commuting case.
-    """
-    mats = [as_matrix(m) for m in mats]
-    n = mats[0].shape[0] if mats else 0
-    if n == 0:
-        return None
-    live = [m for m in mats if hs_norm(m) > tol.eq_tol]
-    if not live:
-        v = np.zeros(n, complex)
-        v[0] = 1.0
-        return v
-    # joint kernel: any vector killed by every element is a common eigenvector
-    stacked = np.vstack(live)
-    kernel = null_space(stacked, 1e-10)
-    if kernel.shape[0]:
-        v = kernel[0]
-        v = v / np.linalg.norm(v)
-        if _verify_common_eigenvector(live, v, tol):
-            return v
-    commutators = []
-    for i, x in enumerate(live):
-        for y in live[i + 1 :]:
-            c = x @ y - y @ x
-            if hs_norm(c) > 100 * tol.eq_tol * max(1.0, hs_norm(x @ y)):
-                commutators.append(c)
-    if commutators:
-        for c in commutators:
-            for col in range(n):
-                v = c[:, col]
-                nv = np.linalg.norm(v)
-                if nv <= tol.eq_tol:
-                    continue
-                v = v / nv
-                if _verify_common_eigenvector(live, v, tol):
-                    return v
-        return None
-    # commuting family: refine through eigenspaces of successive elements
-    pivot = None
-    for m in live:
-        lam0 = m[0, 0]
-        if hs_norm(m - lam0 * np.eye(n)) > 100 * tol.eq_tol * max(1.0, hs_norm(m)):
-            pivot = m
-            break
-    if pivot is None:
-        v = np.zeros(n, complex)
-        v[0] = 1.0
-        return v
-    if depth > n:
-        return None
-    for _, basis in _eigenspaces(pivot, tol):
-        compressed = [basis.conj().T @ m @ basis for m in live]
-        sub = _common_eigvec_mats(compressed, tol, depth + 1)
-        if sub is not None:
-            v = basis @ sub
-            v = v / np.linalg.norm(v)
-            if _verify_common_eigenvector(live, v, tol):
-                return v
+
+def _deflate(A: MatrixAlgebra, w: np.ndarray, h: np.ndarray, tol: ToleranceConfig):
+    """Right singular vectors of w* h w - lam for the first eigenvalue lam whose
+    last vector is a common eigenvector of the compressed basis, or None."""
+    comp = w.conj().T @ A.space.stack @ w
+    hw = w.conj().T @ h @ w
+    for lam in np.linalg.eigvals(hw):
+        vh = np.linalg.svd(hw - lam * np.eye(len(hw)))[2]
+        if _verify_common_eigenvector(comp, vh[-1].conj(), tol):
+            return vh
     return None
 
 
 def common_eigenvector(A: MatrixAlgebra, tol: ToleranceConfig | None = None):
-    """A unit vector v with b v = lambda_b v for every basis element, or None."""
+    """A unit vector v with b v = lambda_b v for every basis element, or None.
+
+    Every common eigenvector lies in ker(rad A), the first layer.
+    """
     tol = tol or A.tol
-    return _common_eigvec_mats(list(A.basis), tol)
+    w = next(_layers(A, tol))
+    vh = _deflate(A, w, _generic_element(A), tol)
+    return None if vh is None else w @ vh[-1].conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,49 +90,31 @@ class TriangularizationResult:
 
 
 def triangularize(A: MatrixAlgebra, tol: ToleranceConfig | None = None):
-    """Unitary making every element of A upper triangular, or None on failure.
+    """Unitary making every element of A upper triangular, or None when there is none.
 
-    Deflation: find a common eigenvector of the compressed algebra, prepend
-    it to the flag, compress to the orthocomplement, repeat.
+    Each layer of the kernel chain is deflated in turn: a common eigenvector
+    of the compressed basis joins the flag and the layer shrinks to its
+    orthocomplement.
     """
     tol = tol or A.tol
     if not is_three_commutative(A, tol):
         warnings.warn("triangularize called on a non-3-commutative algebra", stacklevel=2)
-    n = A.ambient
+    h = _generic_element(A)
     flag = []
-    basis_cols = np.eye(n, dtype=complex)  # orthonormal basis of the remaining space
-    mats = [np.array(b) for b in A.basis]
-    while basis_cols.shape[1] > 0:
-        compressed = [basis_cols.conj().T @ m @ basis_cols for m in mats]
-        v = _common_eigvec_mats(compressed, tol)
-        if v is None:
-            return None
-        vec = basis_cols @ v
-        vec = vec / np.linalg.norm(vec)
-        flag.append(vec)
-        # orthocomplement of the flag inside the current space
-        proj = basis_cols.conj().T @ vec
-        comp = basis_cols @ _null_complement(proj)
-        basis_cols = comp
-    unitary = np.stack(flag, axis=1)
-    # re-orthonormalize defensively; the columns are orthonormal by construction
-    qmat, rmat = np.linalg.qr(unitary)
-    unitary = qmat * (np.diag(rmat) / np.abs(np.diag(rmat)))
-    residual = 0.0
-    for m in mats:
-        rot = unitary.conj().T @ m @ unitary
-        residual = max(residual, float(np.abs(np.tril(rot, -1)).max(initial=0.0)))
+    for w in _layers(A, tol):
+        while w.shape[1]:
+            vh = _deflate(A, w, h, tol)
+            if vh is None:
+                return None
+            flag.append(w @ vh[-1].conj())
+            w = w @ vh[:-1].conj().T
+    # the flag is orthonormal by construction; QR keeps it so without moving its spans
+    unitary = np.linalg.qr(np.column_stack(flag))[0]
+    rot = unitary.conj().T @ A.space.stack @ unitary
+    residual = float(np.abs(np.tril(rot, -1)).max(initial=0.0))
     if residual > 100 * tol.eq_tol:
         return None
     return TriangularizationResult(unitary, residual)
-
-
-def _null_complement(vec):
-    """Orthonormal basis of the orthocomplement of one unit vector."""
-    k = vec.shape[0]
-    m = np.column_stack([vec.reshape(-1, 1), np.eye(k, dtype=complex)])
-    q, _ = np.linalg.qr(m)
-    return q[:, 1:k]
 
 
 def nilpotent_part_strict(

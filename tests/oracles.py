@@ -5,14 +5,17 @@ from a composition series of the natural module, pairing systems are
 assembled by explicit loops over a handwritten corner basis or by einsum
 contractions, product stacks and the pairing identities come from einsum or
 from loops over basis pairs and triples rather than matrix products, amplified
-norms are taken from explicitly assembled block matrices, and the algebra
+norms are taken from explicitly assembled block matrices, the algebra
 predicates come from explicit matrix products of pairs and triples rather
-than from the structure tensor.  The amplification and the Choi matrix apply
-a map block by block, and the blockwise pairing report loops over basis
-pairs.
+than from the structure tensor, and triangularizability is McCoy's
+criterion on the commutator ideal rather than the trace-form radical.  The
+amplification and the Choi matrix apply a map block by block, and the
+blockwise pairing report loops over basis pairs.
 """
 
 import numpy as np
+
+from opalg.linalg import Subspace, close_span, product_stack
 
 
 def _orth_columns(cols, tol=1e-10):
@@ -554,3 +557,26 @@ def block_pairing_report_by_loops(basis, left_projections, right_projections, eq
             total = sum((pk @ bi @ qk) @ (pk @ bj @ qk) for pk, qk in zip(left_projections, right_projections))
             recon = max(recon, rel(bi @ bj, total))
     return closed, cand, lcomm, rcomm, oneid, recon
+
+
+def commutator_ideal_is_nilpotent(A, tol=1e-9):
+    """McCoy's criterion: A is triangularizable exactly when the ideal that
+    the commutators generate is nilpotent.
+
+    The ideal is the closure of the commutator span under multiplication by
+    the basis on either side; its powers J^(k+1) = span J^k J come from
+    product stacks.  Unit factors give O(1) products, so ranks take an
+    absolute cutoff of tol.
+    """
+    stack, n = A.space.stack, A.ambient
+    prods = product_stack(stack, stack).reshape(A.dim, A.dim, n, n)
+    comms = (prods - prods.transpose(1, 0, 2, 3)).reshape(-1, n, n)
+    seed = Subspace(n, n, tuple(_orthonormal_basis(comms, tol, absolute=True)) if len(comms) else ())
+    ideal = close_span(seed, lambda w: np.concatenate([product_stack(stack, w), product_stack(w, stack)]))
+    power = ideal.stack
+    while len(power):
+        nxt = _orthonormal_basis(product_stack(power, ideal.stack), tol, absolute=True)
+        if len(nxt) >= len(power):
+            return False
+        power = np.array(nxt).reshape(-1, n, n)
+    return True

@@ -2,17 +2,52 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg import examples as ex
 from opalg.algebra import verify_algebra, wedderburn_split
-from opalg.linalg import hs_norm, random_unitary
+from opalg.linalg import close_span, hs_norm, product_stack, random_unitary
 from opalg.structure import (
     common_eigenvector,
     nilpotent_part_strict,
     triangularize,
 )
 
+from .oracles import commutator_ideal_is_nilpotent
+
 unit = ex.matrix_unit
+M2 = [unit(2, i, j) for i in (1, 2) for j in (1, 2)]
+M2_PLUS_C = [unit(3, i, j) for i in (1, 2) for j in (1, 2)] + [unit(3, 3, 3)]
+C_OVER_M2 = [unit(3, 1, j) for j in (1, 2, 3)] + [unit(3, i, j) for i in (2, 3) for j in (2, 3)]
+
+
+def _closed_algebra(rng, n, gens, keep, upper):
+    """Algebra generated by complex Gaussian matrices, each entry kept with
+    probability keep; upper triangular ones (diagonal included) if upper."""
+    mats = []
+    for _ in range(gens):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mats.append((np.triu(m) if upper else m) * (rng.random((n, n)) < keep))
+    closed = close_span(mats, lambda w: product_stack(w, w), shape=(n, n))
+    return verify_algebra(closed) if closed.dim else None
+
+
+def _upper_triangular_sample(seed):
+    """n in {3, 4, 5}, 1-2 upper triangular generators, and a unitary."""
+    rng = np.random.default_rng(seed)
+    n, gens = int(rng.integers(3, 6)), int(rng.integers(1, 3))
+    return _closed_algebra(rng, n, gens, 0.5, upper=True), random_unitary(n, rng)
+
+
+def _conjugate(A, q, scale=1.0):
+    return verify_algebra([scale * q @ b @ q.conj().T for b in A.basis])
+
+
+def _assert_triangularized(A, bound):
+    res = triangularize(A)
+    assert res is not None and res.residual <= bound
+    assert np.allclose(res.unitary.conj().T @ res.unitary, np.eye(A.ambient), atol=1e-10)
 
 
 def test_common_eigenvector_car(car_pair):
@@ -44,8 +79,52 @@ def test_common_eigenvector_diagonal():
 
 
 def test_common_eigenvector_full_m2_none():
-    A = verify_algebra([unit(2, i, j) for i in (1, 2) for j in (1, 2)])
-    assert common_eigenvector(A) is None
+    assert common_eigenvector(verify_algebra(M2)) is None
+
+
+def test_common_eigenvector_in_kernel_of_radical():
+    # M_2 + C: the radical is 0 and the only common eigenvector is e3
+    assert abs(common_eigenvector(verify_algebra(M2_PLUS_C))[2]) == pytest.approx(1.0, abs=1e-9)
+    # [[C, *], [0, M_2]]: the kernel of the radical is e1
+    assert abs(common_eigenvector(verify_algebra(C_OVER_M2))[0]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_triangularize_non_three_commutative_upper(rng):
+    # upper triangular as given, 5-dimensional, and not 3-commutative
+    g = np.array([[1, 0, -1], [0, 1, -1], [0, 0, 0]], complex)
+    h = np.array([[0, -1, -1], [0, -1, 1], [0, 0, 1]], complex)
+    A = verify_algebra(close_span([g, h], lambda w: product_stack(w, w), shape=(3, 3)))
+    assert A.dim == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _assert_triangularized(A, 1e-9)
+        _assert_triangularized(_conjugate(A, random_unitary(3, rng)), 1e-9)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), scale=st.sampled_from([1e-6, 1e6]))
+def test_triangularize_upper_triangular_algebras(seed, scale):
+    A, q = _upper_triangular_sample(seed)
+    if A is None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _assert_triangularized(_conjugate(A, q, scale), 1e-8)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000))
+def test_triangularize_fails_exactly_by_mccoy(seed):
+    # two sparse generators, upper triangular or not, in M_2 to M_4
+    rng = np.random.default_rng(seed)
+    n, upper = int(rng.integers(2, 5)), bool(rng.integers(2))
+    A = _closed_algebra(rng, n, 2, 0.5 if upper else 0.3, upper)
+    if A is None:
+        return
+    A = _conjugate(A, random_unitary(n, rng))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert (triangularize(A) is None) == (not commutator_ideal_is_nilpotent(A))
 
 
 def test_triangularize_already_triangular(car_pair):
@@ -63,10 +142,11 @@ def test_triangularize_conjugates(rng, car_pair):
 
 
 def test_triangularize_full_m2_fails():
-    A = verify_algebra([unit(2, i, j) for i in (1, 2) for j in (1, 2)])
+    # M_2 + C and [[C, *], [0, M_2]] have a common eigenvector but no flag
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert triangularize(A) is None
+        for mats in (M2, M2_PLUS_C, C_OVER_M2):
+            assert triangularize(verify_algebra(mats)) is None
 
 
 def test_triangularize_commutative_families(rng):
