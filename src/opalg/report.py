@@ -154,6 +154,7 @@ def analyze_algebra(
         report.envelope = {
             "status": env.status,
             "dims": [list(b) for b in env.blocks.blocks],
+            "multiplicities": list(env.blocks.multiplicities),
             "deleted_blocks": list(env.deleted_blocks),
             "dimension": env.envelope.dim,
         }

@@ -13,12 +13,11 @@ means A is not triangularizable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, is_three_commutative, radical
+from .algebra import MatrixAlgebra, radical
 from .linalg import ToleranceConfig, hs_norm, null_space
 
 __all__ = [
@@ -97,8 +96,6 @@ def triangularize(A: MatrixAlgebra, tol: ToleranceConfig | None = None):
     orthocomplement.
     """
     tol = tol or A.tol
-    if not is_three_commutative(A, tol):
-        warnings.warn("triangularize called on a non-3-commutative algebra", stacklevel=2)
     h = _generic_element(A)
     flag = []
     for w in _layers(A, tol):

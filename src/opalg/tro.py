@@ -5,15 +5,16 @@ built from its linking algebra L, the *-algebra generated by X X*, as
 W = X + L X; L = span(W W*) is kept with it.  Finite dimensional TROs are
 unitarily equivalent to direct sums of rectangular matrix blocks; the block
 form is read off from the center of L, and a one-dimensional center means a
-single block spanned by the supports of W.  The injective envelope of a
-subspace is its generated TRO whenever that TRO is simple; otherwise
-candidates are produced by deleting blocks and certifying that the
-compression still embeds the input completely isometrically.
+single block spanned by the supports of W.  Each block is M_(a,b) tensor
+1_m, with its multiplicity m read from ranks and dimensions.  The injective
+envelope of a subspace X is W modulo its Shilov ideal, the largest ideal
+whose quotient map is completely isometric on X; it is the sum of the
+blocks whose deletion alone is completely isometric on X.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,16 +56,18 @@ __all__ = [
 
 
 class DegenerateDecompositionError(ArithmeticError):
-    """Raised when repeated random center samples fail to separate blocks."""
+    """Raised when the blocks found do not fit a direct sum of M_(a,b) tensor 1_m."""
 
 
 @dataclass(frozen=True, eq=False)
 class TROSpace:
-    """A TRO W with its left linking algebra span(W W*), verified *-closed."""
+    """A TRO W with its left linking algebra span(W W*), verified *-closed,
+    and the subspace it was generated from."""
 
     space: Subspace
     closure_residual: float
     linking: MatrixAlgebra = field(repr=False)
+    generators: Subspace = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -105,7 +108,7 @@ def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpac
     for wa in w.stack:
         if max_projection_residual(link_space, product_stack(wa[None], wstar)) > tol.eq_tol:
             raise ArithmeticError("linking algebra does not contain W W*")
-    return TROSpace(w, worst, link)
+    return TROSpace(w, worst, link, space)
 
 
 def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
@@ -149,29 +152,32 @@ def support_projections(w: TROSpace, tol: ToleranceConfig | None = None):
 class BlockStructure:
     """Rectangular block form of a TRO.
 
-    ``left_unitary* . w . right_unitary`` is supported on diagonal rectangular
-    blocks of the listed (rows, cols) shapes; the projections are the block
-    supports in the original frame.
+    Block k is M_(a,b) tensor 1_m, with (a, b) in ``blocks`` and m in
+    ``multiplicities``: ``left_unitary* . w . right_unitary`` is supported on
+    diagonal blocks of shapes (a m, b m) in this order, and the projections
+    are the block supports in the original frame.
     """
 
     blocks: tuple
+    multiplicities: tuple
     left_unitary: np.ndarray
     right_unitary: np.ndarray
-    row_offsets: tuple
-    col_offsets: tuple
     left_projections: tuple
     right_projections: tuple
 
 
-def _cluster(values, gap):
-    order = np.argsort(values)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
+def _block_shape(rows: int, cols: int, dim: int):
+    """(a, b, m) of a block M_(a,b) tensor 1_m whose supports have ranks
+    rows = a m and cols = b m and whose dimension is a b: m^2 = rows cols / dim."""
+    m = math.isqrt(rows * cols // dim) if dim else 0
+    if m < 1 or m * m * dim != rows * cols or rows % m or cols % m:
+        raise DegenerateDecompositionError(f"supports of ranks {rows}, {cols} do not fit a block of dimension {dim}")
+    return rows // m, cols // m, m
+
+
+def _singular_values(stack, left, right):
+    """Singular values of x -> left* x right on the span of an orthonormal stack."""
+    return np.linalg.svd((left.conj().T @ stack @ right).reshape(len(stack), -1), compute_uv=False)
 
 
 def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int = 0) -> BlockStructure:
@@ -184,12 +190,15 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     Hermitian center element; a fresh element is drawn when eigenvalues
     collide (up to ten retries).  Each block's eigenvectors are its left
     columns; the right columns are the row space of the block's slice of
-    the TRO.
+    the TRO, and the slice's rank is its dimension a b.  Blocks are ordered
+    by (a, b, m) descending, then by the singular values of the generating
+    subspace compressed to the block, which unitary conjugation leaves
+    alone, then by first supported row.
     """
     tol = tol or DEFAULT_TOL
     m, n = w.space.shape
     if w.dim == 0:
-        return BlockStructure((), np.eye(m, dtype=complex), np.eye(n, dtype=complex), (), (), (), ())
+        return BlockStructure((), (), np.eye(m, dtype=complex), np.eye(n, dtype=complex), (), ())
     link = w.linking
     left, left_rest, right, right_rest = _support_columns(w, tol)
     p = left @ left.conj().T
@@ -206,77 +215,59 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
         scale = np.vdot(p, center[0]) / left.shape[1]
         if hs_norm(center[0] - scale * p) > 1e-6 * max(1.0, hs_norm(center[0])):
             raise DegenerateDecompositionError("the one-dimensional center is not spanned by the left support")
-        return BlockStructure(
-            ((left.shape[1], right.shape[1]),), np.hstack([left, left_rest]), np.hstack([right, right_rest]),
-            (0,), (0,), (p,), (right @ right.conj().T,),
-        )
+        a, b, mult = _block_shape(left.shape[1], right.shape[1], w.dim)
+        lu, ru = np.hstack([left, left_rest]), np.hstack([right, right_rest])
+        return BlockStructure(((a, b),), (mult,), lu, ru, (p,), (right @ right.conj().T,))
 
     rng = np.random.default_rng(seed)
-    last_error = None
     for _ in range(10):
         mu = rng.uniform(1.0, 2.0, r) + 1j * rng.uniform(-0.5, 0.5, r)
         h = np.einsum("c,cij->ij", mu, center)
         h = (h + h.conj().T) / 2.0  # the center is *-closed, so h stays central
         vals, vecs = np.linalg.eigh(h)
         gap = 1e-6 * max(1.0, float(np.abs(vals).max()))
-        groups = _cluster(vals, gap)
-        nonzero = [abs(float(np.mean(vals[g]))) > gap for g in groups]
-        left_cols = [vecs[:, g] for g, nz in zip(groups, nonzero) if nz]
-        zero_cols = [vecs[:, g] for g, nz in zip(groups, nonzero) if not nz]
-        if len(left_cols) != r:
-            last_error = f"expected {r} spectral blocks, found {len(left_cols)}"
-            continue
+        groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > gap) + 1)  # vals ascend
+        left_cols = [vecs[:, g] for g in groups if abs(vals[g].mean()) > gap]
+        zero_cols = [vecs[:, g] for g in groups if abs(vals[g].mean()) <= gap]
+        # r spectral blocks whose projections sum to the left support
         total = sum(cols @ cols.conj().T for cols in left_cols)
-        if hs_norm(total - p) > 1e-6 * max(1.0, hs_norm(p)):
-            last_error = "spectral projections do not sum to the left support"
-            continue
-        break
+        if len(left_cols) == r and hs_norm(total - p) <= 1e-6 * max(1.0, hs_norm(p)):
+            break
     else:
-        raise DegenerateDecompositionError(last_error or "no separating center element found")
+        raise DegenerateDecompositionError(f"no center element splits the left support into {r} blocks")
 
-    # deterministic block order: by size, then by first supported row
-    def block_key(cols):
-        first_row = int(np.argmax(np.sum(np.abs(cols) ** 2, axis=1) > 0.5))
-        return (-cols.shape[1], first_row)
-
-    left_cols.sort(key=block_key)
     right_cols = [_range_columns([x.conj().T @ cols for x in w.basis], tol)[0] for cols in left_cols]
-    lu = np.hstack(left_cols + zero_cols)
-    ru = np.hstack(right_cols + [right_rest])
+    shapes, keys = [], []
+    for lc, rc in zip(left_cols, right_cols):
+        dim = numerical_rank(_singular_values(w.space.stack, lc, rc), tol.eq_tol, 1.0)
+        a, b, mult = _block_shape(lc.shape[1], rc.shape[1], dim)
+        invariant = np.round(_singular_values(w.generators.stack, lc, rc), 9)
+        first_row = int(np.argmax(np.sum(np.abs(lc) ** 2, axis=1) > 0.5))
+        shapes.append((a, b, mult))
+        keys.append((-a, -b, -mult, *invariant, first_row))
+    order = sorted(range(r), key=keys.__getitem__)
+    left_cols, right_cols, shapes = ([seq[k] for k in order] for seq in (left_cols, right_cols, shapes))
+    lu, ru = np.hstack(left_cols + zero_cols), np.hstack(right_cols + [right_rest])
     if ru.shape != (n, n):
         raise DegenerateDecompositionError("block supports do not fill the ambient space")
 
-    blocks = tuple((lc.shape[1], rc.shape[1]) for lc, rc in zip(left_cols, right_cols))
-    row_off, col_off = [], []
-    ro = co = 0
-    for nk, mk in blocks:
-        row_off.append(ro)
-        col_off.append(co)
-        ro += nk
-        co += mk
-    # off-block mass must vanish
-    for x in w.basis:
-        rot = lu.conj().T @ x @ ru
-        mask = np.ones_like(rot, dtype=bool)
-        for (nk, mk), ro_k, co_k in zip(blocks, row_off, col_off):
-            mask[ro_k : ro_k + nk, co_k : co_k + mk] = False
-        if np.abs(rot[mask]).max(initial=0.0) > 1e-7 * max(1.0, hs_norm(x)):
-            raise DegenerateDecompositionError("rotated space is not supported on its blocks")
-    return BlockStructure(
-        blocks, lu, ru, tuple(row_off), tuple(col_off),
-        tuple(lc @ lc.conj().T for lc in left_cols), tuple(rc @ rc.conj().T for rc in right_cols),
-    )
+    lps = tuple(lc @ lc.conj().T for lc in left_cols)
+    rps = tuple(rc @ rc.conj().T for rc in right_cols)
+    # off-block mass must vanish: W is the sum of its (a m, b m) blocks
+    blockwise = sum(pk @ w.space.stack @ qk for pk, qk in zip(lps, rps))
+    if np.abs(w.space.stack - blockwise).max() > 1e-7:
+        raise DegenerateDecompositionError("the space is not supported on its blocks")
+    return BlockStructure(tuple((a, b) for a, b, _ in shapes), tuple(mult for *_, mult in shapes), lu, ru, lps, rps)
 
 
 @dataclass(frozen=True, eq=False)
 class EnvelopeResult:
-    """A TRO envelope candidate for a subspace.
-
-    EXACT means the generated TRO is simple, hence equal to the injective
-    envelope.  Otherwise the best block-deletion candidate is returned with
-    status CANDIDATE; the embedding maps the input into the envelope and is
-    certified completely isometric.
-    """
+    """The injective envelope of a subspace X: the compression of its
+    generated TRO to the blocks not in ``deleted_blocks``, with that
+    compression on X as the embedding.  EXACT: every cb check was decided,
+    so this is the envelope.  CANDIDATE: one came back UNDECIDED; a block
+    whose own test is undecided is kept, and an undecided confirming check
+    leaves the deletion uncertified."""
 
     envelope: TROSpace
     status: str  # "EXACT" | "CANDIDATE"
@@ -285,46 +276,55 @@ class EnvelopeResult:
     blocks: BlockStructure
 
 
+def _compression(space: Subspace, bs: BlockStructure, kept) -> LinearMapOnSubspace:
+    """The map x -> p x q on the space, for p and q the supports of the kept blocks."""
+    p = sum(bs.left_projections[k] for k in kept)
+    q = sum(bs.right_projections[k] for k in kept)
+    return LinearMapOnSubspace(space, tuple(p @ space.stack @ q), space.shape)
+
+
 def injective_envelope(
     space: Subspace, tol: ToleranceConfig | None = None, seed: int = 0
 ) -> EnvelopeResult:
-    """Generated TRO when simple; otherwise a maximal block-deletion candidate.
+    """The generated TRO W modulo its Shilov ideal J.
 
-    Deletion candidates keep a subset of blocks and compress; a candidate is
-    accepted only when the compression restricted to the input is a complete
-    isometry.  Ties break toward more deletions, then lexicographic subsets.
+    J is the largest ideal of W whose quotient map is completely isometric
+    on X (Hamana, Math. J. Toyama Univ. 1999).  An ideal is a sum of blocks,
+    and a block lies in J exactly when deleting it alone is completely
+    isometric on X.  So each block gets a rank test that compressing X to
+    the other blocks is injective, then a cb check only if it is; two or
+    more deletable blocks get one confirming cb check, which must not fail.
     """
     tol = tol or DEFAULT_TOL
     w = generate_tro(space, tol)
     bs = block_decompose(w, tol, seed)
-    if len(bs.blocks) == 1:
-        return EnvelopeResult(w, "EXACT", (), identity_map(space), bs)
-
     r = len(bs.blocks)
-    best = None  # (num_deleted, kept_subset, envelope, embedding)
-    for keep_size in range(1, r):  # most deletions first
-        for kept in itertools.combinations(range(r), keep_size):
-            pl = sum(bs.left_projections[k] for k in kept)
-            qr = sum(bs.right_projections[k] for k in kept)
-            images = tuple(pl @ x @ qr for x in space.basis)
-            emb = LinearMapOnSubspace(space, images, space.shape)
-            flat = np.stack([im.ravel() for im in images]) if images else np.zeros((0, 1))
-            if numerical_rank(np.linalg.svd(flat, compute_uv=False), tol.eq_tol, 1.0) < len(images):
-                continue  # compression kills part of the input
-            outcome = cb.is_complete_isometry(emb, tol, seed)
-            if outcome.status != cb.FEASIBLE:
-                continue
-            compressed = orthonormalize([pl @ x @ qr for x in w.basis], tol, shape=space.shape)
-            cand_env = generate_tro(compressed, tol)
-            cand = (r - keep_size, kept, cand_env, emb)
-            if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best = cand
-        if best is not None:
-            break  # found at this deletion count; smaller deletion counts are worse
-    if best is None:
-        return EnvelopeResult(w, "CANDIDATE", (), identity_map(space), bs)
-    deleted = tuple(k for k in range(r) if k not in best[1])
-    return EnvelopeResult(best[2], "CANDIDATE", deleted, best[3], bs)
+    if r < 2:
+        return EnvelopeResult(w, "EXACT", (), identity_map(space), bs)
+    status, deleted, emb = "EXACT", [], identity_map(space)
+    for k in range(r):
+        phi = _compression(space, bs, [j for j in range(r) if j != k])
+        flat = phi.image_stack.reshape(space.dim, -1)
+        if numerical_rank(np.linalg.svd(flat, compute_uv=False), tol.eq_tol, 1.0) < space.dim:
+            continue  # deleting the block kills part of X
+        outcome = cb.is_complete_isometry(phi, tol, seed)
+        if outcome.status == cb.UNDECIDED:
+            status = "CANDIDATE"
+        elif outcome.status == cb.FEASIBLE:
+            deleted.append(k)
+            emb = phi
+    if not deleted:
+        return EnvelopeResult(w, status, (), emb, bs)
+    kept = [k for k in range(r) if k not in deleted]
+    if len(deleted) > 1:
+        emb = _compression(space, bs, kept)
+        outcome = cb.is_complete_isometry(emb, tol, seed)
+        if outcome.status == cb.INFEASIBLE:
+            raise DegenerateDecompositionError(f"deleting blocks {deleted} together is not completely isometric")
+        if outcome.status == cb.UNDECIDED:
+            status = "CANDIDATE"
+    envelope = generate_tro(orthonormalize(_compression(w.space, bs, kept).image_stack, tol, shape=space.shape), tol)
+    return EnvelopeResult(envelope, status, tuple(deleted), emb, bs)
 
 
 def multiplicative_embed(

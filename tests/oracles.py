@@ -10,12 +10,19 @@ predicates come from explicit matrix products of pairs and triples rather
 than from the structure tensor, and triangularizability is McCoy's
 criterion on the commutator ideal rather than the trace-form radical.  The
 amplification and the Choi matrix apply a map block by block, and the
-blockwise pairing report loops over basis pairs.
+blockwise pairing report loops over basis pairs.  A TRO block's shape and
+multiplicity come from rank counts of explicit products, and the envelope's
+kept blocks are checked against a completely isometric test of every set
+of blocks rather than the Shilov rule's single-block tests.
 """
+
+import itertools
+import math
 
 import numpy as np
 
-from opalg.linalg import Subspace, close_span, product_stack
+from opalg import cb
+from opalg.linalg import LinearMapOnSubspace, Subspace, close_span, product_stack
 
 
 def _orth_columns(cols, tol=1e-10):
@@ -580,3 +587,43 @@ def commutator_ideal_is_nilpotent(A, tol=1e-9):
             return False
         power = np.array(nxt).reshape(-1, n, n)
     return True
+
+
+def block_shape_by_ranks(tro_basis, left_projection):
+    """(a, b, m) of the block M_(a,b) tensor 1_m of a TRO W with left support p.
+
+    The block's corner p L p of the linking algebra L = span(W W*) has
+    dimension a^2, p has rank a m, and p W has dimension a b; each is a rank
+    count of explicitly formed matrices.  None when the counts do not fit.
+    """
+    p = np.asarray(left_projection, dtype=complex)
+    corner = _rank([(p @ x @ y.conj().T @ p).ravel() for x in tro_basis for y in tro_basis], 1.0)
+    a = math.isqrt(corner)
+    support = _rank(p, 1.0)
+    slice_dim = _rank([(p @ x).ravel() for x in tro_basis], 1.0)
+    if a < 1 or a * a != corner or support % a or slice_dim % a:
+        return None
+    return a, slice_dim // a, support // a
+
+
+def completely_isometric_kept_sets(space, left_projections, right_projections, tol=None, seed=0):
+    """Every set of blocks whose compression is completely isometric on the space.
+
+    The sweep over all 2^r - 1 nonempty sets of blocks: the compression
+    x -> p x q to a set's blocks must be injective on the space (a rank
+    count over the basis) and pass `cb.is_complete_isometry`.  The set of
+    all blocks, where the compression is the identity, is included unchecked.
+    """
+    r = len(left_projections)
+    found = [frozenset(range(r))]
+    for size in range(1, r):
+        for kept in itertools.combinations(range(r), size):
+            p = sum(left_projections[k] for k in kept)
+            q = sum(right_projections[k] for k in kept)
+            images = tuple(p @ x @ q for x in space.basis)
+            if _rank([im.ravel() for im in images], 1.0) < space.dim:
+                continue
+            phi = LinearMapOnSubspace(space, images, space.shape)
+            if cb.is_complete_isometry(phi, tol, seed).status == cb.FEASIBLE:
+                found.append(frozenset(kept))
+    return found

@@ -5,7 +5,6 @@ inline next to the assertions they govern.
 """
 
 import time
-import warnings
 
 import numpy as np
 
@@ -152,25 +151,23 @@ def test_criterion_6_triangularization():
     worst_res = 0.0
     worst_unit = 0.0
     count = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k in range(100):
-            if k % 2 == 0:
-                base = A
-            else:
-                base = ex.random_triangular_algebra(4, 4, 1000 + k)
-            q = random_unitary(4, rng)
-            B = verify_algebra([q @ b @ q.conj().T for b in base.basis])
-            res = triangularize(B)
-            assert res is not None, f"triangularization failed at sample {k}"
-            worst_res = max(worst_res, res.residual)
-            worst_unit = max(
-                worst_unit,
-                hs_norm(res.unitary.conj().T @ res.unitary - np.eye(4)),
-            )
-            count += 1
-        full2 = verify_algebra([unit(2, i, j) for i in (1, 2) for j in (1, 2)])
-        failed = triangularize(full2) is None
+    for k in range(100):
+        if k % 2 == 0:
+            base = A
+        else:
+            base = ex.random_triangular_algebra(4, 4, 1000 + k)
+        q = random_unitary(4, rng)
+        B = verify_algebra([q @ b @ q.conj().T for b in base.basis])
+        res = triangularize(B)
+        assert res is not None, f"triangularization failed at sample {k}"
+        worst_res = max(worst_res, res.residual)
+        worst_unit = max(
+            worst_unit,
+            hs_norm(res.unitary.conj().T @ res.unitary - np.eye(4)),
+        )
+        count += 1
+    full2 = verify_algebra([unit(2, i, j) for i in (1, 2) for j in (1, 2)])
+    failed = triangularize(full2) is None
     ok = count == 100 and worst_res <= 1e-8 and worst_unit <= 1e-10 and failed
     report(6, ok, f"100 conjugates triangularized, residual {worst_res:.2e} <= 1e-8, unitarity {worst_unit:.2e} <= 1e-10, full M_2 fails")
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg import examples as ex
+from opalg import report
 from opalg.algebra import verify_algebra, wedderburn_split
 from opalg.linalg import close_span, hs_norm, product_stack, random_unitary
 from opalg.structure import (
@@ -95,10 +96,8 @@ def test_triangularize_non_three_commutative_upper(rng):
     h = np.array([[0, -1, -1], [0, -1, 1], [0, 0, 1]], complex)
     A = verify_algebra(close_span([g, h], lambda w: product_stack(w, w), shape=(3, 3)))
     assert A.dim == 5
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _assert_triangularized(A, 1e-9)
-        _assert_triangularized(_conjugate(A, random_unitary(3, rng)), 1e-9)
+    _assert_triangularized(A, 1e-9)
+    _assert_triangularized(_conjugate(A, random_unitary(3, rng)), 1e-9)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -107,9 +106,7 @@ def test_triangularize_upper_triangular_algebras(seed, scale):
     A, q = _upper_triangular_sample(seed)
     if A is None:
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _assert_triangularized(_conjugate(A, q, scale), 1e-8)
+    _assert_triangularized(_conjugate(A, q, scale), 1e-8)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -122,9 +119,16 @@ def test_triangularize_fails_exactly_by_mccoy(seed):
     if A is None:
         return
     A = _conjugate(A, random_unitary(n, rng))
+    assert (triangularize(A) is None) == (not commutator_ideal_is_nilpotent(A))
+
+
+def test_analyze_of_a_non_three_commutative_algebra_emits_no_warning():
+    # McCoy's criterion answers for every algebra, so upper-triangular-2,
+    # which is not 3-commutative, is no reason to warn
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert (triangularize(A) is None) == (not commutator_ideal_is_nilpotent(A))
+        warnings.simplefilter("error")
+        rep = report.analyze_algebra(ex.upper_triangular(2))
+    assert rep.verdicts["triangularizable"] is True and not rep.predicates["three_commutative"]
 
 
 def test_triangularize_already_triangular(car_pair):
@@ -143,10 +147,8 @@ def test_triangularize_conjugates(rng, car_pair):
 
 def test_triangularize_full_m2_fails():
     # M_2 + C and [[C, *], [0, M_2]] have a common eigenvector but no flag
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for mats in (M2, M2_PLUS_C, C_OVER_M2):
-            assert triangularize(verify_algebra(mats)) is None
+    for mats in (M2, M2_PLUS_C, C_OVER_M2):
+        assert triangularize(verify_algebra(mats)) is None
 
 
 def test_triangularize_commutative_families(rng):

@@ -16,7 +16,13 @@ from opalg.tro import (
     support_projections,
 )
 
-from .oracles import embedding_residuals_by_loops, star_closure_of_pairs, tro_by_triple_products
+from .oracles import (
+    block_shape_by_ranks,
+    completely_isometric_kept_sets,
+    embedding_residuals_by_loops,
+    star_closure_of_pairs,
+    tro_by_triple_products,
+)
 
 unit = ex.matrix_unit
 
@@ -308,12 +314,123 @@ def test_envelope_exact_cases(car_pair):
         assert env.blocks.blocks == ((2 * n + 1, 2 * n + 1),)
 
 
-def test_envelope_candidate_when_not_simple():
+def test_envelope_of_c_plus_c_is_exact():
+    # deleting either block kills half of span{e11, e22}, so the Shilov
+    # ideal is 0 with no cb check and C + C is its own envelope
     space = orthonormalize([unit(2, 1, 1), unit(2, 2, 2)])
     env = injective_envelope(space)
-    assert env.status == "CANDIDATE"
+    assert env.status == "EXACT"
     assert env.deleted_blocks == ()
     assert env.envelope.dim == 2
+
+
+def _direct_sum(x, y):
+    out = np.zeros((len(x) + len(y),) * 2, complex)
+    out[: len(x), : len(x)], out[len(x) :, len(x) :] = x, y
+    return out
+
+
+M2_UNITS = [unit(2, i, j) for i in (1, 2) for j in (1, 2)]
+# each input, with its envelope's blocks, multiplicities and deleted
+# blocks, and the number of is_complete_isometry calls that take them
+ENVELOPE_CASES = {
+    "m2-beside-its-corner": ([_direct_sum(t, t[:1, :1]) for t in M2_UNITS], ((2, 2), (1, 1)), (1, 1), (1,), 1),
+    "m2-beside-its-transpose": ([_direct_sum(t, t.T) for t in M2_UNITS], ((2, 2), (2, 2)), (1, 1), (), 2),
+    "m2-twice": ([np.kron(np.eye(2), t) for t in M2_UNITS], ((2, 2),), (2,), (), 0),
+    "diag-1-2-3": ([np.diag([1.0, 2.0, 3.0])], ((1, 1),) * 3, (1, 1, 1), (0, 1), 4),
+    "split-pair": ([np.diag([1.0, 1.0, 0.0, 0.0]), unit(4, 3, 4)], ((1, 1),) * 2, (2, 1), (), 0),
+    "diagonal-3": ([unit(3, i, i) for i in (1, 2, 3)], ((1, 1),) * 3, (1, 1, 1), (), 0),
+}
+
+
+def _envelope_case(name, conjugate):
+    mats = ENVELOPE_CASES[name][0]
+    n = len(mats[0])
+    q = random_unitary(n, np.random.default_rng(sum(map(ord, name)))) if conjugate else np.eye(n)
+    return orthonormalize([q @ np.asarray(b, complex) @ q.conj().T for b in mats])
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["given", "conj"])
+@pytest.mark.parametrize("name", list(ENVELOPE_CASES))
+def test_envelope_blocks_multiplicities_and_deletions(monkeypatch, name, conjugate):
+    # the blocks come in a canonical order, so a unitary conjugate reports
+    # the same blocks, multiplicities and deleted blocks; the Shilov rule
+    # takes one cb check per block that survives its rank test, plus one
+    # confirming check when two or more blocks go
+    _, blocks, multiplicities, deleted, checks = ENVELOPE_CASES[name]
+    original, calls = tro.cb.is_complete_isometry, []
+    monkeypatch.setattr(tro.cb, "is_complete_isometry", lambda *a, **k: calls.append(1) or original(*a, **k))
+    env = injective_envelope(_envelope_case(name, conjugate))
+    assert env.status == "EXACT"
+    assert env.blocks.blocks == blocks and env.blocks.multiplicities == multiplicities
+    assert env.deleted_blocks == deleted and len(calls) == checks
+    kept = [k for k in range(len(blocks)) if k not in deleted]
+    assert env.envelope.dim == sum(blocks[k][0] * blocks[k][1] for k in kept)
+
+
+def _wide_sample():
+    """Distinct algebras of dimension at most 4 closed from one or two upper
+    triangular 3 x 3 generators, each with one to three entries in {-1, 1, 2}
+    on or above the diagonal: 362 spans from 1500 draws."""
+    rng = np.random.default_rng(0)
+    upper = [(i, j) for i in range(3) for j in range(i, 3)]
+    seen, out = set(), []
+    for _ in range(1500):
+        mats = []
+        for _ in range(int(rng.integers(1, 3))):
+            g = np.zeros((3, 3), complex)
+            for pos, v in zip(rng.choice(len(upper), int(rng.integers(1, 4)), replace=False), rng.choice([-1, 1, 2], 3)):
+                g[upper[pos]] = v
+            mats.append(g)
+        span = linalg.close_span(mats, lambda w: linalg.product_stack(w, w), shape=(3, 3))
+        flat = span.stack.reshape(span.dim, -1)
+        key = (np.round(flat.conj().T @ flat, 8) + 0.0).tobytes()
+        if 0 < span.dim <= 4 and key not in seen:
+            seen.add(key)
+            out.append(span)
+    return out
+
+
+WIDE_SAMPLE = _wide_sample()
+# the spans of the sample whose envelope deletes a block
+WIDE_DELETING = (1, 8, 28, 44, 48, 87, 108, 121, 128, 131, 143, 146, 156, 166, 185, 186, 193, 207, 233, 235,
+                 241, 267, 284, 291, 304, 315, 316, 320, 322, 343, 350)
+
+
+@pytest.mark.parametrize(
+    "case", [f"{name}{mark}" for name in ENVELOPE_CASES for mark in ("", "~conj")] + [f"wide-{i}" for i in WIDE_DELETING]
+)
+def test_shilov_rule_matches_the_subset_sweep(case):
+    # the blocks the envelope keeps are completely isometric on the input,
+    # and so is every set of blocks that contains them and no other set
+    wide = case.startswith("wide-")
+    space = WIDE_SAMPLE[int(case[5:])] if wide else _envelope_case(case.removesuffix("~conj"), case.endswith("~conj"))
+    env = injective_envelope(space)
+    assert env.status == "EXACT"
+    assert env.deleted_blocks or not wide
+    bs = env.blocks
+    kept = frozenset(range(len(bs.blocks))) - set(env.deleted_blocks)
+    found = completely_isometric_kept_sets(space, bs.left_projections, bs.right_projections)
+    assert kept in found and all(kept <= other for other in found)
+
+
+@pytest.mark.parametrize("name", list(TRO_INPUTS) + list(ENVELOPE_CASES))
+def test_block_shapes_match_rank_oracle(name):
+    # (a, b, m) of every block against dim p L p = a^2, rank p = a m and
+    # dim p W = a b, counted on explicit products
+    space = TRO_INPUTS.get(name) or _envelope_case(name, True)
+    w = generate_tro(space)
+    bs = block_decompose(w)
+    assert len(bs.multiplicities) == len(bs.blocks)
+    for (a, b), mult, p in zip(bs.blocks, bs.multiplicities, bs.left_projections):
+        assert block_shape_by_ranks(w.basis, p) == (a, b, mult), name
+    assert sum(a * b for a, b in bs.blocks) == w.dim
+
+
+def test_degenerate_block_counts_raise():
+    # supports of ranks 2 and 2 cannot hold a block of dimension 3
+    with pytest.raises(tro.DegenerateDecompositionError):
+        tro._block_shape(2, 2, 3)
 
 
 def test_envelope_embedding_identity_when_exact(car_pair):
@@ -399,4 +516,4 @@ def test_multiplicative_embed_rejects_a_space_that_is_not_a_tro(z, failure):
     _, mult, tern = embedding_residuals_by_loops(space.basis, z)
     assert (mult > 1e-6) == (failure == "multiplicative") and tern > 1e-6
     with pytest.raises(ArithmeticError, match=f"failed to be (a )?{failure}"):
-        multiplicative_embed(TROSpace(space, 0.0, None), z)
+        multiplicative_embed(TROSpace(space, 0.0, None, space), z)
