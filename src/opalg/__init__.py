@@ -52,7 +52,6 @@ from .reversibility import (
     PairingSolution,
     Pairings,
     ReversibilityVerdict,
-    block_pairing_report,
     certify_reversal_element,
     decide_reversible,
     pairing_consistency,

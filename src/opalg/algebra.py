@@ -308,7 +308,7 @@ def quotient_structure(A: MatrixAlgebra, ideal: Subspace, tol: ToleranceConfig |
     """
     d = A.dim
     ideal_coeffs = np.einsum("aij,kij->ak", ideal.stack, A.space.stack.conj())
-    comp = np.eye(d, dtype=complex) - ideal_coeffs.conj().T @ ideal_coeffs
+    comp = np.eye(d, dtype=complex) - ideal_coeffs.T @ ideal_coeffs.conj()
     _, s, vh = np.linalg.svd(comp)
     rank = int(np.sum(s > 0.5))  # eigenvalues of a projector are 0 or 1
     R = vh[:rank].conj()  # q_i = sum_k R_ik b_k

@@ -175,6 +175,8 @@ def analyze_algebra(
             report.certificates["pairing_consistency"] = {
                 "z_equals_w": consistency.z_equals_w,
                 "consistent_with_commutativity": consistency.consistent,
+                "derived_commutative": all(consistency.derived_commutative.values()),
+                "interchange_ok": consistency.interchange_ok,
             }
         report.timings_ms["envelope"] = 1000 * (timer() - t0)
     else:

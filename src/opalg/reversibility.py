@@ -27,10 +27,9 @@ from .linalg import (
     max_relative_gap,
     numerical_rank,
     op_norm,
-    orthonormalize,
     product_stack,
 )
-from .tro import EnvelopeResult, TROSpace, block_decompose, generate_tro, injective_envelope
+from .tro import EnvelopeResult, TROSpace, injective_envelope
 
 __all__ = [
     "PairingSolution",
@@ -41,8 +40,6 @@ __all__ = [
     "decide_reversible",
     "PairingConsistency",
     "pairing_consistency",
-    "BlockPairingReport",
-    "block_pairing_report",
 ]
 
 
@@ -284,54 +281,4 @@ def pairing_consistency(A: MatrixAlgebra, z, w, tol: ToleranceConfig | None = No
         z_equals_w=zw,
         commutative=comm,
         consistent=(comm == zw),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class BlockPairingReport:
-    """Per-block pairing analysis of an algebra inside its generated TRO."""
-
-    block_shapes: tuple
-    corner_closed: tuple
-    candidate_residuals: tuple  # |x (p_k q_k)* y - p_k (xy) q_k| per block
-    left_commutative: tuple
-    right_commutative: tuple
-    one_sided_identity: tuple  # "left" | "right" | "both" | "none"
-    reconstruction_residual: float
-    ok: bool
-
-
-def block_pairing_report(
-    A: MatrixAlgebra, tol: ToleranceConfig | None = None, seed: int = 0
-) -> BlockPairingReport:
-    """Blockwise pairing elements p_k q_k and the product reconstruction.
-
-    For each rectangular block of the generated TRO, the compression
-    A_k = p_k A q_k should be an algebra under the pairing with z_k = p_k q_k,
-    the one-sided pairings should commute, and the full product should be the
-    sum of blockwise products.  Every residual is relative, over the product
-    stacks of the basis pairs.
-    """
-    tol = tol or A.tol
-    bs = block_decompose(generate_tro(A.space, tol), tol, seed)
-    B = A.space.stack
-    products = product_stack(B, B)
-    closed, cand_res, lcomm, rcomm, oneid = [], [], [], [], []
-    blockwise = np.zeros_like(products)
-    for pk, qk in zip(bs.left_projections, bs.right_projections):
-        ak = pk @ B @ qk
-        zs = (pk @ qk).conj().T
-        paired = product_stack(ak @ zs, ak)  # a_i z_k* a_j
-        closed.append(max_projection_residual(orthonormalize(ak, tol, shape=A.space.shape), paired) <= tol.eq_tol)
-        cand_res.append(max_relative_gap(paired, pk @ products @ qk))
-        lcomm.append(_swap_gap(zs @ ak) <= tol.eq_tol)
-        rcomm.append(_swap_gap(ak @ zs) <= tol.eq_tol)
-        left_id = max_relative_gap(ak, zs @ ak) <= tol.eq_tol
-        right_id = max_relative_gap(ak, ak @ zs) <= tol.eq_tol
-        oneid.append("both" if left_id and right_id else "left" if left_id else "right" if right_id else "none")
-        blockwise += product_stack(ak, ak)
-    recon = max_relative_gap(products, blockwise)
-    ok = all(closed) and recon <= 10 * tol.eq_tol and all(r <= 10 * tol.eq_tol for r in cand_res)
-    return BlockPairingReport(
-        tuple(bs.blocks), tuple(closed), tuple(cand_res), tuple(lcomm), tuple(rcomm), tuple(oneid), recon, ok
     )

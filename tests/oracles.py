@@ -522,50 +522,6 @@ def choi(phi):
     return out
 
 
-def block_pairing_report_by_loops(basis, left_projections, right_projections, eq_tol):
-    """The fields of a blockwise pairing report, by loops over basis pairs.
-
-    For each block (p_k, q_k): whether a_i z_k* a_j stays in span{a} for
-    a = p_k b q_k and z_k = p_k q_k, the worst relative gap to p_k (b_i b_j)
-    q_k, whether both one-sided pairings commute, and which one-sided
-    identity z_k* holds; then the worst relative gap between b_i b_j and
-    the sum of the blockwise products.  Returns (corner_closed,
-    candidate_residuals, left_commutative, right_commutative,
-    one_sided_identity, reconstruction_residual), the per-block entries as
-    lists.
-    """
-    def rel(a, ref):
-        return np.linalg.norm(a - ref) / max(1.0, np.linalg.norm(a))
-
-    closed, cand, lcomm, rcomm, oneid = [], [], [], [], []
-    for pk, qk in zip(left_projections, right_projections):
-        ak = [pk @ b @ qk for b in basis]
-        span = _orthonormal_basis(ak, eq_tol)
-        zs = (pk @ qk).conj().T
-        res_close = res_cand = lres = rres = 0.0
-        for bi, ci in zip(basis, ak):
-            for bj, cj in zip(basis, ak):
-                prod = ci @ zs @ cj
-                proj = sum((np.vdot(e, prod) * e for e in span), np.zeros_like(prod))
-                res_close = max(res_close, rel(prod, proj))
-                res_cand = max(res_cand, rel(prod, pk @ (bi @ bj) @ qk))
-                lres = max(lres, rel(zs @ ci @ zs @ cj, zs @ cj @ zs @ ci))
-                rres = max(rres, rel(ci @ zs @ cj @ zs, cj @ zs @ ci @ zs))
-        left_id = all(rel(c, zs @ c) <= eq_tol for c in ak)
-        right_id = all(rel(c, c @ zs) <= eq_tol for c in ak)
-        closed.append(res_close <= eq_tol)
-        cand.append(res_cand)
-        lcomm.append(lres <= eq_tol)
-        rcomm.append(rres <= eq_tol)
-        oneid.append("both" if left_id and right_id else "left" if left_id else "right" if right_id else "none")
-    recon = 0.0
-    for bi in basis:
-        for bj in basis:
-            total = sum((pk @ bi @ qk) @ (pk @ bj @ qk) for pk, qk in zip(left_projections, right_projections))
-            recon = max(recon, rel(bi @ bj, total))
-    return closed, cand, lcomm, rcomm, oneid, recon
-
-
 def commutator_ideal_is_nilpotent(A, tol=1e-9):
     """McCoy's criterion: A is triangularizable exactly when the ideal that
     the commutators generate is nilpotent.

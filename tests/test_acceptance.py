@@ -11,19 +11,14 @@ import numpy as np
 from opalg import examples as ex
 from opalg.algebra import (
     is_anticommuting,
-    is_c_faithful,
     is_commutative,
-    is_idempotent_algebra,
-    is_left_faithful,
-    is_right_faithful,
     is_three_commutative,
-    commutator_subspace,
     radical,
     verify_algebra,
     wedderburn_split,
 )
 from opalg.cb import FEASIBLE, INFEASIBLE, is_complete_isometry, is_completely_contractive, is_symmetric_space
-from opalg.cli import main, run_search
+from opalg.cli import main, run_search, theorem_violations
 from opalg.linalg import (
     LinearMapOnSubspace,
     ToleranceConfig,
@@ -33,6 +28,7 @@ from opalg.linalg import (
     orthonormalize,
     random_unitary,
 )
+from opalg.report import analyze_algebra
 from opalg.reversibility import certify_reversal_element, decide_reversible, solve_pairing
 from opalg.structure import triangularize
 from opalg.tro import block_decompose, generate_tro, injective_envelope, support_projections
@@ -173,37 +169,13 @@ def test_criterion_6_triangularization():
 
 
 def test_criterion_7_theorem_consistency_sweep():
-    tol = ToleranceConfig()
     corpus = ex.corpus()
     assert len(corpus) >= 20
-    violations = []
-    for name, A in corpus:
-        comm = is_commutative(A)
-        anti = is_anticommuting(A)
-        three = is_three_commutative(A)
-        verdict = decide_reversible(A).reversible
-        if verdict == "YES" and not three:
-            violations.append(f"{name}: reversible but not 3-commutative")
-        if anti and verdict != "YES":
-            violations.append(f"{name}: anticommuting not reversible")
-        if verdict == "YES" and not comm:
-            if (is_idempotent_algebra(A) or is_left_faithful(A)
-                    or is_right_faithful(A) or is_c_faithful(A)):
-                violations.append(f"{name}: faithful-type reversible but noncommutative")
-        if three:
-            J = commutator_subspace(A)
-            for j in J.basis:
-                for b in A.basis:
-                    if hs_norm(j @ b) > 1e-8 or hs_norm(b @ j) > 1e-8:
-                        violations.append(f"{name}: commutator fails to annihilate")
-                        break
-        env = injective_envelope(A.space)
-        if env.status == "EXACT":
-            pairings = solve_pairing(A, env)
-            z, w = pairings.product, pairings.reversed
-            if z.element is not None and w.element is not None:
-                if (hs_norm(z.element - w.element) <= 1e-7) != comm:
-                    violations.append(f"{name}: pairing equality vs commutativity")
+    violations = [
+        f"{name}: {v}"
+        for name, A in corpus
+        for v in theorem_violations(A, analyze_algebra(A, skip={"sdp", "triangularize"}).to_dict())
+    ]
     ok = not violations
     report(7, ok, f"{len(corpus)} algebras swept, violations: {violations or 'none'}")
 

@@ -222,6 +222,22 @@ def test_wedderburn_random_conjugates(rng):
         assert direct.dim == A.dim
 
 
+def test_quotient_in_a_complex_basis():
+    # split-pair given by complex mixtures of its basis: the representatives
+    # must be orthogonal to the radical, and the split must go through (the
+    # conjugated projector onto the ideal's coefficients broke both)
+    base = verify_algebra([np.diag([1.0, 1.0, 0, 0]).astype(complex), unit(4, 3, 4)])
+    g = np.random.default_rng(1).standard_normal((2, 2, 2)) @ np.array([1.0, 1j])
+    A = verify_algebra(list(np.tensordot(g, base.space.stack, 1)))
+    r = radical(A)
+    reps, table = quotient_structure(A, r)
+    assert max(abs(np.vdot(x, q)) for x in r.basis for q in reps) <= 1e-12
+    assert np.isclose(abs(table[0, 0, 0]), 2**-0.5)  # q q = phase q / sqrt(2) for q = phase e / |e|
+    split = wedderburn_split(A)
+    assert contains(split.unital_part.space, np.diag([1.0, 1.0, 0, 0]).astype(complex))
+    assert contains(split.nilpotent_part.space, unit(4, 3, 4))
+
+
 def test_reversible_quotient_commutative_semisimple():
     # for reversible algebras the radical is reversible too and the quotient
     # is commutative with zero radical

@@ -160,6 +160,48 @@ def test_reproduce_single_group(capsys):
     assert "wedderburn:upper-m2-radical" in out
 
 
+@pytest.mark.parametrize("group", sorted(cli._GROUPS))
+def test_reproduce_group_prints_only_its_rows(capsys, group):
+    assert main(["reproduce", "--only", group]) == 0
+    *rows, total = capsys.readouterr().out.splitlines()
+    assert rows and all(row.startswith(f"{group}:") for row in rows)
+    assert total == f"{len(rows)} checks, 0 failures"
+
+
+def test_reproduce_labels_are_unique(capsys):
+    assert main(["reproduce"]) == 0
+    labels = [row.split()[0] for row in capsys.readouterr().out.splitlines()[:-1]]
+    assert len(labels) == len(set(labels))
+    assert {f"{g}:{key}" for g, key, *_ in cli._ROWS} <= set(labels)
+
+
+def test_reproduce_analyzes_only_the_inputs_its_rows_read(monkeypatch, capsys):
+    # each input is analyzed once, and sdp runs only where a row reads it
+    seen = []
+    analyze = cli.analyze_algebra
+    monkeypatch.setattr(
+        cli, "analyze_algebra",
+        lambda A, tol, skip, seed: seen.append((cli._subspace_key(A), skip)) or analyze(A, tol, skip, seed),
+    )
+    assert main(["reproduce", "--only", "strict-upper"]) == 0
+    assert seen == [(cli._subspace_key(ex.strict_upper(n)), {"sdp"}) for n in (3, 4)]
+    seen.clear()
+    assert main(["reproduce", "--only", "car-pair"]) == 0
+    assert seen == [(cli._subspace_key(ex.car_pair()), set())]
+
+
+def test_reproduce_fails_a_row_that_does_not_hold(monkeypatch, capsys):
+    wrong = (
+        ("strict-upper", "m3-reversible", "strict-upper-3", "verdicts.reversible", "YES"),
+        ("strict-upper", "m3-z-zero", "strict-upper-3", "z", np.zeros((3, 3), complex)),
+        ("strict-upper", "m3-candidate", "strict-upper-3", "envelope", {"dims": [[2, 2]], "status": "CANDIDATE"}),
+    )
+    monkeypatch.setattr(cli, "_ROWS", cli._ROWS + wrong)
+    assert main(["reproduce", "--only", "strict-upper"]) == 1
+    failed = [row.split()[0] for row in capsys.readouterr().out.splitlines() if "FAIL" in row]
+    assert failed == [f"strict-upper:{key}" for _, key, *_ in wrong]
+
+
 def test_search_small(capsys):
     code = main(["search", "--ambient", "3", "--trials", "40", "--seed", "7"])
     out = json.loads(capsys.readouterr().out)

@@ -16,7 +16,6 @@ from opalg.linalg import (
 )
 from opalg.reversibility import (
     Pairings,
-    block_pairing_report,
     certify_reversal_element,
     decide_reversible,
     pairing_consistency,
@@ -25,7 +24,6 @@ from opalg.reversibility import (
 from opalg.tro import EnvelopeResult, block_decompose, generate_tro, injective_envelope
 
 from .oracles import (
-    block_pairing_report_by_loops,
     pairing_consistency_by_loops,
     pairing_residual_by_einsum,
     pairing_system_by_einsum,
@@ -244,25 +242,6 @@ def test_pairing_decided_by_the_norm_bracket(s, status):
         assert hs_norm(e11 @ sol.element.conj().T @ e11 - s * e11) <= 1e-12
 
 
-def test_block_pairing_reports():
-    diag = ex.diagonal_algebra(2)
-    rep = block_pairing_report(diag)
-    assert rep.block_shapes == ((1, 1), (1, 1))
-    assert rep.ok and all(rep.left_commutative) and all(rep.right_commutative)
-
-    nil = verify_algebra([unit(2, 1, 2)])
-    rep2 = block_pairing_report(nil)
-    assert len(rep2.block_shapes) == 1 and rep2.ok
-
-    band = verify_algebra([unit(3, i, j) for i in (1, 2) for j in (1, 2, 3)])
-    rep3 = block_pairing_report(band)
-    assert rep3.block_shapes == ((2, 3),)
-    assert rep3.ok
-    bs = block_decompose(generate_tro(band.space))
-    zk = bs.left_projections[0] @ bs.right_projections[0]
-    assert np.allclose(zk, np.diag([1.0, 1.0, 0.0]))
-
-
 def test_reversal_uniqueness_sampling(car_pair):
     env = injective_envelope(car_pair.space)
     sol = solve_pairing(car_pair, env).reversed
@@ -425,18 +404,3 @@ def test_search_solves_only_the_reversed_system(monkeypatch):
     cli.run_search(ambient=3, trials=200, seed=1, max_dim=3, tol=DEFAULT_TOL)
     assert per_call and max(per_call) <= 1
     assert sum(per_call) > 0
-
-
-def test_block_pairing_report_matches_loops(rng):
-    for name, A in corpus_and_conjugates(rng):
-        rep = block_pairing_report(A)
-        bs = block_decompose(generate_tro(A.space))
-        closed, cand, lcomm, rcomm, oneid, recon = block_pairing_report_by_loops(
-            A.basis, bs.left_projections, bs.right_projections, DEFAULT_TOL.eq_tol
-        )
-        assert rep.block_shapes == bs.blocks, name
-        assert (list(rep.corner_closed), list(rep.left_commutative), list(rep.right_commutative)) \
-            == (closed, lcomm, rcomm), name
-        assert list(rep.one_sided_identity) == oneid, name
-        assert rep.candidate_residuals == pytest.approx(cand, abs=1e-12), name
-        assert rep.reconstruction_residual == pytest.approx(recon, abs=1e-12), name
