@@ -264,7 +264,7 @@ def _car_pair(t: _Table, inputs: _Inputs):
         contains(w_tro.space, eu(4, i, j), tol) for i in (1, 2, 3) for j in (2, 3, 4)
     )
     t.check(g, "tro-is-upper-corner", corner_ok)
-    p, q = tro.support_projections(w_tro, tol)
+    p, q = tro.support_projections(w_tro)
     t.check(g, "left-support", _close(p, np.diag([1, 1, 1, 0]).astype(complex)))
     t.check(g, "right-support", _close(q, np.diag([0, 1, 1, 1]).astype(complex)))
     pq = p @ q
@@ -290,7 +290,7 @@ def _chain(t: _Table, inputs: _Inputs):
     g = "chain-family"
     for n in (1, 2):
         w_tro = tro.generate_tro(inputs.algebras[f"anticommuting-family-{n}"].space, inputs.tol)
-        p, q = tro.support_projections(w_tro, inputs.tol)
+        p, q = tro.support_projections(w_tro)
         t.check(
             g,
             f"n{n}-supports",

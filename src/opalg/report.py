@@ -157,6 +157,7 @@ def analyze_algebra(
             "multiplicities": list(env.blocks.multiplicities),
             "deleted_blocks": list(env.deleted_blocks),
             "dimension": env.envelope.dim,
+            "full_corner": env.envelope.full_corner,
         }
         verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
         report.verdicts["reversible"] = verdict.reversible

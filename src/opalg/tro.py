@@ -2,20 +2,24 @@
 
 A TRO is a subspace W with W W* W inside W.  The TRO generated by X is
 built from its linking algebra L, the *-algebra generated by X X*, as
-W = X + L X; L = span(W W*) is kept with it.  Finite dimensional TROs are
-unitarily equivalent to direct sums of rectangular matrix blocks; the block
-form is read off from the center of L, and a one-dimensional center means a
-single block spanned by the supports of W.  Each block is M_(a,b) tensor
-1_m, with its multiplicity m read from ranks and dimensions.  The injective
-envelope of a subspace X is W modulo its Shilov ideal, the largest ideal
-whose quotient map is completely isometric on X; it is the sum of the
-blocks whose deletion alone is completely isometric on X.
+W = X + L X; L = span(W W*) is kept with it.  When X X* already spans
+p M p, for p and q the supports of X, one rank count shows W = p M q, and
+no closure runs.  Finite dimensional TROs are unitarily equivalent to
+direct sums of rectangular matrix blocks; a W that fills p M q is one
+block, otherwise the block form is read off from the center of L, and a
+one-dimensional center means a single block spanned by the supports of W.
+Each block is M_(a,b) tensor 1_m, with its multiplicity m read from ranks
+and dimensions.  The injective envelope of a subspace X is W modulo its
+Shilov ideal, the largest ideal whose quotient map is completely isometric
+on X; it is the sum of the blocks whose deletion alone is completely
+isometric on X.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,13 +65,18 @@ class DegenerateDecompositionError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class TROSpace:
-    """A TRO W with its left linking algebra span(W W*), verified *-closed,
-    and the subspace it was generated from."""
+    """A TRO W, the subspace it was generated from, and the orthonormal
+    columns (left, left complement, right, right complement) of the supports
+    of W and of their complements.  The left linking algebra span(W W*) is
+    certified product-closed the first time it is read, from its *-closed
+    span ``link_span``."""
 
     space: Subspace
     closure_residual: float
-    linking: MatrixAlgebra = field(repr=False)
+    link_span: Subspace | None = field(repr=False)
     generators: Subspace = field(repr=False)
+    supports: tuple | None = field(default=None, repr=False)
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
 
     @property
     def dim(self) -> int:
@@ -77,38 +86,79 @@ class TROSpace:
     def basis(self) -> tuple:
         return self.space.basis
 
+    @property
+    def full_corner(self) -> bool:
+        """W is all of p M q, for p and q its support projections."""
+        left, _, right, _ = self.supports
+        return self.dim == left.shape[1] * right.shape[1]
+
+    @cached_property
+    def linking(self) -> MatrixAlgebra:
+        return verify_algebra(self.link_span, self.tol)
+
 
 def _adjoints(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
+def _range_columns(stack, tol):
+    """Orthonormal columns spanning the joint column space of the stacked
+    matrices, and orthonormal columns spanning its orthogonal complement,
+    from one SVD."""
+    k, rows, cols = stack.shape
+    joint = stack.transpose(1, 0, 2).reshape(rows, k * cols)
+    u, s, _ = np.linalg.svd(joint, full_matrices=k * cols < rows)
+    rank = numerical_rank(s, tol.eq_tol)
+    return u[:, :rank], u[:, rank:]
+
+
+def _matrix_units(left, right) -> Subspace:
+    """The orthonormal basis u_a v_b* of p M q, for u_a and v_b the
+    orthonormal columns of p and q."""
+    units = (left.T[:, None, :, None] * right.T.conj()[None, :, None, :]).reshape(-1, len(left), len(right))
+    return Subspace(len(left), len(right), tuple(units))
+
+
 def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpace:
     """Smallest TRO W containing the subspace X, built from its linking algebra.
 
-    G = span(X X*) is *-closed, so the algebra L it generates (the closure of
-    G under left multiplication by G) is a *-algebra, and W = X + L X is the
-    span of the odd alternating words x1 y1* x2 ... xk, the TRO generated by
-    X.  Then W W* lies in L and L in span(W W*), so L is kept as the linking
-    algebra.  The closure residual is that of L W in W; L is certified
-    product- and adjoint-closed and W W* is checked to lie in L, all by
-    projection residuals; W W* is checked one slice w W* at a time, so the
-    d_W^2 stack is neither factorized nor held whole.
+    G = span(X X*) lies in p M p, for p and q the support projections of X,
+    which are those of W.  When dim G = (rank p)^2, G is all of p M p, which
+    is then the linking algebra L, and W = L X = p M q: W and L are spanned
+    by matrix units in the support columns, W is closed exactly (closure
+    residual 0), and p x q = x is the check that X lies in W.  Otherwise G is
+    *-closed, so the algebra L it generates (the closure of G under left
+    multiplication by G) is a *-algebra, and W = X + L X is the span of the
+    odd alternating words x1 y1* x2 ... xk, the TRO generated by X.  Then
+    W W* lies in L and L in span(W W*), so L is kept as the linking
+    algebra.  The closure residual is that of L W in W; L is checked
+    adjoint-closed, W W* to lie in L (one slice w W* at a time, so the d_W^2
+    stack is neither factorized nor held whole) and p W q = W, all by
+    projection residuals.
     """
     tol = tol or DEFAULT_TOL
     x = space.stack
     gens = orthonormalize(product_stack(x, _adjoints(x)), tol, shape=(space.ambient_rows,) * 2)
-    link_space = close_span(gens, lambda cur: product_stack(gens.stack, cur), tol)
-    lstack = link_space.stack
-    w = orthonormalize(np.concatenate([x, product_stack(lstack, x)]), tol, shape=space.shape)
-    worst = max_projection_residual(w, product_stack(lstack, w.stack))
-    link = verify_algebra(link_space, tol)
-    if max_projection_residual(link_space, _adjoints(lstack)) > tol.eq_tol:
-        raise ArithmeticError("linking algebra failed to close under adjoints")
-    wstar = _adjoints(w.stack)
-    for wa in w.stack:
-        if max_projection_residual(link_space, product_stack(wa[None], wstar)) > tol.eq_tol:
-            raise ArithmeticError("linking algebra does not contain W W*")
-    return TROSpace(w, worst, link, space)
+    left, left_rest = _range_columns(x, tol)
+    right, right_rest = _range_columns(_adjoints(x), tol)
+    if gens.dim == left.shape[1] ** 2:
+        link_space, w = _matrix_units(left, left), _matrix_units(left, right)
+        worst, held = 0.0, x  # p M q is closed exactly; X is what must lie in it
+    else:
+        link_space = close_span(gens, lambda cur: product_stack(gens.stack, cur), tol)
+        lstack = link_space.stack
+        w = orthonormalize(np.concatenate([x, product_stack(lstack, x)]), tol, shape=space.shape)
+        worst = max_projection_residual(w, product_stack(lstack, w.stack))
+        if max_projection_residual(link_space, _adjoints(lstack)) > tol.eq_tol:
+            raise ArithmeticError("linking algebra failed to close under adjoints")
+        wstar = _adjoints(w.stack)
+        for wa in w.stack:
+            if max_projection_residual(link_space, product_stack(wa[None], wstar)) > tol.eq_tol:
+                raise ArithmeticError("linking algebra does not contain W W*")
+        held = w.stack  # X lies in W by construction
+    if max_relative_gap(held, left @ left.conj().T @ held @ right @ right.conj().T) > 10 * tol.eq_tol:
+        raise ArithmeticError("support projections do not reproduce the space")
+    return TROSpace(w, worst, link_space, space, (left, left_rest, right, right_rest), tol)
 
 
 def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
@@ -116,35 +166,9 @@ def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> Matr
     return generate_tro(space, tol).linking
 
 
-def _range_columns(columns, tol):
-    """Orthonormal columns spanning the joint column space of the matrices,
-    and orthonormal columns spanning its orthogonal complement, from one SVD."""
-    stacked = np.hstack(columns)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=stacked.shape[1] < stacked.shape[0])
-    rank = numerical_rank(s, tol.eq_tol)
-    return u[:, :rank], u[:, rank:]
-
-
-def _support_columns(w: TROSpace, tol):
-    """(left, left complement, right, right complement): orthonormal columns
-    of the joint column and row spaces of a nonzero TRO and of their
-    orthogonal complements, with p x q = x checked for the projections p, q."""
-    left, left_rest = _range_columns(list(w.basis), tol)
-    right, right_rest = _range_columns([x.conj().T for x in w.basis], tol)
-    p = left @ left.conj().T
-    q = right @ right.conj().T
-    if max_relative_gap(w.space.stack, p @ w.space.stack @ q) > 10 * tol.eq_tol:
-        raise ArithmeticError("support projections do not reproduce the space")
-    return left, left_rest, right, right_rest
-
-
-def support_projections(w: TROSpace, tol: ToleranceConfig | None = None):
+def support_projections(w: TROSpace):
     """(p, q): projections onto the joint column and row spaces, with p x q = x."""
-    tol = tol or DEFAULT_TOL
-    m, n = w.space.shape
-    if w.dim == 0:
-        return np.zeros((m, m), complex), np.zeros((n, n), complex)
-    left, _, right, _ = _support_columns(w, tol)
+    left, _, right, _ = w.supports
     return left @ left.conj().T, right @ right.conj().T
 
 
@@ -183,30 +207,35 @@ def _singular_values(stack, left, right):
 def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int = 0) -> BlockStructure:
     """Unitaries putting the TRO into diagonal rectangular block form.
 
-    A one-dimensional center of the left linking algebra means one block,
-    whose left and right columns are the supports of the TRO; its central
-    element must then be a multiple of the left support.  Otherwise minimal
-    central projections are separated by the spectrum of one random
-    Hermitian center element; a fresh element is drawn when eigenvalues
-    collide (up to ten retries).  Each block's eigenvectors are its left
-    columns; the right columns are the row space of the block's slice of
-    the TRO, and the slice's rank is its dimension a b.  Blocks are ordered
-    by (a, b, m) descending, then by the singular values of the generating
-    subspace compressed to the block, which unitary conjugation leaves
-    alone, then by first supported row.
+    A TRO that fills p M q, for p and q its supports, is the one block
+    M_(rank p, rank q), found without reading the linking algebra.  Else a
+    one-dimensional center of the left linking algebra means one block
+    M_(a,b) tensor 1_m, m > 1, whose left and right columns are the
+    supports of the TRO; its central element must then be a multiple of
+    the left support.  Otherwise minimal central projections are separated
+    by the spectrum of one random Hermitian center element; a fresh element
+    is drawn when eigenvalues collide (up to ten retries).  Each block's
+    eigenvectors are its left columns; the right columns are the row space
+    of the block's slice of the TRO, and the slice's rank is its dimension
+    a b.  Blocks are ordered by (a, b, m) descending, then by the singular
+    values of the generating subspace compressed to the block, which
+    unitary conjugation leaves alone, then by first supported row.
     """
     tol = tol or DEFAULT_TOL
     m, n = w.space.shape
     if w.dim == 0:
         return BlockStructure((), (), np.eye(m, dtype=complex), np.eye(n, dtype=complex), (), ())
-    link = w.linking
-    left, left_rest, right, right_rest = _support_columns(w, tol)
+    left, left_rest, right, right_rest = w.supports
     p = left @ left.conj().T
-    # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
-    c = link.structure
-    commutators = (c - c.transpose(1, 0, 2)).reshape(link.dim, -1)
-    center_coeffs = null_space(commutators.T, tol.eq_tol, min_scale=1.0)
-    center = np.einsum("ck,kij->cij", center_coeffs, link.space.stack)
+    if w.full_corner:
+        center = p[None]  # the linking algebra is p M p, whose center is C p
+    else:
+        # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
+        link = w.linking
+        c = link.structure
+        commutators = (c - c.transpose(1, 0, 2)).reshape(link.dim, -1)
+        center_coeffs = null_space(commutators.T, tol.eq_tol, min_scale=1.0)
+        center = np.einsum("ck,kij->cij", center_coeffs, link.space.stack)
     r = len(center)
     if r == 0:
         raise ArithmeticError("linking algebra has an empty center")
@@ -236,7 +265,7 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     else:
         raise DegenerateDecompositionError(f"no center element splits the left support into {r} blocks")
 
-    right_cols = [_range_columns([x.conj().T @ cols for x in w.basis], tol)[0] for cols in left_cols]
+    right_cols = [_range_columns(_adjoints(w.space.stack) @ cols, tol)[0] for cols in left_cols]
     shapes, keys = [], []
     for lc, rc in zip(left_cols, right_cols):
         dim = numerical_rank(_singular_values(w.space.stack, lc, rc), tol.eq_tol, 1.0)

@@ -23,7 +23,6 @@ from opalg.cb import (
 from opalg.linalg import (
     DEFAULT_TOL,
     LinearMapOnSubspace,
-    contains,
     hs_norm,
     op_norm,
     orthonormalize,

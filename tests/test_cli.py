@@ -334,11 +334,12 @@ def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):
     # radical is taken once per algebra and tolerance (it was 27 when
     # wedderburn_split took it a second time; 24 when triangularize tested
     # 3-commutativity again for a warning).  The search decides each span
-    # once, whatever its basis
+    # once, whatever its basis.  A full corner's block form reads no center
+    # (23 and 28 when every block form combined the center's coefficients)
     original, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
     report.analyze_algebra(car_pair)
-    assert len(calls) == 23
+    assert len(calls) == 22
     calls.clear()
     run_search(ambient=3, trials=20, seed=1, max_dim=3, tol=ToleranceConfig())
-    assert len(calls) == 28
+    assert len(calls) == 21

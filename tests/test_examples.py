@@ -6,7 +6,6 @@ from opalg.algebra import (
     is_anticommuting,
     is_commutative,
     is_three_commutative,
-    verify_algebra,
 )
 from opalg.linalg import contains, hs_norm, op_norm
 

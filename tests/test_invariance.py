@@ -3,7 +3,8 @@
 Every corpus entry is analyzed as given and in four other presentations: a
 unitary conjugate, a complex change of basis, a reordering with each matrix
 rescaled by 10^U(-3, 3), and the change of basis at scale 1e-6 followed by
-the conjugation.  The answers must not move.
+the conjugation.  The answers must not move, the envelope's `full_corner`
+flag among them.
 """
 
 import numpy as np
@@ -45,6 +46,10 @@ def answers(A):
 def test_answers_do_not_depend_on_the_presentation(name):
     A = dict(ex.corpus())[name]
     expected = answers(A)
+    # the envelope is all of p M q exactly when it keeps one block of multiplicity one
+    env = expected["envelope"]
+    kept = [k for k in range(len(env["dims"])) if k not in env["deleted_blocks"]]
+    assert env["full_corner"] == (len(kept) == 1 and env["multiplicities"][kept[0]] == 1)
     for seed in (0, 1):
         for label, mats in presentations(A.space.stack, np.random.default_rng(seed)).items():
             assert answers(verify_algebra(list(mats))) == expected, (label, seed)

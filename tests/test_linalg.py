@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from opalg.examples import matrix_unit
 from opalg.linalg import (
     LinearMapOnSubspace,
-    Subspace,
     ToleranceConfig,
     as_matrix,
     close_span,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opalg import examples as ex
-from opalg import linalg, tro
+from opalg import cli, linalg, tro
 from opalg.linalg import contains, hs_norm, max_projection_residual, op_norm, orthonormalize, random_unitary
 from opalg.tro import (
     TROSpace,
@@ -115,12 +115,16 @@ def test_generated_linking_algebra_is_adjoint_closed(name):
     assert max_projection_residual(link.space, pairs) <= 1e-9
 
 
-@pytest.mark.parametrize("make", [lambda: ex.anticommuting_family(2), lambda: ex.diagonal_algebra(3)],
-                         ids=["anticommuting-family-2", "diagonal-3"])
-def test_envelope_closes_one_span_inside_generate_tro(monkeypatch, make):
-    # one closure per envelope: block_decompose reads the linking algebra
-    # that generate_tro kept, so linking_algebra and a second close_span
-    # loop stay out of injective_envelope
+@pytest.mark.parametrize(
+    "make, closures",
+    [(lambda: ex.anticommuting_family(2), []), (lambda: ex.diagonal_algebra(3), ["generate_tro"])],
+    ids=["anticommuting-family-2", "diagonal-3"],
+)
+def test_envelope_closes_one_span_inside_generate_tro(monkeypatch, make, closures):
+    # at most one closure per envelope, inside generate_tro: none when X X*
+    # spans the full corner p M p, one otherwise; block_decompose reads the
+    # linking algebra that generate_tro kept, so linking_algebra and a
+    # second close_span loop stay out of injective_envelope
     A = make()
     original = linalg.close_span
     callers, linking_calls = [], []
@@ -135,7 +139,76 @@ def test_envelope_closes_one_span_inside_generate_tro(monkeypatch, make):
     monkeypatch.setattr(tro, "linking_algebra", lambda *a, **k: linking_calls.append(1))
     injective_envelope(A.space)
     assert linking_calls == []
-    assert callers == ["generate_tro"]
+    assert callers == closures
+
+
+def _closure_path(space):
+    """The linking algebra and TRO of space by the closure: L the *-closure
+    of the pairs x y*, W the closure of X under left multiplication by L."""
+    link = orthonormalize(star_closure_of_pairs(space.basis))
+    return link, linalg.close_span(space.stack, lambda cur: linalg.product_stack(link.stack, cur))
+
+
+def _assert_same_span(a, b):
+    assert a.dim == b.dim
+    assert max_projection_residual(a, b.stack) <= 1e-9 and max_projection_residual(b, a.stack) <= 1e-9
+
+
+def _assert_full_corner_path(monkeypatch, space):
+    closures = []
+    monkeypatch.setattr(tro, "close_span", lambda *a, **k: closures.append(1))
+    w = generate_tro(space)
+    bs = block_decompose(w)
+    assert w.full_corner and closures == [] and "linking" not in vars(w)
+    link, closed = _closure_path(space)
+    _assert_same_span(w.space, closed)
+    _assert_same_span(w.linking.space, link)
+    # the center path on the closure's TRO finds the same block
+    left, left_rest = tro._range_columns(closed.stack, linalg.DEFAULT_TOL)
+    right, right_rest = tro._range_columns(closed.stack.conj().transpose(0, 2, 1), linalg.DEFAULT_TOL)
+    closure_tro = TROSpace(closed, 0.0, link, space, (left, left_rest, right, right_rest))
+    monkeypatch.setattr(TROSpace, "full_corner", False)
+    centered = block_decompose(closure_tro)
+    assert "linking" in vars(closure_tro)
+    assert (bs.blocks, bs.multiplicities) == (centered.blocks, centered.multiplicities)
+
+
+def _presentations(name, space):
+    """The space, a seeded unitary conjugate, and each rescaled by 1e-6."""
+    u = random_unitary(space.ambient_rows, np.random.default_rng(sum(map(ord, name))))
+    conjugated = [u @ b @ u.conj().T for b in space.basis]
+    return [orthonormalize([scale * b for b in mats]) for mats in (space.basis, conjugated) for scale in (1.0, 1e-6)]
+
+
+CENTER_PATH = ("diagonal-2", "diagonal-3", "split-pair", "m2-twice")
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ex.corpus()] + ["m2-twice"])
+def test_full_corner_path_matches_the_closure_path(monkeypatch, name):
+    # a full corner p M q is read off the supports by one rank count; its
+    # TRO, linking algebra and block are those of the closure.  The other
+    # inputs still close the linking algebra and read its center
+    space = orthonormalize(ENVELOPE_CASES[name][0]) if name == "m2-twice" else dict(ex.corpus())[name].space
+    for given in _presentations(name, space):
+        if name not in CENTER_PATH:
+            with monkeypatch.context() as patch:
+                _assert_full_corner_path(patch, given)
+            continue
+        w = generate_tro(given)
+        block_decompose(w)
+        assert not w.full_corner and "linking" in vars(w)
+
+
+def test_search_spans_take_the_full_corner_path(monkeypatch):
+    # every distinct span of `run_search(ambient=3, trials=200, seed=1,
+    # max_dim=3)`
+    spans = {}
+    for trial in np.random.default_rng(1).integers(0, 2**63 - 1, size=200):
+        A = ex.random_triangular_algebra(3, 3, int(trial))
+        spans.setdefault(cli._subspace_key(A), A.space)
+    for space in spans.values():
+        with monkeypatch.context() as patch:
+            _assert_full_corner_path(patch, space)
 
 
 def _tro_inputs():
@@ -199,27 +272,43 @@ def test_single_block_path_matches_spectral_split(name):
         )
 
 
-def test_single_block_needs_a_scalar_center(monkeypatch, car_pair):
+def test_single_block_needs_a_scalar_center(monkeypatch):
     # a one-dimensional center that is not a multiple of the left support
-    # is a wrong state, not one block
-    w = generate_tro(car_pair.space)
+    # is a wrong state, not one block; {diag(t, t)} = M_2 tensor 1_2 is no
+    # full corner, so its block form reads the center
+    w = generate_tro(orthonormalize(ENVELOPE_CASES["m2-twice"][0]))
+    assert not w.full_corner
     e11 = w.linking.space.coeffs(unit(4, 1, 1))
     monkeypatch.setattr(tro, "null_space", lambda *a, **k: e11[None, :])
     with pytest.raises(tro.DegenerateDecompositionError):
         block_decompose(w)
 
 
-def test_envelope_svd_count_on_a_search_trial(monkeypatch):
-    # the first trial of `opalg search --ambient 3 --seed 1` has one block;
-    # its envelope factorizes X X*, one closure round of the linking
-    # algebra, X + L X, the two supports and the center: never the d_W^2
-    # stack W W*, and no eigen-split
-    A = ex.random_triangular_algebra(3, 4, 4720721261117928062)
+def _count_svds(monkeypatch):
     original, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or original(*a, **k))
+    return calls
+
+
+def test_envelope_svd_count_on_a_search_trial(monkeypatch):
+    # the first trial of `opalg search --ambient 3 --seed 1` is a full
+    # corner: its envelope factorizes X X* and the two supports, never the
+    # linking algebra's closure or center, nor the d_W^2 stack W W*
+    A = ex.random_triangular_algebra(3, 4, 4720721261117928062)
+    calls = _count_svds(monkeypatch)
     env = injective_envelope(A.space)
     assert env.status == "EXACT" and env.blocks.blocks == ((2, 2),)
-    assert len(calls) == 6
+    assert len(calls) == 3
+
+
+def test_envelope_svd_count_on_a_trial_that_is_no_full_corner(monkeypatch):
+    # the first trial of `opalg search --ambient 4 --seed 1` that is no full
+    # corner takes the closure, the center and the eigen-split to find its
+    # blocks: 13 factorizations, as many as before full corners skipped them
+    A = ex.random_triangular_algebra(4, 4, 7634208958675629713)
+    calls = _count_svds(monkeypatch)
+    assert block_decompose(generate_tro(A.space)).blocks == ((1, 1), (1, 1))
+    assert len(calls) == 13
 
 
 def test_support_projections(car_pair, pq):
