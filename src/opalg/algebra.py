@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
+    as_matrix,
     contains,
     hs_norm,
     max_projection_residual,
@@ -109,17 +110,30 @@ class MatrixAlgebra:
         return {}
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """x over its Hilbert-Schmidt norm, taken after its largest entry so that
+    the norm neither overflows nor underflows; a zero x as it is."""
+    peak = np.abs(x).max(initial=0.0)
+    if peak == 0.0:
+        return x
+    x = x / peak
+    return x / np.linalg.norm(x)
+
+
 def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """Certify closure under the product, or raise with the worst violating pair.
 
     Residuals are relative: |p - proj(p)| / max(1, |p|) per product p.  The
-    coefficients of the projections are kept as the structure tensor.
+    coefficients of the projections are kept as the structure tensor.  Input
+    matrices are each scaled to unit Hilbert-Schmidt norm before their span
+    is taken, so the rank cutoff does not depend on how their scales spread;
+    a zero matrix stays zero.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(space_or_mats, Subspace):
         space = space_or_mats
     else:
-        space = orthonormalize(space_or_mats, tol)
+        space = orthonormalize([_unit_scaled(as_matrix(x)) for x in space_or_mats], tol)
     if space.ambient_rows != space.ambient_cols:
         raise ValueError("an algebra needs a square ambient space")
     d = space.dim

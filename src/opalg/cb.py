@@ -12,15 +12,17 @@ feasible and infeasible sides.
 
 The conjugation fit works on the stacked domain basis and images, one
 matrix product per alternating step, and drops a start once its misfit
-stalls.  The violation search polishes all starts of one amplification
-level together.  Each step takes one batched Hermitian eigensolve for the
-top singular pairs of the images and one for the norms of the amplified
+stalls.  The violation search polishes each run of starts (one
+amplification level's random starts, the unit starts, or the transpose
+pattern) together.  Each step takes one batched Hermitian eigensolve for
+the top singular pairs of the images and one for the norms of the amplified
 elements, both on the Gram matrices of the shorter side; it takes no SVD.
-It climbs to level max(kr, kc) for a map into M_{kr, kc}: by Smith's lemma
+For a map into M_{kr, kc} it goes up to level max(kr, kc): by Smith's lemma
 (R. R. Smith, J. London Math. Soc. 1983) the cb norm of such a map is the
 norm of that amplification, so no violation is missed for want of a higher
-level.  Dykstra's constraint map and its adjoint are single matrix
-products.
+level.  That level comes first, after the transpose pattern, and the search
+stops at the first run that finds a violation.  Dykstra's constraint map
+and its adjoint are single matrix products.
 
 The least operator norm over an affine set, which settles reversibility,
 comes as a bracket: Newton's method on a smoothed top eigenvalue gives the
@@ -351,39 +353,39 @@ def _polish(phi: LinearMapOnSubspace, coeffs: np.ndarray, steps: int):
 
 
 def _violation_search(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int):
-    """The largest ratio ||phi_L(X)|| / ||X|| found over amplification
-    levels L up to max(kr, kc), and its X, when it exceeds one by more than
-    sdp_tol; else None.  By Smith's lemma the cb norm of a map into
-    M_{kr, kc} is reached at level max(kr, kc)."""
+    """The best ratio ||phi_L(X)|| / ||X|| of the first run of starts that
+    exceeds one by more than sdp_tol, with its X; None when no run does.
+
+    The runs are the unit starts, twelve random starts at each level L up to
+    max(kr, kc), and for a domain in M_n the transpose pattern at level n.
+    By Smith's lemma the cb norm of a map into M_{kr, kc} is reached at
+    level max(kr, kc), so the pattern and that level are polished first,
+    then the unit starts and the levels from 1 up.  The random starts are
+    drawn from level 1 up, so each run's starts do not depend on that order.
+    """
     d = phi.domain.dim
     if d == 0:
         return None
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
+    top = max(kr, kc, 2)
     rng = np.random.default_rng(seed)
 
     def random_starts(level):
         shape = (level, level, d)
         return np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(12)])
 
-    runs = [
-        _polish(phi, np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0),
-        _polish(phi, random_starts(1), 4),
-    ]
-    for level in range(2, max(kr, kc, 2) + 1):
-        starts = random_starts(level)
-        if m == n == level:
-            # blockwise projection of the transpose pattern: e_vu at block (u, v)
-            pattern = phi.domain.stack.conj().transpose(2, 1, 0)
-            starts = np.concatenate([pattern[None], starts])
-        runs.append(_polish(phi, starts, 6))
-    best_ratio, best = 0.0, None
-    for ratios, coeffs in runs:
+    drawn = [random_starts(level) for level in range(1, top + 1)]
+    runs = [(drawn[-1], 6), (np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0), (drawn[0], 4)]
+    runs += [(starts, 6) for starts in drawn[1:-1]]
+    if m == n and 2 <= n <= top:
+        # blockwise projection of the transpose pattern: e_vu at block (u, v)
+        runs.insert(0, (phi.domain.stack.conj().transpose(2, 1, 0)[None], 6))
+    for starts, steps in runs:
+        ratios, coeffs = _polish(phi, starts, steps)
         i = int(np.argmax(ratios))
-        if ratios[i] > best_ratio:
-            best_ratio, best = float(ratios[i]), coeffs[i : i + 1]
-    if best_ratio > 1.0 + tol.sdp_tol:
-        return best_ratio, _block_matrices(best, phi.domain.stack)[0]
+        if ratios[i] > 1.0 + tol.sdp_tol:
+            return float(ratios[i]), _block_matrices(coeffs[i : i + 1], phi.domain.stack)[0]
     return None
 
 
@@ -419,7 +421,8 @@ def is_completely_contractive(
     found = _violation_search(phi, tol, seed)
     if found is not None:
         ratio, x = found
-        return FeasibilityOutcome(INFEASIBLE, x, ratio - 1.0, f"amplified norm ratio {ratio:.6g}")
+        note = f"amplified norm ratio {ratio:.6g} at level {x.shape[0] // m}"
+        return FeasibilityOutcome(INFEASIBLE, x, ratio - 1.0, note)
 
     status, point, res = _dykstra_feasibility(gs, targets, ni, no, tol, tol.max_iter)
     if status == FEASIBLE:

@@ -13,7 +13,9 @@ amplification and the Choi matrix apply a map block by block, and the
 blockwise pairing report loops over basis pairs.  A TRO block's shape and
 multiplicity come from rank counts of explicit products, and the envelope's
 kept blocks are checked against a completely isometric test of every set
-of blocks rather than the Shilov rule's single-block tests.
+of blocks rather than the Shilov rule's single-block tests.  The violation
+search that stops at its first violating run is checked against the search
+that polishes every level and keeps the best ratio.
 """
 
 import itertools
@@ -291,6 +293,42 @@ def polish_by_blocks(domain_basis, images, block_coeffs, steps):
         if ratio > best[0]:
             best = (ratio, c)
     return best
+
+
+def violation_search_all_levels(phi, tol, seed):
+    """The violation search as it climbed every level: polish the unit
+    starts, level 1 and the random starts of levels 2 to max(kr, kc), with
+    the transpose pattern among the starts of level n for a domain in M_n,
+    then keep the best ratio over all of them.  Returns that ratio and its
+    coefficients, or (0.0, None) for a zero domain; the search exits with a
+    violation exactly when the ratio exceeds 1 + sdp_tol."""
+    d = phi.domain.dim
+    if d == 0:
+        return 0.0, None
+    m, n = phi.domain.shape
+    kr, kc = phi.codomain_shape
+    rng = np.random.default_rng(seed)
+
+    def random_starts(level):
+        shape = (level, level, d)
+        return np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(12)])
+
+    runs = [
+        cb._polish(phi, np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0),
+        cb._polish(phi, random_starts(1), 4),
+    ]
+    for level in range(2, max(kr, kc, 2) + 1):
+        starts = random_starts(level)
+        if m == n == level:
+            pattern = phi.domain.stack.conj().transpose(2, 1, 0)
+            starts = np.concatenate([pattern[None], starts])
+        runs.append(cb._polish(phi, starts, 6))
+    best_ratio, best = 0.0, None
+    for ratios, coeffs in runs:
+        i = int(np.argmax(ratios))
+        if ratios[i] > best_ratio:
+            best_ratio, best = float(ratios[i]), coeffs[i]
+    return best_ratio, best
 
 
 def pinned_values_by_einsum(c4, gs):

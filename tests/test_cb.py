@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.linalg._linalg as numpy_linalg_impl
 import pytest
@@ -29,7 +31,15 @@ from opalg.linalg import (
     random_unitary,
 )
 
-from .oracles import amplify, choi, min_opnorm_grid, pinned_adjoint_by_einsum, pinned_values_by_einsum, polish_by_blocks
+from .oracles import (
+    amplify,
+    choi,
+    min_opnorm_grid,
+    pinned_adjoint_by_einsum,
+    pinned_values_by_einsum,
+    polish_by_blocks,
+    violation_search_all_levels,
+)
 
 unit = ex.matrix_unit
 
@@ -412,13 +422,46 @@ def test_symmetry_residual_is_conjugation_invariant(rng):
     assert given.residual == pytest.approx(conjugated.residual, abs=1e-9)
 
 
-def test_violation_search_batches_its_eigensolves(monkeypatch):
-    # per level one batched Hermitian eigensolve of the images' Gram matrices
-    # and one of the amplified elements' per polish step: 2 for the unit
-    # starts, 2 * 5 for the four steps at level 1, 2 * 7 for the six steps at
-    # each of levels 2 and 3.  No SVD is taken.  Polishing one start at a
-    # time took 1082 SVDs here.
-    phi = transpose_map(full_matrix_space(3))
+def search_cases():
+    """The cb-exits maps, the transpose on M_{2,3}, whose search has no
+    transpose pattern, and the transpose on each corpus space and on a
+    seeded unitary conjugate of it."""
+    rng = np.random.default_rng(0)
+    cases = [(f"transpose-M{k}", transpose_map(full_matrix_space(k))) for k in (2, 3, 4)]
+    wide = orthonormalize([unit(2, i, j, 3) for i in (1, 2) for j in (1, 2, 3)])
+    cases.append(("transpose-M2x3", LinearMapOnSubspace(wide, tuple(b.T for b in wide.basis), (3, 2))))
+    for n in (2, 3, 4):
+        s = psd_unit_diagonal(n, rng)
+        cases.append((f"schur-1.02-M{n}", map_of(full_matrix_space(n), lambda b, s=s: 1.02 * s * b)))
+        cases.append((f"schur-0.98-M{n}", map_of(full_matrix_space(n), lambda b, s=s: 0.98 * s * b)))
+    for n in (3, 4):
+        cases.append((f"diagonal-M{n}", map_of(full_matrix_space(n), lambda b: np.diag(np.diag(b)))))
+    cases.append(("transpose-4.5-M5", map_of(full_matrix_space(5), lambda b: b.T / 4.5)))
+    for name, A in ex.corpus():
+        q = random_unitary(A.ambient, rng)
+        cases.append((name, transpose_map(A.space)))
+        cases.append((f"{name}~conj", transpose_map(orthonormalize([q @ b @ q.conj().T for b in A.basis]))))
+    return cases
+
+
+SEARCH_CASES = search_cases()
+
+
+@pytest.mark.parametrize("name,phi", SEARCH_CASES, ids=[name for name, _ in SEARCH_CASES])
+def test_violation_search_matches_the_all_levels_climb(name, phi):
+    # stopping at the first violating run finds a violation exactly when the
+    # best ratio over every run does, and reports a ratio its witness attains
+    found = _violation_search(phi, DEFAULT_TOL, 0)
+    best, _ = violation_search_all_levels(phi, DEFAULT_TOL, 0)
+    assert (found is not None) == (best > 1.0 + DEFAULT_TOL.sdp_tol)
+    if found is not None:
+        ratio, x = found
+        assert 1.0 + DEFAULT_TOL.sdp_tol < ratio <= best + 1e-9
+        assert numpy_ratio(phi, x) == pytest.approx(ratio, abs=1e-9)
+
+
+def count_solvers(monkeypatch):
+    """Count numpy's svd, eigh and eigvalsh calls, np.linalg.norm(x, 2) included."""
     calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
 
     def counting(name):
@@ -429,14 +472,49 @@ def test_violation_search_batches_its_eigensolves(monkeypatch):
             return solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-        monkeypatch.setattr(numpy_linalg_impl, name, counted)  # np.linalg.norm(x, 2)
+        monkeypatch.setattr(numpy_linalg_impl, name, counted)
 
     for name in calls:
         counting(name)
+    return calls
+
+
+def test_violation_search_batches_its_eigensolves(monkeypatch):
+    # one batched Hermitian eigensolve of the images' Gram matrices and one of
+    # the amplified elements' per polish step, for a run's starts together.
+    # The transpose pattern at level 3, polished first, finds the violation:
+    # 7 + 7 for its six steps.  No SVD is taken.  Polishing one start at a
+    # time took 1082 SVDs here.
+    phi = transpose_map(full_matrix_space(3))
+    calls = count_solvers(monkeypatch)
     found = _violation_search(phi, DEFAULT_TOL, 0)
     assert found is not None and found[0] == pytest.approx(3.0)
     assert calls["svd"] == 0
-    assert calls["eigh"] + calls["eigvalsh"] == 2 + 2 * 5 + 2 * 7 * 2
+    assert calls["eigh"] + calls["eigvalsh"] == 7 + 7
+
+
+def test_violation_search_without_a_violation_polishes_every_run(monkeypatch):
+    # the diagonal compression of M_3 is completely contractive, so every run
+    # is polished: 2 for the unit starts, 2 * 5 at level 1, and 2 * 7 each for
+    # level 2, the transpose pattern and level 3
+    phi = map_of(full_matrix_space(3), lambda b: np.diag(np.diag(b)))
+    calls = count_solvers(monkeypatch)
+    assert _violation_search(phi, DEFAULT_TOL, 0) is None
+    assert calls["svd"] == 0
+    assert calls["eigh"] + calls["eigvalsh"] == 2 + 2 * 5 + 3 * 2 * 7
+
+
+def test_violation_note_names_the_witness_level():
+    # the note reads "amplified norm ratio R at level L", L the witness's level
+    for phi in (
+        transpose_map(full_matrix_space(2)),
+        map_of(full_matrix_space(5), lambda b: b.T / 4.5),
+        transpose_map(dict(ex.corpus())["strict-upper-3"].space),
+    ):
+        out = is_completely_contractive(phi)
+        ratio, level = re.fullmatch(r"amplified norm ratio (\S+) at level (\d+)", out.notes).groups()
+        assert int(level) == out.witness.shape[0] // phi.domain.shape[0]
+        assert float(ratio) == pytest.approx(1.0 + out.residual, rel=1e-5)
 
 
 def test_rectangular_conjugation_certified(rng):
