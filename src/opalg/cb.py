@@ -6,9 +6,10 @@ positive and fixes the two identity corners.  That extension problem is a
 feasibility question for the Choi matrix: positive semidefinite, subject to
 linear constraints pinning its action on the corners and on S.  The solver
 is alternating projections (Dykstra) between the PSD cone and the affine
-constraint set; an explicit ``u x v`` conjugation certificate and a direct
-search for norm-expanding amplified elements provide fast exits on the
-feasible and infeasible sides.
+constraint set; a ``u x v`` conjugation certificate and a search for
+norm-expanding amplified elements are fast exits on either side.  Symmetry
+and each envelope block deletion are one such decision
+(`is_symmetric_space`, `tro.injective_envelope`).
 
 The conjugation fit works on the stacked domain basis and images, one
 matrix product per alternating step, and drops a start once its misfit
@@ -463,14 +464,18 @@ def is_complete_isometry(
 def is_symmetric_space(
     space: Subspace, tol: ToleranceConfig | None = None, seed: int = 0
 ) -> FeasibilityOutcome:
-    """Does entrywise transposition preserve all matrix norms on this subspace?"""
+    """Does entrywise transposition preserve all matrix norms on this subspace?
+
+    The transpose T alone is checked: for X = [x_ij] at level k, X^b = [x_ji] and t the transpose
+    of M_(kn), an isometry, T_k(X) = t(X^b) and T^-1_k(t(X)) = X^b, so ||T^-1||_k = ||T||_k.
+    """
     tol = tol or DEFAULT_TOL
     if space.ambient_rows != space.ambient_cols:
         raise ValueError("symmetry is defined for subspaces of a square matrix space")
     if space.dim == 0:
         return FeasibilityOutcome(FEASIBLE, None, 0.0, "zero subspace")
     transpose = LinearMapOnSubspace(space, tuple(b.T for b in space.basis), space.shape)
-    return is_complete_isometry(transpose, tol, seed)
+    return is_completely_contractive(transpose, tol, seed)
 
 
 # ---------------------------------------------------------------------------

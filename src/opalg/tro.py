@@ -12,7 +12,7 @@ Each block is M_(a,b) tensor 1_m, with its multiplicity m read from ranks
 and dimensions.  The injective envelope of a subspace X is W modulo its
 Shilov ideal, the largest ideal whose quotient map is completely isometric
 on X; it is the sum of the blocks whose deletion alone is completely
-isometric on X.
+isometric on X, which is one complete contractivity decision per block.
 """
 
 from __future__ import annotations
@@ -293,10 +293,10 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
 class EnvelopeResult:
     """The injective envelope of a subspace X: the compression of its
     generated TRO to the blocks not in ``deleted_blocks``, with that
-    compression on X as the embedding.  EXACT: every cb check was decided,
-    so this is the envelope.  CANDIDATE: one came back UNDECIDED; a block
-    whose own test is undecided is kept, and an undecided confirming check
-    leaves the deletion uncertified."""
+    compression on X as the embedding.  EXACT: every deletion map was
+    decided completely contractive or not, so this is the envelope.
+    CANDIDATE: one came back UNDECIDED; a block whose own map is undecided is
+    kept, and an undecided confirming map leaves the deletion uncertified."""
 
     envelope: TROSpace
     status: str  # "EXACT" | "CANDIDATE"
@@ -312,48 +312,53 @@ def _compression(space: Subspace, bs: BlockStructure, kept) -> LinearMapOnSubspa
     return LinearMapOnSubspace(space, tuple(p @ space.stack @ q), space.shape)
 
 
+def _deletion_map(space: Subspace, bs: BlockStructure, kept, deleted, tol: ToleranceConfig):
+    """x_kept -> x_deleted on X, x compressed to the kept and to the deleted blocks; None if the
+    first loses rank.  For U S Vh the SVD of the kept compressions of X's basis, flattened, the
+    domain basis is the rows of Vh and the images are (U / S)* times the deleted compressions."""
+    d, shape = space.dim, space.shape
+    u, s, vh = np.linalg.svd(_compression(space, bs, kept).image_stack.reshape(d, -1), full_matrices=False)
+    if numerical_rank(s, tol.eq_tol, 1.0) < d:
+        return None
+    images = (u / s).conj().T @ _compression(space, bs, deleted).image_stack.reshape(d, -1)
+    return LinearMapOnSubspace(Subspace(*shape, tuple(vh.reshape(d, *shape))), tuple(images.reshape(d, *shape)), shape)
+
+
 def injective_envelope(
     space: Subspace, tol: ToleranceConfig | None = None, seed: int = 0
 ) -> EnvelopeResult:
     """The generated TRO W modulo its Shilov ideal J.
 
     J is the largest ideal of W whose quotient map is completely isometric
-    on X (Hamana, Math. J. Toyama Univ. 1999).  An ideal is a sum of blocks,
-    and a block lies in J exactly when deleting it alone is completely
-    isometric on X.  So each block gets a rank test that compressing X to
-    the other blocks is injective, then a cb check only if it is; two or
-    more deletable blocks get one confirming cb check, which must not fail.
+    on X (Hamana, Math. J. Toyama Univ. 1999).  An ideal is a sum of blocks.
+    Compressing to some blocks is a ternary morphism, and a direct sum takes
+    the largest block norm at every level, so deleting blocks is completely
+    isometric on X exactly when `_deletion_map` exists and is completely
+    contractive.  J holds the blocks that pass alone; two or more get one
+    confirming decision together, which must not fail.
     """
     tol = tol or DEFAULT_TOL
     w = generate_tro(space, tol)
     bs = block_decompose(w, tol, seed)
     r = len(bs.blocks)
-    if r < 2:
-        return EnvelopeResult(w, "EXACT", (), identity_map(space), bs)
-    status, deleted, emb = "EXACT", [], identity_map(space)
-    for k in range(r):
-        phi = _compression(space, bs, [j for j in range(r) if j != k])
-        flat = phi.image_stack.reshape(space.dim, -1)
-        if numerical_rank(np.linalg.svd(flat, compute_uv=False), tol.eq_tol, 1.0) < space.dim:
-            continue  # deleting the block kills part of X
-        outcome = cb.is_complete_isometry(phi, tol, seed)
-        if outcome.status == cb.UNDECIDED:
-            status = "CANDIDATE"
-        elif outcome.status == cb.FEASIBLE:
-            deleted.append(k)
-            emb = phi
+
+    def decide(kept, deleted):
+        psi = _deletion_map(space, bs, kept, deleted, tol)  # None: the deletion kills part of X
+        return None if psi is None else cb.is_completely_contractive(psi, tol, seed).status
+
+    outcomes = [decide([j for j in range(r) if j != k], [k]) for k in range(r)] if r > 1 else []
+    deleted = [k for k, outcome in enumerate(outcomes) if outcome == cb.FEASIBLE]
+    status = "CANDIDATE" if cb.UNDECIDED in outcomes else "EXACT"
     if not deleted:
-        return EnvelopeResult(w, status, (), emb, bs)
+        return EnvelopeResult(w, status, (), identity_map(space), bs)
     kept = [k for k in range(r) if k not in deleted]
     if len(deleted) > 1:
-        emb = _compression(space, bs, kept)
-        outcome = cb.is_complete_isometry(emb, tol, seed)
-        if outcome.status == cb.INFEASIBLE:
+        outcome = decide(kept, deleted)
+        if outcome in (None, cb.INFEASIBLE):
             raise DegenerateDecompositionError(f"deleting blocks {deleted} together is not completely isometric")
-        if outcome.status == cb.UNDECIDED:
-            status = "CANDIDATE"
+        status = "CANDIDATE" if outcome == cb.UNDECIDED else status
     envelope = generate_tro(orthonormalize(_compression(w.space, bs, kept).image_stack, tol, shape=space.shape), tol)
-    return EnvelopeResult(envelope, status, tuple(deleted), emb, bs)
+    return EnvelopeResult(envelope, status, tuple(deleted), _compression(space, bs, kept), bs)
 
 
 def multiplicative_embed(

@@ -53,7 +53,8 @@ def test_tracer_reads_every_result_it_keeps():
     spans = load_spans()
     cb, tro = importlib.import_module("opalg.cb"), importlib.import_module("opalg.tro")
     closed = cb.AffineMatrixSet(np.diag([2.0, 0.0]).astype(complex), (np.eye(2, dtype=complex) / np.sqrt(2),), 0.0)
-    # {diag(x, x_11)}: deleting the 1 x 1 block is a deletion candidate
+    # {diag(x, x_11)}: the envelope deletes the 1 x 1 block, one more cb
+    # decision that the exit counts below must cover
     unit = ex.matrix_unit
     space = opalg.linalg.orthonormalize([unit(3, 1, 1) + unit(3, 3, 3), unit(3, 1, 2), unit(3, 2, 1), unit(3, 2, 2)])
     tracer = spans.Tracer()
@@ -61,7 +62,7 @@ def test_tracer_reads_every_result_it_keeps():
     try:
         cb.min_opnorm_affine(closed)
         cb.is_completely_contractive(opalg.linalg.identity_map(space))
-        tro.injective_envelope(space)
+        env = tro.injective_envelope(space)
     finally:
         tracer.uninstall()
     out = tracer.per_layer(1)
@@ -69,7 +70,7 @@ def test_tracer_reads_every_result_it_keeps():
     assert out["cb.is_completely_contractive.calls"] >= 1
     assert sum(out[f"cb.exit.{e}.count"] for e in ("conjugation", "violation", "dykstra", "undecided")) \
         == out["cb.is_completely_contractive.calls"]
-    assert out["tro.deletion_candidates.tried"] >= 1
+    assert env.deleted_blocks == (1,)
 
 
 # public names no module in src/opalg or bench/ uses: kept as library entry points

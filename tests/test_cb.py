@@ -199,6 +199,39 @@ def test_symmetric_space_needs_square():
         is_symmetric_space(space)
 
 
+@pytest.mark.parametrize("name", ["car-pair", "M2", "strict-upper-3"])
+def test_transpose_and_its_inverse_have_equal_ratios(name):
+    # for X = [x_uv] at level k, t the full transpose and X^b = [x_vu]:
+    # ||T_k(X)|| = ||X^b|| and T^-1_k(t(X)) = X^b, so the ratio of T^-1_k
+    # at t(X) is ||X^b|| / ||X||, the ratio of T_k at X
+    basis = {"car-pair": ex.car_pair().space, "M2": full_matrix_space(2), "strict-upper-3": ex.strict_upper(3).space}
+    stack = basis[name].stack
+    n = stack.shape[1]
+    rng = np.random.default_rng(0)
+
+    def assemble(blocks):
+        level = len(blocks)
+        return blocks.transpose(0, 2, 1, 3).reshape(level * n, level * n)
+
+    for level in (1, 2, 3):
+        shape = (level, level, len(stack))
+        blocks = np.tensordot(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), stack, 1)
+        x, x_beta = assemble(blocks), assemble(blocks.transpose(1, 0, 2, 3))
+        t_k = assemble(blocks.transpose(0, 1, 3, 2))
+        assert abs(np.linalg.norm(t_k, 2) - np.linalg.norm(x_beta, 2)) <= 1e-12 * np.linalg.norm(x_beta, 2)
+        blocks_of_tx = x.T.reshape(level, n, level, n).transpose(0, 2, 1, 3)
+        assert np.abs(assemble(blocks_of_tx.transpose(0, 1, 3, 2)) - x_beta).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ex.corpus()])
+def test_symmetry_matches_the_complete_isometry_check(name):
+    # checking the transpose alone gives the status of checking it and its inverse
+    A = dict(ex.corpus())[name]
+    q = random_unitary(A.ambient, np.random.default_rng(sum(map(ord, name))))
+    for space in (A.space, orthonormalize([q @ b @ q.conj().T for b in A.basis])):
+        assert is_symmetric_space(space).status == is_complete_isometry(transpose_map(space)).status
+
+
 def assert_bracket(res, aset):
     """Check the bracket from its certificates alone.
 

@@ -335,11 +335,13 @@ def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):
     # wedderburn_split took it a second time; 24 when triangularize tested
     # 3-commutativity again for a warning).  The search decides each span
     # once, whatever its basis.  A full corner's block form reads no center
-    # (23 and 28 when every block form combined the center's coefficients)
+    # (23 and 28 when every block form combined the center's coefficients).
+    # Symmetry checks the transpose alone (22 when it also formed and
+    # certified the inverse)
     original, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
     report.analyze_algebra(car_pair)
-    assert len(calls) == 22
+    assert len(calls) == 20
     calls.clear()
     run_search(ambient=3, trials=20, seed=1, max_dim=3, tol=ToleranceConfig())
     assert len(calls) == 21

@@ -421,7 +421,7 @@ def _direct_sum(x, y):
 
 M2_UNITS = [unit(2, i, j) for i in (1, 2) for j in (1, 2)]
 # each input, with its envelope's blocks, multiplicities and deleted
-# blocks, and the number of is_complete_isometry calls that take them
+# blocks, and the number of is_completely_contractive calls that take them
 ENVELOPE_CASES = {
     "m2-beside-its-corner": ([_direct_sum(t, t[:1, :1]) for t in M2_UNITS], ((2, 2), (1, 1)), (1, 1), (1,), 1),
     "m2-beside-its-transpose": ([_direct_sum(t, t.T) for t in M2_UNITS], ((2, 2), (2, 2)), (1, 1), (), 2),
@@ -447,8 +447,8 @@ def test_envelope_blocks_multiplicities_and_deletions(monkeypatch, name, conjuga
     # takes one cb check per block that survives its rank test, plus one
     # confirming check when two or more blocks go
     _, blocks, multiplicities, deleted, checks = ENVELOPE_CASES[name]
-    original, calls = tro.cb.is_complete_isometry, []
-    monkeypatch.setattr(tro.cb, "is_complete_isometry", lambda *a, **k: calls.append(1) or original(*a, **k))
+    original, calls = tro.cb.is_completely_contractive, []
+    monkeypatch.setattr(tro.cb, "is_completely_contractive", lambda *a, **k: calls.append(1) or original(*a, **k))
     env = injective_envelope(_envelope_case(name, conjugate))
     assert env.status == "EXACT"
     assert env.blocks.blocks == blocks and env.blocks.multiplicities == multiplicities
@@ -501,6 +501,26 @@ def test_shilov_rule_matches_the_subset_sweep(case):
     kept = frozenset(range(len(bs.blocks))) - set(env.deleted_blocks)
     found = completely_isometric_kept_sets(space, bs.left_projections, bs.right_projections)
     assert kept in found and all(kept <= other for other in found)
+
+
+def test_every_deletion_decision_is_settled(monkeypatch):
+    # each per-block and confirming map of the deleting spans, given and
+    # conjugated, is decided completely contractive or not
+    original, statuses = tro.cb.is_completely_contractive, []
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        statuses.append(out.status)
+        return out
+
+    monkeypatch.setattr(tro.cb, "is_completely_contractive", spy)
+    for i in WIDE_DELETING:
+        q = random_unitary(3, np.random.default_rng(i))
+        given = injective_envelope(WIDE_SAMPLE[i])
+        conjugated = injective_envelope(orthonormalize([q @ b @ q.conj().T for b in WIDE_SAMPLE[i].basis]))
+        assert given.status == conjugated.status == "EXACT"
+        assert given.deleted_blocks == conjugated.deleted_blocks != ()
+    assert statuses and set(statuses) <= {tro.cb.FEASIBLE, tro.cb.INFEASIBLE}
 
 
 @pytest.mark.parametrize("name", list(TRO_INPUTS) + list(ENVELOPE_CASES))
