@@ -489,52 +489,74 @@ def _signature(A, verdict, tol) -> tuple:
     return " ".join(parts), verdict == "YES" and not commutative
 
 
+# trials sampled, keyed and decided together: a chunk's closures share
+# batched SVDs, and the working arrays do not grow with the trial count
+_CHUNK = 64
+
+
 def run_search(
     ambient: int, trials: int, seed: int, max_dim: int, tol: ToleranceConfig, include=()
 ) -> dict:
     """Classify random triangular algebras; report signatures and the
     noncommutative reversible hits.  `include` prepends known algebras to the
     sample (useful to confirm a specific basis would be flagged).  Each span
-    is decided and classified once: the cache key is its rounded projector
-    with signed zeros cleared, which depends on the span and not the basis."""
-    rng = np.random.default_rng(seed)
-    trial_seeds = rng.integers(0, 2**63 - 1, size=trials)
+    is decided and classified once: the cache key is a digest of its rounded
+    projector, which depends on the span and not the basis.  The trials'
+    spans are sampled _CHUNK at a time, each certified closed under the
+    product, and an algebra is built only for a span the cache has not
+    seen."""
+    trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
     signatures: dict = {}
     hits = []
+    # span key -> (signature, hit), one tuple per distinct outcome
     cache: dict = {}
-    samples = [(None, A) for A in include]
-    samples.extend((int(trial_seeds[k]), None) for k in range(trials))
-    for trial_seed, preset in samples:
-        A = preset if preset is not None else examples.random_triangular_algebra(
-            ambient, max_dim, trial_seed, tol
-        )
-        if A.ambient != ambient:
+    outcomes: dict = {}
+    for trial_seed, space, A in _samples(ambient, max_dim, trial_seeds, tol, include):
+        if space.ambient_rows != ambient:
             raise ValueError("included algebra does not match the search ambient")
         # the verdict and the predicates depend only on the subspace
-        key = _subspace_key(A)
+        key = _subspace_key(space)
         if key not in cache:
-            cache[key] = _signature(A, reversibility.decide_reversible(A, tol, seed).reversible, tol)
+            A = A if A is not None else alg.verify_algebra(space, tol)
+            outcome = _signature(A, reversibility.decide_reversible(A, tol, seed).reversible, tol)
+            cache[key] = outcomes.setdefault(outcome, outcome)
         sig, hit = cache[key]
         signatures[sig] = signatures.get(sig, 0) + 1
         if hit:
             hits.append({
                 "seed": trial_seed,
-                "basis": [matrix_to_wire(b) for b in A.basis],
+                "basis": [matrix_to_wire(b) for b in space.basis],
             })
     return {
         "ambient": ambient,
-        "trials": len(samples),
+        "trials": len(include) + trials,
         "signatures": signatures,
         "noncommutative_reversible": hits,
     }
 
 
-def _subspace_key(A) -> bytes:
+def _samples(ambient, max_dim, trial_seeds, tol, include):
+    """(trial seed, span, algebra or None) for the included algebras, then
+    for each trial, sampled _CHUNK trials at a time."""
+    for A in include:
+        yield None, A.space, A
+    for start in range(0, len(trial_seeds), _CHUNK):
+        chunk = [int(s) for s in trial_seeds[start : start + _CHUNK]]
+        for trial_seed, space in zip(chunk, examples.random_triangular_spans(ambient, max_dim, chunk, tol)):
+            yield trial_seed, space, None
+
+
+def _subspace_key(space) -> bytes:
     # the rounded projector onto the span, with the -0.0 that rounding leaves
-    # for -1e-17 cleared, depends on the span and not on the basis
-    stack = A.space.stack.reshape(A.dim, -1)
+    # for -1e-17 cleared, depends on the span and not on the basis; a 16-byte
+    # digest of it keeps the cache small.  hashlib loads OpenSSL, which
+    # numpy's generators have loaded by the time a search keys a span, so
+    # it is imported here and not with the module
+    import hashlib
+
+    stack = space.stack.reshape(space.dim, -1)
     proj = stack.conj().T @ stack
-    return (np.round(proj, 8) + 0.0).tobytes()
+    return hashlib.blake2b((np.round(proj, 8) + 0.0).tobytes(), digest_size=16).digest()
 
 
 def cmd_search(args) -> int:

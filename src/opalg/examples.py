@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, verify_algebra
+from .algebra import MatrixAlgebra, NotAnAlgebraError, verify_algebra
 from .linalg import (
     DEFAULT_TOL,
+    Subspace,
     ToleranceConfig,
     as_matrix,
     close_span,
@@ -32,6 +33,7 @@ __all__ = [
     "upper_triangular",
     "diagonal_algebra",
     "random_triangular_algebra",
+    "random_triangular_spans",
     "corpus",
 ]
 
@@ -191,6 +193,54 @@ def diagonal_algebra(n: int, tol: ToleranceConfig | None = None) -> MatrixAlgebr
     return verify_algebra([matrix_unit(n, i, i) for i in range(1, n + 1)], tol)
 
 
+def _draws(seed: int, n: int, dim: int, tol: ToleranceConfig):
+    """The nonempty draws of one seed's generator, at most 200 draws in all:
+    1 to dim random strictly upper matrices each, half of them sparsified,
+    with the ones that vanish dropped."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(np.ones((n, n), bool), 1)
+    for _ in range(200):
+        mats = []
+        for _ in range(int(rng.integers(1, dim + 1))):
+            m = np.where(upper, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0.0)
+            if rng.random() < 0.5:
+                m = m * (rng.random((n, n)) < 0.45)
+            if hs_norm(m) > tol.eq_tol:
+                mats.append(m)
+        if mats:
+            yield mats
+    raise ArithmeticError("could not sample an algebra within the dimension bound")
+
+
+def random_triangular_spans(n: int, dim: int, seeds, tol: ToleranceConfig | None = None) -> list:
+    """The span of :func:`random_triangular_algebra` for each seed; the
+    draws of all seeds are closed together, one batch per round of draws.
+
+    Each seed keeps its own generator, and a closure above ``dim`` draws
+    again from it, so a span does not depend on the other seeds.  Every span
+    is certified closed under the product by the residual of its closure's
+    confirming round, with the rule of :func:`verify_algebra`.
+    """
+    tol = tol or DEFAULT_TOL
+    streams = [_draws(s, n, dim, tol) for s in seeds]
+    spans = [None] * len(streams)
+    pending = list(range(len(streams)))
+    while pending:
+        draws = [next(streams[t]) for t in pending]
+        seed = np.zeros((len(draws), max(map(len, draws)), n, n), complex)
+        for i, mats in enumerate(draws):
+            seed[i, : len(mats)] = mats
+        basis, dims, residual = close_span(seed, lambda w: product_stack(w, w), tol)
+        kept = (dims > 0) & (dims <= dim)
+        worst = residual[kept].max(initial=0.0)
+        if worst > tol.eq_tol:
+            raise NotAnAlgebraError(f"closed span has projection residual {worst:.3e}", residual=float(worst))
+        for i in np.flatnonzero(kept):
+            spans[pending[i]] = Subspace(n, n, tuple(basis[i, : dims[i]].reshape(-1, n, n)))
+        pending = [t for t, ok in zip(pending, kept) if not ok]
+    return spans
+
+
 def random_triangular_algebra(
     n: int, dim: int, seed: int, tol: ToleranceConfig | None = None
 ) -> MatrixAlgebra:
@@ -203,24 +253,7 @@ def random_triangular_algebra(
     are what produce variety at small dimensions.
     """
     tol = tol or DEFAULT_TOL
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        k = int(rng.integers(1, dim + 1))
-        mats = []
-        for _ in range(k):
-            m = np.triu(
-                rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1
-            )
-            if rng.random() < 0.5:
-                m = m * (rng.random((n, n)) < 0.45)
-            if hs_norm(m) > tol.eq_tol:
-                mats.append(m)
-        if not mats:
-            continue
-        closed = close_span(mats, lambda w: product_stack(w, w), tol, (n, n))
-        if 0 < closed.dim <= dim:
-            return verify_algebra(closed, tol)
-    raise ArithmeticError("could not sample an algebra within the dimension bound")
+    return verify_algebra(random_triangular_spans(n, dim, [seed], tol)[0], tol)
 
 
 def corpus(tol: ToleranceConfig | None = None):

@@ -134,20 +134,36 @@ class Subspace:
         return np.einsum("k,kij->ij", c, self.stack)
 
 
-def numerical_rank(s: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> int:
+def numerical_rank(s: np.ndarray, rel_tol: float, min_scale: float = 0.0):
     """Number of singular values (descending) above rel_tol * max(min_scale, s_0).
 
     The one rank rule.  Spans of input matrices pass min_scale=0: a relative
     cutoff keeps the rank scale-free.  Coordinates against an orthonormal
     basis are O(1), so min_scale=1 there gives an all-noise system rank zero.
+    A stack of spectra (..., r) gives an integer array of ranks (...).
     """
+    if s.ndim > 1:
+        return np.sum(s > rel_tol * np.maximum(min_scale, s[..., :1]), axis=-1)
     return int(np.sum(s > rel_tol * max(min_scale, s[0]))) if s.size else 0
 
 
-def row_basis(rows: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.ndarray:
-    """Orthonormal rows spanning the row space, rank by :func:`numerical_rank`."""
+def _basis_and_rank(rows: np.ndarray, rel_tol: float, min_scale: float = 0.0):
+    """:func:`row_basis` and the rank of each member."""
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[: numerical_rank(s, rel_tol, min_scale)]
+    rank = numerical_rank(s, rel_tol, min_scale)
+    if vh.ndim == 2:
+        return vh[:rank], rank
+    vh = vh[..., : rank.max(initial=0), :]
+    return np.where(np.arange(vh.shape[-2])[:, None] < rank[..., None, None], vh, 0.0), rank
+
+
+def row_basis(rows: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.ndarray:
+    """Orthonormal rows spanning the row space, rank by :func:`numerical_rank`.
+
+    A stack (..., m, n) gives a stack of bases, trimmed to the largest
+    rank; a member's rows beyond its own rank are zero.
+    """
+    return _basis_and_rank(rows, rel_tol, min_scale)[0]
 
 
 def orthonormalize(mats, tol: ToleranceConfig | None = None, *, shape=None) -> Subspace:
@@ -185,23 +201,64 @@ def orthonormalize(mats, tol: ToleranceConfig | None = None, *, shape=None) -> S
     return Subspace(mshape[0], mshape[1], basis)
 
 
-def close_span(seed, step, tol: ToleranceConfig | None = None, shape=None) -> Subspace:
+def close_span(seed, step, tol: ToleranceConfig | None = None, shape=None):
     """Smallest span containing ``seed`` and closed under ``step``.
 
     ``step`` maps the stacked orthonormal basis of the current span to a
     stack of elements the span must also contain.  The span grows by them
     until its dimension stops growing, for at most rows * cols + 2 rounds.
     A seed that is already a :class:`Subspace` is taken as it stands.
+
+    A 4-D seed (T, k, rows, cols) is T spans closed in one loop, and
+    ``step`` then maps a stack of bases (T, R, rows, cols) to a stack
+    (T, S, rows, cols).  Zero seed matrices and zero basis rows add
+    nothing.  This returns ``(basis, dims, residual)``: member t's basis is
+    ``basis[t, :dims[t]]`` with zero rows after it, and ``residual[t]`` is
+    the largest |p - proj p| / max(1, |p|) over the step images p of the
+    round that confirmed it closed (inf if none did).  A single span is a
+    batch of one.
     """
+    tol = tol or DEFAULT_TOL
+    if isinstance(seed, np.ndarray) and seed.ndim == 4:
+        t, k, rows, cols = seed.shape
+        basis, dims = _basis_and_rank(seed.reshape(t, k, rows * cols), tol.eq_tol)
+        return _close_rows(basis, dims, step, tol, (rows, cols))
     cur = seed if isinstance(seed, Subspace) else orthonormalize(seed, tol, shape=shape)
-    for _ in range(cur.ambient_rows * cur.ambient_cols + 2):
-        if cur.dim == 0:
+    flat = cur.stack.reshape(1, cur.dim, cur.ambient_rows * cur.ambient_cols)
+    basis, _, _ = _close_rows(flat, np.array([cur.dim]), lambda b: step(b[0])[None], tol, cur.shape)
+    return Subspace(*cur.shape, tuple(basis[0].reshape(-1, *cur.shape)))
+
+
+def _close_rows(basis, dims, step, tol, shape):
+    """The loop of :func:`close_span` on flattened bases (T, R, rows * cols)."""
+    t, _, size = basis.shape
+    zero = dims == 0
+    # members settled so far, as (indices, bases, dims, residuals); a zero
+    # span is closed as it stands
+    settled = [(np.flatnonzero(zero), basis[zero], dims[zero], np.zeros(zero.sum()))]
+    idx = np.flatnonzero(~zero)
+    basis, dims = basis[idx], dims[idx]
+    for _ in range(size + 2):
+        if idx.size == 0:
             break
-        nxt = orthonormalize(np.concatenate([cur.stack, step(cur.stack)]), tol, shape=cur.shape)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
-    return cur
+        images = step(basis.reshape(*basis.shape[:2], *shape)).reshape(idx.size, -1, size)
+        nxt, nxt_dims = _basis_and_rank(np.concatenate([basis, images], axis=1), tol.eq_tol)
+        done = nxt_dims == dims
+        if done.any():
+            fixed, im = nxt[done], images[done]
+            res = np.linalg.norm(im - im @ fixed.conj().transpose(0, 2, 1) @ fixed, axis=-1)
+            res = res / np.maximum(1.0, np.linalg.norm(im, axis=-1))
+            settled.append((idx[done], fixed, dims[done], res.max(axis=-1, initial=0.0)))
+        grew = ~done
+        idx, dims = idx[grew], nxt_dims[grew]
+        basis = nxt[grew][:, : dims.max(initial=0)]
+    settled.append((idx, basis, dims, np.full(idx.size, np.inf)))
+    out = np.zeros((t, max(b.shape[1] for _, b, _, _ in settled), size), complex)
+    out_dims, residual = np.zeros(t, int), np.zeros(t)
+    for i, b, d, r in settled:
+        out[i, : b.shape[1]] = b
+        out_dims[i], residual[i] = d, r
+    return out[:, : out_dims.max(initial=0)], out_dims, residual
 
 
 def projection_residual(space: Subspace, x) -> float:
@@ -292,12 +349,13 @@ def product_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """All pairwise products of two stacks of matrices, as one stack.
 
     The stack is a-major: entry a * len(right) + b is left[a] @ right[b].
-    All of them come from one matrix product (a i, j) @ (j, b k).
+    All of them come from one matrix product (a i, j) @ (j, b k), per
+    member when the stacks carry leading batch axes.
     """
-    a, i, j = left.shape
-    b, _, k = right.shape
-    flat = left.reshape(a * i, j) @ right.transpose(1, 0, 2).reshape(j, b * k)
-    return flat.reshape(a, i, b, k).transpose(0, 2, 1, 3).reshape(a * b, i, k)
+    *lead, a, i, j = left.shape
+    b, _, k = right.shape[-3:]
+    flat = left.reshape(*lead, a * i, j) @ np.swapaxes(right, -3, -2).reshape(*lead, j, b * k)
+    return np.swapaxes(flat.reshape(*lead, a, i, b, k), -3, -2).reshape(*lead, a * b, i, k)
 
 
 def max_relative_gap(ref: np.ndarray, other: np.ndarray) -> float:

@@ -15,7 +15,9 @@ multiplicity come from rank counts of explicit products, and the envelope's
 kept blocks are checked against a completely isometric test of every set
 of blocks rather than the Shilov rule's single-block tests.  The violation
 search that stops at its first violating run is checked against the search
-that polishes every level and keeps the best ratio.
+that polishes every level and keeps the best ratio.  Random triangular
+algebras are sampled one seed at a time, each closed by its own
+`close_span` and certified by `verify_algebra`, rather than in batches.
 """
 
 import itertools
@@ -23,8 +25,9 @@ import math
 
 import numpy as np
 
-from opalg import cb
-from opalg.linalg import LinearMapOnSubspace, Subspace, close_span, product_stack
+from opalg import cb, cli, reversibility
+from opalg.algebra import verify_algebra
+from opalg.linalg import DEFAULT_TOL, LinearMapOnSubspace, Subspace, close_span, hs_norm, product_stack
 
 
 def _orth_columns(cols, tol=1e-10):
@@ -621,3 +624,38 @@ def completely_isometric_kept_sets(space, left_projections, right_projections, t
             if cb.is_complete_isometry(phi, tol, seed).status == cb.FEASIBLE:
                 found.append(frozenset(kept))
     return found
+
+
+def random_triangular_algebra(n, dim, seed, tol=DEFAULT_TOL):
+    """The sampler one seed at a time: draw 1 to dim strictly upper
+    matrices, half of them sparsified, close their span under products, and
+    draw again while the draw is empty or the closure exceeds dim."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        k = int(rng.integers(1, dim + 1))
+        mats = []
+        for _ in range(k):
+            m = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+            if rng.random() < 0.5:
+                m = m * (rng.random((n, n)) < 0.45)
+            if hs_norm(m) > tol.eq_tol:
+                mats.append(m)
+        if not mats:
+            continue
+        closed = close_span(mats, lambda w: product_stack(w, w), tol, (n, n))
+        if 0 < closed.dim <= dim:
+            return verify_algebra(closed, tol)
+    raise ArithmeticError("could not sample an algebra within the dimension bound")
+
+
+def search_signatures(ambient, trials, seed, max_dim, tol=DEFAULT_TOL):
+    """Signature counts of `cli.run_search`, each trial sampled on its own
+    and each distinct span decided once."""
+    counts, cache = {}, {}
+    for trial_seed in np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials):
+        A = random_triangular_algebra(ambient, max_dim, int(trial_seed), tol)
+        key = cli._subspace_key(A.space)
+        if key not in cache:
+            cache[key] = cli._signature(A, reversibility.decide_reversible(A, tol, seed).reversible, tol)[0]
+        counts[cache[key]] = counts.get(cache[key], 0) + 1
+    return counts

@@ -52,6 +52,8 @@ def test_tracer_reads_every_result_it_keeps():
     # op-norm minimum; a renamed attribute must fail here, not in a traced run
     spans = load_spans()
     cb, tro = importlib.import_module("opalg.cb"), importlib.import_module("opalg.tro")
+    # Tracer.install looks each traced layer up in sys.modules, cli included
+    importlib.import_module("opalg.cli")
     closed = cb.AffineMatrixSet(np.diag([2.0, 0.0]).astype(complex), (np.eye(2, dtype=complex) / np.sqrt(2),), 0.0)
     # {diag(x, x_11)}: the envelope deletes the 1 x 1 block, one more cb
     # decision that the exit counts below must cover

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from opalg.report import matrix_from_wire, matrix_to_wire, parse_input
 from opalg.reversibility import solve_pairing
 from opalg.tro import injective_envelope
 
+from . import oracles
 from .oracles import predicates_by_products
 
 unit = ex.matrix_unit
@@ -181,13 +183,13 @@ def test_reproduce_analyzes_only_the_inputs_its_rows_read(monkeypatch, capsys):
     analyze = cli.analyze_algebra
     monkeypatch.setattr(
         cli, "analyze_algebra",
-        lambda A, tol, skip, seed: seen.append((cli._subspace_key(A), skip)) or analyze(A, tol, skip, seed),
+        lambda A, tol, skip, seed: seen.append((cli._subspace_key(A.space), skip)) or analyze(A, tol, skip, seed),
     )
     assert main(["reproduce", "--only", "strict-upper"]) == 0
-    assert seen == [(cli._subspace_key(ex.strict_upper(n)), {"sdp"}) for n in (3, 4)]
+    assert seen == [(cli._subspace_key(ex.strict_upper(n).space), {"sdp"}) for n in (3, 4)]
     seen.clear()
     assert main(["reproduce", "--only", "car-pair"]) == 0
-    assert seen == [(cli._subspace_key(ex.car_pair()), set())]
+    assert seen == [(cli._subspace_key(ex.car_pair().space), set())]
 
 
 def test_reproduce_fails_a_row_that_does_not_hold(monkeypatch, capsys):
@@ -286,12 +288,12 @@ def test_subspace_key_ignores_the_basis(tol):
     # orthonormal basis
     rng = np.random.default_rng(7)
     for name, A in ex.corpus(tol):
-        key = cli._subspace_key(A)
+        key = cli._subspace_key(A.space)
         for _ in range(20):
             z = rng.standard_normal((2, A.dim, A.dim))
             u, _ = np.linalg.qr(z[0] + 1j * z[1])
             mixed = Subspace(*A.space.shape, tuple(np.tensordot(u, A.space.stack, 1)))
-            assert cli._subspace_key(verify_algebra(mixed, tol)) == key, name
+            assert cli._subspace_key(verify_algebra(mixed, tol).space) == key, name
 
 
 def test_subspace_key_of_draws_that_close_onto_strict_upper_3(tol):
@@ -303,12 +305,12 @@ def test_subspace_key_of_draws_that_close_onto_strict_upper_3(tol):
     assert not np.allclose(draws[0].space.stack, draws[1].space.stack)
     assert np.signbit(np.round(_projector(draws[0]), 8).view(float)).any()
     assert not np.signbit(np.round(_projector(standard), 8).view(float)).any()
-    assert {cli._subspace_key(A) for A in [*draws, standard]} == {cli._subspace_key(standard)}
+    assert {cli._subspace_key(A.space) for A in [*draws, standard]} == {cli._subspace_key(standard.space)}
 
 
 def test_subspace_key_separates_spans(tol):
     spans = [[unit(3, 1, 2)], [unit(3, 1, 3)], [unit(3, 1, 2), unit(3, 1, 3)]]
-    assert len({cli._subspace_key(verify_algebra(s, tol)) for s in spans}) == 3
+    assert len({cli._subspace_key(verify_algebra(s, tol).space) for s in spans}) == 3
 
 
 def test_search_decides_each_distinct_subspace_once(monkeypatch):
@@ -324,6 +326,45 @@ def test_search_decides_each_distinct_subspace_once(monkeypatch):
     assert sum(A.dim == 3 for A in decided) == 1
     projectors = [_projector(A) for A in decided]
     assert not any(np.allclose(p, q, atol=1e-6) for i, p in enumerate(projectors) for q in projectors[:i])
+
+
+@pytest.mark.parametrize("ambient, trials", [(3, 500), (4, 200)])
+def test_search_spans_are_the_single_seed_spans(monkeypatch, ambient, trials):
+    # each trial's span, closed in a batch, has the key of its seed's span
+    # closed on its own
+    keys = []
+    key = cli._subspace_key
+    monkeypatch.setattr(cli, "_subspace_key", lambda space: keys.append(key(space)) or keys[-1])
+    run_search(ambient=ambient, trials=trials, seed=4, max_dim=ambient, tol=ToleranceConfig())
+    seeds = np.random.default_rng(4).integers(0, 2**63 - 1, size=trials)
+    assert keys == [key(oracles.random_triangular_algebra(ambient, ambient, int(s)).space) for s in seeds]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_search_signatures_do_not_depend_on_the_chunk(monkeypatch, seed):
+    kwargs = dict(ambient=3, trials=1000, seed=seed, max_dim=3, tol=ToleranceConfig())
+    want = oracles.search_signatures(**kwargs)
+    summaries = []
+    for chunk in (7, 64):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        summaries.append(run_search(**kwargs))
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["signatures"] == want and summaries[0]["noncommutative_reversible"] == []
+
+
+def test_search_memory_does_not_grow_with_the_trials():
+    # spans are sampled and decided a chunk at a time, and the cache keeps
+    # a short digest per distinct span
+    run_search(ambient=3, trials=20, seed=0, max_dim=3, tol=ToleranceConfig())
+    peaks = []
+    for trials in (500, 4000):
+        tracemalloc.start()
+        try:
+            run_search(ambient=3, trials=trials, seed=1, max_dim=3, tol=ToleranceConfig())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):

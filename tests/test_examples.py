@@ -3,11 +3,14 @@ import pytest
 
 from opalg import examples as ex
 from opalg.algebra import (
+    NotAnAlgebraError,
     is_anticommuting,
     is_commutative,
     is_three_commutative,
 )
 from opalg.linalg import contains, hs_norm, op_norm
+
+from . import oracles
 
 unit = ex.matrix_unit
 
@@ -186,6 +189,32 @@ def test_random_triangular_deterministic():
     assert a.dim <= 4
     c = ex.random_triangular_algebra(4, 4, 124)
     assert c.dim <= 4
+
+
+@pytest.mark.parametrize("n, dim, seeds", [(3, 3, range(40)), (4, 4, range(40)), (4, 2, range(20))])
+def test_random_triangular_matches_the_single_seed_oracle(n, dim, seeds):
+    # the same basis, bit for bit, as a closure of each seed on its own
+    # (dim 2 in M_4 draws again often)
+    for seed in seeds:
+        got, want = ex.random_triangular_algebra(n, dim, seed), oracles.random_triangular_algebra(n, dim, seed)
+        assert np.array_equal(got.space.stack, want.space.stack), seed
+
+
+def test_random_triangular_spans_raise_on_an_uncertified_member(monkeypatch):
+    # the residual of a closure's confirming round certifies every span;
+    # one above eq_tol raises even when the others pass
+    close = ex.close_span
+
+    def forced(*args, **kwargs):
+        basis, dims, residual = close(*args, **kwargs)
+        residual[1] = 2e-9
+        return basis, dims, residual
+
+    assert len(ex.random_triangular_spans(3, 3, range(4))) == 4
+    monkeypatch.setattr(ex, "close_span", forced)
+    with pytest.raises(NotAnAlgebraError) as err:
+        ex.random_triangular_spans(3, 3, range(4))
+    assert err.value.residual == 2e-9
 
 
 def test_corpus_size_and_validity():

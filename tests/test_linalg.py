@@ -12,10 +12,13 @@ from opalg.linalg import (
     contains,
     hs_inner,
     hs_norm,
+    max_projection_residual,
+    numerical_rank,
     op_norm,
     orthonormalize,
     product_stack,
     random_unitary,
+    row_basis,
     sqrt_psd,
 )
 
@@ -102,6 +105,69 @@ def test_close_span_invariant_orbit_stops_at_fixed_point():
     orbit = close_span([np.eye(3)[:, [2]]], step, shape=(3, 1))
     assert orbit.dim == 3 and orbit.shape == (3, 1)
     assert calls == [1, 2, 3]
+
+
+def _rank_rule_stack(rng):
+    """Five 6 x 4 members of rank 0 to 4: the first all zero, the third a
+    rank-2 matrix with four zero rows padded below."""
+    g = rng.standard_normal((5, 6, 4)) + 1j * rng.standard_normal((5, 6, 4))
+    rows = np.stack([g[k, :, :k] @ g[k, :k, :] for k in range(5)])
+    rows[2, 2:] = 0.0
+    return rows
+
+
+def test_rank_rule_broadcasts_over_a_stack(rng):
+    rows = _rank_rule_stack(rng)
+    s = np.linalg.svd(rows, compute_uv=False)
+    for min_scale in (0.0, 1.0):
+        ranks = numerical_rank(s, 1e-9, min_scale)
+        assert ranks.tolist() == [numerical_rank(x, 1e-9, min_scale) for x in s]
+    assert numerical_rank(s, 1e-9).tolist() == [0, 1, 2, 3, 4]
+    basis = row_basis(rows, 1e-9)
+    assert basis.shape == (5, 4, 4)
+    for member, x in zip(basis, rows):
+        alone = row_basis(x, 1e-9)
+        assert np.array_equal(member[: len(alone)], alone)
+        assert not member[len(alone) :].any()
+
+
+def test_rank_rule_ignores_zero_padding(rng):
+    # a member padded with zero rows has the rank and the row space of the
+    # member without them
+    rows = _rank_rule_stack(rng)
+    padded = np.concatenate([rows, np.zeros((5, 3, 4), complex)], axis=1)
+    s, s_padded = (np.linalg.svd(r, compute_uv=False) for r in (rows, padded))
+    assert np.array_equal(numerical_rank(s, 1e-9), numerical_rank(s_padded, 1e-9))
+    for a, b in zip(row_basis(rows, 1e-9), row_basis(padded, 1e-9)):
+        assert np.abs(a.conj().T @ a - b.conj().T @ b).max() <= 1e-12
+
+
+def test_product_stack_broadcasts_over_a_stack(rng):
+    left, right = (rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2)) for _ in range(2))
+    out = product_stack(left, right)
+    assert out.shape == (4, 9, 2, 2)
+    for k in range(4):
+        assert np.array_equal(out[k], product_stack(left[k], right[k]))
+
+
+def test_close_span_batch_equals_each_member_alone():
+    # members close onto spans of dimension 0, 1, 2 and 3; zero seed
+    # matrices pad the shorter seeds
+    e = lambda i, j: matrix_unit(3, i, j)  # noqa: E731
+    seeds = [[], [e(1, 2)], [e(1, 2), e(1, 3)], [e(1, 2) + e(1, 3), e(2, 3)]]
+    stack = np.zeros((4, 2, 3, 3), complex)
+    for t, mats in enumerate(seeds):
+        stack[t, : len(mats)] = mats or 0.0
+    basis, dims, residual = close_span(stack, lambda w: product_stack(w, w))
+    assert dims.tolist() == [0, 1, 2, 3] and basis.shape == (4, 3, 9)
+    assert (residual <= 1e-9).all()
+    for t, mats in enumerate(seeds):
+        alone = close_span(mats, lambda w: product_stack(w, w), shape=(3, 3))
+        member = orthonormalize(basis[t, : dims[t]].reshape(-1, 3, 3), shape=(3, 3))
+        assert alone.dim == member.dim == dims[t]
+        assert not basis[t, dims[t] :].any()
+        assert max_projection_residual(alone, member.stack) <= 1e-12
+        assert max_projection_residual(member, alone.stack) <= 1e-12
 
 
 @pytest.mark.parametrize("shapes", [((3, 2, 2), (3, 2, 2)), ((2, 4, 4), (5, 4, 4)), ((4, 2, 3), (3, 3, 5))])

@@ -205,7 +205,7 @@ def test_search_spans_take_the_full_corner_path(monkeypatch):
     spans = {}
     for trial in np.random.default_rng(1).integers(0, 2**63 - 1, size=200):
         A = ex.random_triangular_algebra(3, 3, int(trial))
-        spans.setdefault(cli._subspace_key(A), A.space)
+        spans.setdefault(cli._subspace_key(A.space), A.space)
     for space in spans.values():
         with monkeypatch.context() as patch:
             _assert_full_corner_path(patch, space)
