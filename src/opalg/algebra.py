@@ -243,11 +243,13 @@ def annihilators(A: MatrixAlgebra, tol: ToleranceConfig | None = None):
 
 
 def is_left_faithful(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
-    return annihilators(A, tol)[0].dim == 0
+    """No nonzero a in A has aA = 0; only the left kernel is taken."""
+    return len(_kernel(A, np.eye(A.dim, dtype=complex), "left", tol or A.tol)) == 0
 
 
 def is_right_faithful(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
-    return annihilators(A, tol)[1].dim == 0
+    """No nonzero a in A has Aa = 0; only the right kernel is taken."""
+    return len(_kernel(A, np.eye(A.dim, dtype=complex), "right", tol or A.tol)) == 0
 
 
 def is_idempotent_algebra(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:

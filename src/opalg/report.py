@@ -161,8 +161,7 @@ def analyze_algebra(
         }
         verdict = reversibility.decide_reversible(A, tol, seed, envelope=env)
         report.verdicts["reversible"] = verdict.reversible
-        pairings = verdict.pairings or reversibility.solve_pairing(A, env, tol)
-        z_sol, w_sol = pairings.product, pairings.reversed
+        z_sol, w_sol = verdict.pairings.product, verdict.pairings.reversed
         report.certificates["pairing_product"] = _pairing_dict(z_sol)
         if z_sol.element is not None:
             report.z = matrix_to_wire(z_sol.element)

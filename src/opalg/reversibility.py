@@ -4,9 +4,9 @@ Operator algebra products on a space X correspond to contractions z in the
 injective envelope with X z* X inside X, the product being x z* y
 (Kaneda-Paulsen).  The product and the reversed product are two targets of
 one linear system, posed on the algebra's basis transported into its
-envelope; they share one factorization.  A solution for the reversed
-product decides reversibility: it certifies it, and nonexistence inside an
-exact envelope refutes it.
+envelope; they share one factorization.  The solution for the reversed
+product decides reversibility, for every algebra alike: it certifies it,
+and nonexistence inside an exact envelope refutes it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cb
-from .algebra import MatrixAlgebra, is_anticommuting, is_commutative
+from .algebra import MatrixAlgebra, is_commutative
 from .linalg import (
     ToleranceConfig,
     as_matrix,
@@ -74,8 +74,7 @@ class Pairings:
     it, truncated at eq_tol * max(1, s_0), is taken here and serves both
     right-hand sides: it gives each minimum-norm solution and the null
     vectors, each of which yields the two real directions n and i n of the
-    solution set.  Each solution is computed the first time it is read, and
-    the factors are released once both have been.
+    solution set.  Each solution is computed the first time it is read.
     """
 
     def __init__(self, basis, mu, z_space: TROSpace, tol: ToleranceConfig):
@@ -83,7 +82,6 @@ class Pairings:
         self.mu = np.asarray(mu, dtype=complex)
         self.z_space, self.tol = z_space, tol
         self._factors = None  # (system, u, s, vh, rank), none for the zero TRO
-        self._unread = 2
         t = z_space.dim
         if t == 0:
             return
@@ -99,18 +97,11 @@ class Pairings:
 
     @cached_property
     def product(self) -> PairingSolution:
-        return self._read(self.mu)
+        return self._solve(self.mu)
 
     @cached_property
     def reversed(self) -> PairingSolution:
-        return self._read(self.mu.transpose(1, 0, 2, 3))
-
-    def _read(self, mu) -> PairingSolution:
-        sol = self._solve(mu)
-        self._unread -= 1
-        if self._unread == 0:
-            self._factors = None  # a verdict may hold the pairings long after both are read
-        return sol
+        return self._solve(self.mu.transpose(1, 0, 2, 3))
 
     def _solve(self, mu) -> PairingSolution:
         if self._factors is None:
@@ -185,14 +176,12 @@ def certify_reversal_element(
 
 @dataclass(frozen=True, eq=False)
 class ReversibilityVerdict:
-    """The reversibility answer, the solution behind it and, unless the
-    anticommuting shortcut settled it, the pairings it was read from."""
+    """The reversibility answer, read from the reversed solution of
+    `pairings`; that solution's element certifies a YES."""
 
     reversible: str  # "YES" | "NO" | "UNDECIDED"
-    w: PairingSolution | None
-    envelope_status: str | None
     notes: tuple
-    pairings: Pairings | None = None
+    pairings: Pairings
 
 
 def decide_reversible(
@@ -200,34 +189,27 @@ def decide_reversible(
 ) -> ReversibilityVerdict:
     """Is A with reversed multiplication still an operator algebra?
 
-    Anticommuting algebras are reversible outright (the middle element -1
-    certifies).  Otherwise the reversed-product pairing system is solved in
-    the envelope: a solution in the ball is a certificate.  NO needs an exact
-    envelope and a lower bound on the least norm above 1 + sdp_tol (infinite
-    for an inconsistent system), which the dual witness certifies.  Only the
-    reversed solution is computed; the product one is there to be read.
+    The reversed-product pairing system is solved in the envelope, and the
+    verdict is read from that solve alone: a solution in the ball certifies
+    YES.  NO needs an exact envelope and a lower bound on the least norm
+    above 1 + sdp_tol (infinite for an inconsistent system), which the dual
+    witness certifies; a candidate envelope, or a bracket that contains 1,
+    leaves it UNDECIDED.  Only the reversed solution is computed; the
+    product one is there to be read.
     """
     tol = tol or A.tol
-    notes = []
-    if is_anticommuting(A, tol):
-        minus_one = -np.eye(A.ambient, dtype=complex)
-        if certify_reversal_element(A, minus_one, tol=tol):
-            sol = PairingSolution(minus_one, 0.0, 1.0, 0, "FOUND")
-            return ReversibilityVerdict("YES", sol, None, ("anticommuting, certified by -identity",))
-        notes.append("anticommuting certificate unexpectedly failed")
     env = envelope if envelope is not None else injective_envelope(A.space, tol, seed)
     pairings = solve_pairing(A, env, tol)
     sol = pairings.reversed
     if sol.status != "NONE":
-        return ReversibilityVerdict("YES", sol, env.status, tuple(notes), pairings)
+        return ReversibilityVerdict("YES", (), pairings)
     if env.status != "EXACT":
-        reason = "no solution, but the envelope is only a candidate"
-        return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + [reason]), pairings)
+        return ReversibilityVerdict("UNDECIDED", ("no solution, but the envelope is only a candidate",), pairings)
     bracket = f"minimal pairing norm in [{sol.op_norm_lower:.9g}, {sol.op_norm:.9g}]"
     if sol.op_norm_lower > 1.0 + tol.sdp_tol:
         reason = "pairing system inconsistent" if sol.inconsistent else bracket + ", above the ball"
-        return ReversibilityVerdict("NO", sol, env.status, tuple(notes + [reason]), pairings)
-    return ReversibilityVerdict("UNDECIDED", sol, env.status, tuple(notes + [bracket + ", which contains 1"]), pairings)
+        return ReversibilityVerdict("NO", (reason,), pairings)
+    return ReversibilityVerdict("UNDECIDED", (bracket + ", which contains 1",), pairings)
 
 
 @dataclass(frozen=True, eq=False)

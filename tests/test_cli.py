@@ -144,6 +144,18 @@ def test_analyze_skip_envelope(tmp_path, capsys):
     assert report["z"] is None and report["w"] is None
 
 
+@pytest.mark.parametrize("make", [lambda: ex.diagonal_algebra(2), ex.car_pair], ids=["diagonal-2", "car-pair"])
+def test_analyze_skip_envelope_keeps_the_fast_yes(tmp_path, capsys, make):
+    # a commutative or anticommuting algebra is reversible without the
+    # envelope, but no pairing element is reported
+    A = make()
+    code = main(["analyze", write_input(tmp_path / "a.json", A.basis, A.ambient), "--skip", "envelope"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verdicts"]["reversible"] == "YES"
+    assert report["z"] is None and report["w"] is None
+
+
 def test_analyze_deterministic(car_pair_file, capsys):
     main(["analyze", car_pair_file, "--seed", "5"])
     first = json.loads(capsys.readouterr().out)
@@ -259,9 +271,9 @@ def test_search_cache_keeps_the_summary_and_runs_predicates_once(monkeypatch):
 
 
 def test_search_takes_pair_deviations_once_per_subspace(monkeypatch):
-    # decide_reversible and the signature both ask is_anticommuting; the
-    # deviations behind it are taken once per algebra.  The summary is the
-    # one whose two predicates come from explicit products of the basis.
+    # the signature asks is_commutative and is_anticommuting; the deviations
+    # behind them are taken once per algebra.  The summary is the one whose
+    # two predicates come from explicit products of the basis.
     kwargs = dict(ambient=3, trials=60, seed=1, max_dim=3, tol=ToleranceConfig())
     calls, keys = [], []
     deviation = cli.alg._pair_deviation
@@ -274,7 +286,6 @@ def test_search_takes_pair_deviations_once_per_subspace(monkeypatch):
     for name in ("commutative", "anticommuting"):
         oracle = lambda A, tol=None, _n=name: predicates_by_products(A.basis)[_n]  # noqa: E731
         monkeypatch.setattr(cli.alg, f"is_{name}", oracle)
-        monkeypatch.setattr(reversibility, f"is_{name}", oracle)
     assert run_search(**kwargs) == summary
 
 
@@ -378,11 +389,15 @@ def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):
     # once, whatever its basis.  A full corner's block form reads no center
     # (23 and 28 when every block form combined the center's coefficients).
     # Symmetry checks the transpose alone (22 when it also formed and
-    # certified the inverse)
+    # certified the inverse).  Each faithfulness test takes its own side's
+    # kernel (20 when each built both annihilator spans).  Every verdict is
+    # read from one pairing solve, anticommuting algebras included: the
+    # analysis solves once (a second solve would add 4), and the search
+    # solves the anticommuting spans it decides too (21 when -1 settled them)
     original, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
     report.analyze_algebra(car_pair)
-    assert len(calls) == 20
+    assert len(calls) == 14
     calls.clear()
     run_search(ambient=3, trials=20, seed=1, max_dim=3, tol=ToleranceConfig())
-    assert len(calls) == 21
+    assert len(calls) == 25

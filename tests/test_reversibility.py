@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opalg import examples as ex
-from opalg.algebra import verify_algebra
+from opalg.algebra import is_anticommuting, verify_algebra
 from opalg.linalg import (
     DEFAULT_TOL,
     LinearMapOnSubspace,
@@ -153,6 +153,38 @@ def corpus_and_conjugates(rng):
         q = random_unitary(A.ambient, rng)
         yield name, A
         yield name + "~conj", verify_algebra([q @ b @ q.conj().T for b in A.basis])
+
+
+def anticommuting_inputs(rng):
+    """The anticommuting corpus entries and a conjugate of each, the family
+    at n = 3, and the anticommuting spans of the wide M_3 sample."""
+    from .test_tro import WIDE_SAMPLE
+
+    for name, A in corpus_and_conjugates(rng):
+        if is_anticommuting(A):
+            yield name, A
+    yield "anticommuting-family-3", ex.anticommuting_family(3)
+    for i, space in enumerate(WIDE_SAMPLE):
+        A = verify_algebra(space)
+        if is_anticommuting(A):
+            yield f"wide-{i}", A
+
+
+def test_anticommuting_algebras_are_reversible_through_the_solve(rng):
+    # every anticommuting algebra is reversible (-1 would do), and the
+    # verdict carries the pairing minimizer w that settled it: checked with
+    # numpy alone, b_i w* b_j = b_j b_i and |w| <= 1 + sdp_tol
+    names = []
+    for name, A in anticommuting_inputs(rng):
+        verdict = decide_reversible(A)
+        assert verdict.reversible == "YES", name
+        w, B = verdict.pairings.reversed.element, np.asarray(A.basis)
+        assert np.linalg.norm(w, 2) <= 1.0 + DEFAULT_TOL.sdp_tol, name
+        for i, j in np.ndindex(len(B), len(B)):
+            scale = max(1.0, np.linalg.norm(B[i], 2) * np.linalg.norm(B[j], 2))
+            assert np.linalg.norm(B[i] @ w.conj().T @ B[j] - B[j] @ B[i]) <= DEFAULT_TOL.eq_tol * scale, name
+        names.append(name)
+    assert sum(n.startswith("wide-") for n in names) == 16 and len(names) == 2 * 10 + 1 + 16
 
 
 def test_pairing_system_and_residual_match_einsum(monkeypatch, rng):
@@ -344,9 +376,8 @@ def test_family_n3_pairings():
 
 @pytest.mark.parametrize("make", [lambda: ex.strict_upper(3), ex.car_pair], ids=["strict-upper-3", "car-pair"])
 def test_analyze_solves_each_pairing_system_once(monkeypatch, make):
-    # the product system and the reversed one share one factorization: the
-    # pairings come from decide_reversible, or (anticommuting algebras,
-    # settled by -1) from one direct solve
+    # the product system and the reversed one share one factorization, and
+    # the report reads both from the pairings decide_reversible solved
     import sys
 
     from opalg import report
