@@ -192,8 +192,11 @@ def _side_by_side(stack: np.ndarray) -> np.ndarray:
 def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int):
     """Search for contractions u, v with phi(x) = u x v on the domain basis.
 
-    Tries unitary pairs first (alternating polar factors, which solves the
-    Procrustes step exactly), then an unconstrained alternating
+    A unitary pair fits only a map that keeps the HS Gram matrix of the
+    domain basis, and a contraction pair fitting such a map can be made
+    unitary.  So square shapes with equal Gram matrices try unitary pairs
+    alone (alternating polar factors, which solves the Procrustes step
+    exactly), and every other map an unconstrained alternating
     least-squares whose factors happen to balance into contractions.  Each
     step works on the whole domain and image stacks S and T: u solves
     u [S_k v]_k = [T_k]_k side by side, v solves [u S_k]_k v = [T_k]_k
@@ -213,21 +216,22 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
         return np.linalg.norm(u @ s @ v - t)
 
     if m == kr and n == kc:
-        starts = [np.eye(n, dtype=complex)]
-        for _ in range(6):
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            starts.append(_polar_unitary(g))
-        for v in starts:
-            last = np.inf
-            for _ in range(120):
-                u = _polar_unitary(t_wide @ _side_by_side(s @ v).conj().T)
-                v = _polar_unitary((u @ s).reshape(-1, n).conj().T @ t_tall)
-                fit = fit_of(u, v)
-                if fit <= 1e-11 * scale:
-                    return u, v
-                if fit > 0.999 * last:
-                    break
-                last = fit
+        # drawn whichever fit runs, so the least-squares starts stay the same
+        draws = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(6)]
+        flat_s, flat_t = s.reshape(len(s), -1), t.reshape(len(t), -1)
+        if np.abs(flat_t.conj() @ flat_t.T - flat_s.conj() @ flat_s.T).max() <= tol.eq_tol * scale:
+            for v in [np.eye(n, dtype=complex)] + [_polar_unitary(g) for g in draws]:
+                last = np.inf
+                for _ in range(120):
+                    u = _polar_unitary(t_wide @ _side_by_side(s @ v).conj().T)
+                    v = _polar_unitary((u @ s).reshape(-1, n).conj().T @ t_tall)
+                    fit = fit_of(u, v)
+                    if fit <= 1e-11 * scale:
+                        return u, v
+                    if fit > 0.999 * last:
+                        break
+                    last = fit
+            return None
 
     for trial in range(6):
         v = (

@@ -4,9 +4,10 @@ Operator algebra products on a space X correspond to contractions z in the
 injective envelope with X z* X inside X, the product being x z* y
 (Kaneda-Paulsen).  The product and the reversed product are two targets of
 one linear system, posed on the algebra's basis transported into its
-envelope; they share one factorization.  The solution for the reversed
-product decides reversibility, for every algebra alike: it certifies it,
-and nonexistence inside an exact envelope refutes it.
+envelope; they share one factorization, taken through the system's
+Kronecker form without building it.  The solution for the reversed product
+decides reversibility, for every algebra alike: it certifies it, and
+nonexistence inside an exact envelope refutes it.
 """
 
 from __future__ import annotations
@@ -69,31 +70,35 @@ class Pairings:
     Both solve b_i v* b_j = mu_ij for v in one TRO, with mu_ij for the
     product and mu_ji for the reversed product.  The map v -> b_i v* b_j is
     conjugate linear, so v is written as sum_k conj(d_k) z_k: the system
-    sum_k d_k b_i z_k* b_j = mu_ij is then complex linear in d, and its
-    matrix depends on the basis and the TRO, not on the table.  One SVD of
-    it, truncated at eq_tol * max(1, s_0), is taken here and serves both
-    right-hand sides: it gives each minimum-norm solution and the null
-    vectors, each of which yields the two real directions n and i n of the
-    solution set.  Each solution is computed the first time it is read.
+    sum_k d_k b_i z_k* b_j = mu_ij is then complex linear in d.  With rows
+    (i, a, j, c), its matrix is (D (x) C) E for D the stacked b_i, C the
+    stacked b_j^T and E the columns z_k*, all read row-major.  With
+    D = U1 S1 V1* and C = U2 S2 V2* it is (U1 (x) U2) M, where M has columns
+    S1 V1* z_k* conj(V2) S2 and at most pq rows.  One SVD of M, truncated at
+    eq_tol * max(1, s_0), serves both tables, each entering as U1* T conj(U2)
+    for T the table as a dp x dq matrix: it gives each minimum-norm solution
+    and the null vectors, each of which yields the two real directions n and
+    i n of the solution set.  The residual is read from the products,
+    D Y C^T - T for Y = sum_k d_k z_k*.  Each solution is computed the first
+    time it is read.
     """
 
     def __init__(self, basis, mu, z_space: TROSpace, tol: ToleranceConfig):
         self.basis = np.asarray(basis, dtype=complex)
         self.mu = np.asarray(mu, dtype=complex)
         self.z_space, self.tol = z_space, tol
-        self._factors = None  # (system, u, s, vh, rank), none for the zero TRO
+        self._factors = None  # (D, C, U1, U2, u, s, vh, rank) with M = u s vh, none for the zero TRO
         t = z_space.dim
         if t == 0:
             return
-        B, Z = self.basis, z_space.space.stack
-        # b_i z_k* = (z_k b_i*)* in (k, i) order, so one product with the b_j lays
-        # out column k of the system contiguously, its rows (i, a, j, c) for the
-        # entry (a, c) of b_i z_k* b_j
-        m = B.shape[1]
-        left = product_stack(Z, B.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-        system = (left.reshape(-1, m) @ B.transpose(1, 0, 2).reshape(m, -1)).reshape(t, -1).T
-        u, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < t)
-        self._factors = (system, u, s, vh, numerical_rank(s, tol.eq_tol, min_scale=1.0))
+        B = self.basis
+        d, p, q = B.shape
+        D, C = B.reshape(d * p, q), B.transpose(0, 2, 1).reshape(d * q, p)
+        u1, s1, vh1 = np.linalg.svd(D, full_matrices=False)
+        u2, s2, vh2 = np.linalg.svd(C, full_matrices=False)
+        m = ((s1[:, None] * vh1) @ z_space.space.stack.conj().transpose(0, 2, 1) @ (vh2.T * s2)).reshape(t, -1).T
+        u, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < t)
+        self._factors = (D, C, u1, u2, u, s, vh, numerical_rank(s, tol.eq_tol, min_scale=1.0))
 
     @cached_property
     def product(self) -> PairingSolution:
@@ -107,19 +112,21 @@ class Pairings:
         if self._factors is None:
             return PairingSolution(None, np.inf, np.inf, 0, "NONE", inconsistent=True, op_norm_lower=np.inf)
         tol, Z, t = self.tol, self.z_space.space.stack, self.z_space.dim
-        system, u, s, vh, rank = self._factors
-        target = mu.transpose(0, 2, 1, 3).ravel()
-        d = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / s[:rank])
-        raw = float(np.linalg.norm(system @ d - target))
+        D, C, u1, u2, u, s, vh, rank = self._factors
+        target = mu.transpose(0, 2, 1, 3).reshape(D.shape[0], C.shape[0])
+        d = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ (u1.conj().T @ target @ u2.conj()).ravel()) / s[:rank])
+        # d and the null vectors conj(vh[rank:]) become elements through conj(.) . z
+        flat = Z.reshape(t, -1)
+        particular = (d.conj() @ flat).reshape(Z.shape[1:])
+        # the residual from the products: Y = sum_k d_k z_k* is particular*
+        raw = float(np.linalg.norm(D @ particular.conj().T @ C.T - target))
         scale = max(1.0, float(np.linalg.norm(target)))
         affine_dim = 2 * (t - rank)
 
         if raw > tol.eq_tol * scale:
             return PairingSolution(None, raw / scale, np.inf, affine_dim, "NONE", inconsistent=True, op_norm_lower=np.inf)
 
-        # d and the null vectors conj(vh[rank:]) become elements through conj(.) . z
-        particular = np.einsum("k,kij->ij", d.conj(), Z)
-        null_elements = np.einsum("nk,kij->nij", vh[rank:], Z)
+        null_elements = (vh[rank:] @ flat).reshape((-1,) + Z.shape[1:])
         directions = tuple(e for n in null_elements for e in (n, 1j * n))
         res = cb.min_opnorm_affine(cb.AffineMatrixSet(particular, directions, 0.0), tol)
         if res.min_norm > 1.0 + tol.sdp_tol:

@@ -15,9 +15,12 @@ multiplicity come from rank counts of explicit products, and the envelope's
 kept blocks are checked against a completely isometric test of every set
 of blocks rather than the Shilov rule's single-block tests.  The violation
 search that stops at its first violating run is checked against the search
-that polishes every level and keeps the best ratio.  Random triangular
-algebras are sampled one seed at a time, each closed by its own
-`close_span` and certified by `verify_algebra`, rather than in batches.
+that polishes every level and keeps the best ratio, and the conjugation
+fit chosen by the Gram matrices against the fit that runs both its loops.
+The factored pairing solve is checked against one SVD of the materialized
+system.  Random triangular algebras are sampled one seed at a time, each
+closed by its own `close_span` and certified by `verify_algebra`, rather
+than in batches.
 """
 
 import itertools
@@ -191,6 +194,41 @@ def pairing_system_by_einsum(basis, tro_stack):
     return system.reshape(-1, len(tro_stack))
 
 
+def pairing_solve_by_dense_system(basis, mu, z_space, tol=DEFAULT_TOL):
+    """Solve b_i v* b_j = mu_ij over a TRO on the materialized system.
+
+    The d^2 pq x t matrix of :func:`pairing_system_by_einsum` takes one SVD;
+    its residual is ||system d - target|| for the minimum-norm d, and the
+    least norm over the solution set is minimized as the library does.
+    Returns the spectrum, the rank and the solution."""
+    t = z_space.dim
+    if t == 0:
+        return np.zeros(0), 0, reversibility.PairingSolution(None, np.inf, np.inf, 0, "NONE", True, np.inf)
+    Z = z_space.space.stack
+    system = pairing_system_by_einsum(basis, Z)
+    target = mu.ravel()
+    u, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < t)
+    rank = int(np.sum(s > tol.eq_tol * max(1.0, s[0])))
+    d = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / s[:rank])
+    raw = float(np.linalg.norm(system @ d - target))
+    scale = max(1.0, float(np.linalg.norm(target)))
+    affine_dim = 2 * (t - rank)
+    if raw > tol.eq_tol * scale:
+        return s, rank, reversibility.PairingSolution(None, raw / scale, np.inf, affine_dim, "NONE", True, np.inf)
+    particular = sum(np.conj(dk) * z for dk, z in zip(d, Z))
+    directions = [e for nk in vh[rank:] for n in [sum(c * z for c, z in zip(nk, Z))] for e in (n, 1j * n)]
+    res = cb.min_opnorm_affine(cb.AffineMatrixSet(particular, tuple(directions), 0.0), tol)
+    if res.min_norm > 1.0 + tol.sdp_tol:
+        return s, rank, reversibility.PairingSolution(None, raw / scale, res.min_norm, affine_dim, "NONE",
+                                                      op_norm_lower=res.lower)
+    element = res.argmin
+    exits = all(np.linalg.norm(element + eps * e, 2) > 1.0 + tol.sdp_tol for e in directions for eps in (0.01, -0.01))
+    status = "UNIQUE_IN_BALL" if exits else "FOUND"
+    residual = pairing_residual_by_einsum(basis, element, mu)
+    return s, rank, reversibility.PairingSolution(element, residual, res.min_norm, affine_dim, status,
+                                                  op_norm_lower=res.lower)
+
+
 def pairing_residual_by_einsum(basis, v, mu):
     """max over (i, j) of |b_i v* b_j - mu_ij| / max(1, |mu_ij|), by einsum."""
     diff = np.einsum("iar,sr,jsc->ijac", basis, v.conj(), basis) - mu
@@ -332,6 +370,74 @@ def violation_search_all_levels(phi, tol, seed):
         if ratios[i] > best_ratio:
             best_ratio, best = float(ratios[i]), coeffs[i]
     return best_ratio, best
+
+
+def conjugation_fit_both_loops(phi, tol, seed):
+    """The conjugation fit that runs both loops whatever the Gram matrices:
+    unitary polar starts for square shapes, then the least-squares trials.
+    Returns (u, v) with phi(x) = u x v on the domain basis and u, v
+    contractions, or None."""
+    m, n = phi.domain.shape
+    kr, kc = phi.codomain_shape
+    s, t = phi.domain.stack, phi.image_stack
+    if phi.domain.dim == 0:
+        return np.zeros((kr, m), complex), np.zeros((n, kc), complex)
+    t_wide, t_tall = cb._side_by_side(t), t.reshape(-1, kc)
+    scale = max(1.0, float(np.linalg.norm(t)))
+    rng = np.random.default_rng(seed)
+
+    def fit_of(u, v):
+        return np.linalg.norm(u @ s @ v - t)
+
+    if m == kr and n == kc:
+        starts = [np.eye(n, dtype=complex)]
+        for _ in range(6):
+            starts.append(cb._polar_unitary(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        for v in starts:
+            last = np.inf
+            for _ in range(120):
+                u = cb._polar_unitary(t_wide @ cb._side_by_side(s @ v).conj().T)
+                v = cb._polar_unitary((u @ s).reshape(-1, n).conj().T @ t_tall)
+                fit = fit_of(u, v)
+                if fit <= 1e-11 * scale:
+                    return u, v
+                if fit > 0.999 * last:
+                    break
+                last = fit
+    for trial in range(6):
+        if trial == 0:
+            v = np.eye(n, kc, dtype=complex)
+        else:
+            v = rng.standard_normal((n, kc)) + 1j * rng.standard_normal((n, kc))
+        last = np.inf
+        for _ in range(60):
+            u = np.linalg.lstsq(cb._side_by_side(s @ v).T, t_wide.T, rcond=None)[0].T
+            v = np.linalg.lstsq((u @ s).reshape(-1, n), t_tall, rcond=None)[0]
+            fit = fit_of(u, v)
+            if fit <= 1e-11 * scale or fit > 0.999 * last:
+                break
+            last = fit
+        if fit > 1e-11 * scale:
+            continue
+        nu, nv = np.linalg.norm(u, 2), np.linalg.norm(v, 2)
+        if nu == 0 or nv == 0:
+            return u, v
+        if nu * nv <= 1.0 + tol.eq_tol:
+            r = np.sqrt(nv / nu)
+            return u * r, v / r
+    return None
+
+
+def fit_and_status_against_both_loops(monkeypatch, phi, tol=DEFAULT_TOL, seed=0):
+    """Whether the library's fit and the two-loop fit find a pair, and the
+    is_completely_contractive status with each fit in place."""
+    found = cb._fit_conjugation_pair(phi, tol, seed) is not None
+    want = conjugation_fit_both_loops(phi, tol, seed) is not None
+    status = cb.is_completely_contractive(phi, tol, seed).status
+    with monkeypatch.context() as patch:
+        patch.setattr(cb, "_fit_conjugation_pair", conjugation_fit_both_loops)
+        want_status = cb.is_completely_contractive(phi, tol, seed).status
+    return (found, status), (want, want_status)
 
 
 def pinned_values_by_einsum(c4, gs):

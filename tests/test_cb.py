@@ -34,6 +34,7 @@ from opalg.linalg import (
 from .oracles import (
     amplify,
     choi,
+    fit_and_status_against_both_loops,
     min_opnorm_grid,
     pinned_adjoint_by_einsum,
     pinned_values_by_einsum,
@@ -577,10 +578,10 @@ def test_batched_polish_matches_block_loop(rng, level):
 
 
 def test_conjugation_fit_stops_once_the_misfit_stalls(monkeypatch):
-    # the transpose of M_2 is no map x -> u x v: every polar start and
-    # every least-squares trial stalls within a few steps; running each to
-    # its cap of 120 or 60 steps would take 1686 polar factors and 720
-    # least-squares solves
+    # the transpose of M_2 is no map x -> u x v: every polar start stalls
+    # within a few steps, where running each to its cap of 120 steps would
+    # take 1686 polar factors.  The transpose keeps the HS Gram matrix, so
+    # no least-squares trial runs (the fit that ran both took up to 60)
     calls = {"polar": 0, "lstsq": 0}
     polar, lstsq = cb._polar_unitary, np.linalg.lstsq
 
@@ -596,9 +597,17 @@ def test_conjugation_fit_stops_once_the_misfit_stalls(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     assert _fit_conjugation_pair(transpose_map(full_matrix_space(2)), DEFAULT_TOL, 0) is None
     # 6 random starts, then at most 5 steps of 2 factors for each of 7
-    # polar starts and 6 least-squares trials
+    # polar starts
     assert calls["polar"] <= 6 + 7 * 2 * 5
-    assert calls["lstsq"] <= 6 * 2 * 5
+    assert calls["lstsq"] == 0
+
+
+@pytest.mark.parametrize("name,phi", SEARCH_CASES, ids=[name for name, _ in SEARCH_CASES])
+def test_conjugation_fit_matches_the_fit_with_both_loops(monkeypatch, name, phi):
+    # running only the fit the Gram matrices admit finds a pair exactly when
+    # running both loops does, and the decision ends the same way
+    got, want = fit_and_status_against_both_loops(monkeypatch, phi)
+    assert got == want, name
 
 
 def _complex(rng, shape):

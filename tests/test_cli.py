@@ -391,13 +391,16 @@ def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):
     # Symmetry checks the transpose alone (22 when it also formed and
     # certified the inverse).  Each faithfulness test takes its own side's
     # kernel (20 when each built both annihilator spans).  Every verdict is
-    # read from one pairing solve, anticommuting algebras included: the
-    # analysis solves once (a second solve would add 4), and the search
-    # solves the anticommuting spans it decides too (21 when -1 settled them)
+    # read from one pairing solve, anticommuting algebras included, and the
+    # search solves the anticommuting spans it decides too (21 when -1
+    # settled them).  The factored pairing solve combines the TRO basis with
+    # the solution and null-vector coefficients by matrix products (14 and
+    # 25 when both were einsum calls; test_analyze_solves_each_pairing_system_once
+    # pins the single solve)
     original, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
     report.analyze_algebra(car_pair)
-    assert len(calls) == 14
+    assert len(calls) == 10
     calls.clear()
     run_search(ambient=3, trials=20, seed=1, max_dim=3, tol=ToleranceConfig())
-    assert len(calls) == 25
+    assert len(calls) == 9

@@ -26,6 +26,7 @@ from opalg.tro import EnvelopeResult, block_decompose, generate_tro, injective_e
 from .oracles import (
     pairing_consistency_by_loops,
     pairing_residual_by_einsum,
+    pairing_solve_by_dense_system,
     pairing_system_by_einsum,
     pairing_system_bruteforce,
 )
@@ -187,32 +188,115 @@ def test_anticommuting_algebras_are_reversible_through_the_solve(rng):
     assert sum(n.startswith("wide-") for n in names) == 16 and len(names) == 2 * 10 + 1 + 16
 
 
+def factored_spectrum(monkeypatch, basis, mu, tro):
+    """The pairings over a TRO and the singular values of the last SVD its
+    factorization took, which is that of the system."""
+    original, spectra = np.linalg.svd, []
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        spectra.append(out[1])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", recording)
+        pairings = Pairings(basis, mu, tro, DEFAULT_TOL)
+    return pairings, spectra[-1] if spectra else np.zeros(0)
+
+
+def assert_same_spectrum(name, s, ref):
+    """Equal singular values up to zeros: the factored core may have fewer
+    rows than the system, and the values it lacks are zero."""
+    size = max(len(s), len(ref))
+    s, ref = np.pad(s, (0, size - len(s))), np.pad(ref, (0, size - len(ref)))
+    assert np.abs(s - ref).max(initial=0.0) <= 1e-12 * max(1.0, ref[0] if size else 0.0), name
+
+
+def rectangular_case(rng):
+    """A generated TRO in M_{3,5} and three of its basis elements, with the
+    table b_i v0* b_j of a contraction v0 in it."""
+    x = orthonormalize(list(rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))))
+    w = generate_tro(x)
+    basis, v0 = w.space.stack[:3], 0.3 * w.basis[1] / op_norm(w.basis[1])
+    return basis, np.array([[bi @ v0.conj().T @ bj for bj in basis] for bi in basis]), w
+
+
 def test_pairing_system_and_residual_match_einsum(monkeypatch, rng):
     # the reversed-product system in the generated TRO of each corpus algebra
-    # and of a conjugate, then a rectangular TRO with a solvable target
+    # and of a conjugate, then a rectangular TRO with a solvable target: the
+    # factored system has the spectrum of the one einsum materializes, and
+    # the solution's residual is the one einsum reads off b_i v* b_j
     cases = []
     for name, A in corpus_and_conjugates(rng):
         n = A.ambient
         mu = product_stack(A.space.stack, A.space.stack).reshape(A.dim, A.dim, n, n)
         cases.append((name, A.space.stack, mu.transpose(1, 0, 2, 3), generate_tro(A.space)))
-    x = orthonormalize(list(rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))))
-    w = generate_tro(x)
-    basis, v0 = w.space.stack[:3], 0.3 * w.basis[1] / op_norm(w.basis[1])
-    mu = np.array([[bi @ v0.conj().T @ bj for bj in basis] for bi in basis])
-    cases.append(("rectangular-3x5", basis, mu, w))
-    original = np.linalg.svd
+    cases.append(("rectangular-3x5",) + rectangular_case(rng))
     for name, basis, mu, tro in cases:
-        factorized = []
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: factorized.append(a) or original(a, *r, **k))
-        sol = Pairings(basis, mu, tro, DEFAULT_TOL).product
-        monkeypatch.setattr(np.linalg, "svd", original)
-        d, m, n = basis.shape  # the solve orders its rows (i, a, j, c), the oracle (i, j, a, c)
-        ref = pairing_system_by_einsum(basis, tro.space.stack).reshape(d, d, m, n, -1).transpose(0, 2, 1, 3, 4)
-        ref = ref.reshape(-1, tro.dim)
-        assert np.abs(factorized[0] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), name
+        pairings, s = factored_spectrum(monkeypatch, basis, mu, tro)
+        sol = pairings.product
+        ref = np.linalg.svd(pairing_system_by_einsum(basis, tro.space.stack), compute_uv=False)
+        assert_same_spectrum(name, s, ref)
         if sol.element is not None:
             assert sol.residual == pytest.approx(pairing_residual_by_einsum(basis, sol.element, mu), abs=1e-12), name
     assert sol.status != "NONE" and sol.residual <= 1e-9  # the rectangular target, last, is solvable
+
+
+def dense_cases(rng):
+    """Product tables over generated TROs: each corpus algebra and a
+    conjugate, the anticommuting family at n = 4, the rectangular TRO with
+    a solvable table, the same on one basis element (a solution set with
+    directions) and a random, inconsistent table."""
+    algebras = list(corpus_and_conjugates(rng)) + [("anticommuting-family-4", ex.anticommuting_family(4))]
+    for name, A in algebras:
+        B, n = A.space.stack, A.ambient
+        yield name, B, product_stack(B, B).reshape(A.dim, A.dim, n, n), generate_tro(A.space)
+    basis, mu, w = rectangular_case(rng)
+    yield "rectangular-3x5", basis, mu, w
+    yield "rectangular-3x5-one-element", basis[:1], mu[:1, :1], w
+    yield "rectangular-3x5-random", basis, rng.standard_normal(mu.shape) + 1j * rng.standard_normal(mu.shape), w
+
+
+def assert_same_solution(name, got, want):
+    assert (got.affine_dim, got.inconsistent, got.status) == (want.affine_dim, want.inconsistent, want.status), name
+    if want.element is None:
+        assert got.element is None, name
+    else:
+        assert hs_norm(got.element - want.element) <= 1e-9, name
+
+
+def test_factored_pairing_solve_matches_the_dense_solve(monkeypatch, rng):
+    # both solutions of each table, product and reversed, against one SVD of
+    # the materialized d^2 pq x t system
+    names = []
+    for name, basis, mu, tro in dense_cases(rng):
+        pairings, s = factored_spectrum(monkeypatch, basis, mu, tro)
+        for label, table in (("product", mu), ("reversed", mu.transpose(1, 0, 2, 3))):
+            got = getattr(pairings, label)
+            ref, rank, want = pairing_solve_by_dense_system(basis, table, tro)
+            assert_same_spectrum(name, s, ref)
+            assert got.affine_dim == 2 * (tro.dim - rank), name
+            assert_same_solution(f"{name} {label}", got, want)
+        names.append((name, pairings.product.inconsistent))
+    assert names[-1] == ("rectangular-3x5-random", True) and not any(bad for _, bad in names[:-1])
+
+
+@pytest.mark.parametrize("factor,inconsistent", [(0.3, False), (3.0, True)])
+def test_pairing_residual_near_eq_tol_is_read_from_products(rng, factor, inconsistent):
+    # a solvable table plus a part outside the system's range, sized to put
+    # the dense residual at factor * eq_tol * scale: ||T||^2 - ||U* T||^2
+    # would leave an error near 1e-8 relative and call both inconsistent
+    basis, mu, w = rectangular_case(rng)
+    system = pairing_system_by_einsum(basis, w.space.stack)
+    u = np.linalg.svd(system)[0][:, : w.dim]
+    noise = rng.standard_normal(system.shape[0]) + 1j * rng.standard_normal(system.shape[0])
+    noise -= u @ (u.conj().T @ noise)
+    size = factor * DEFAULT_TOL.eq_tol * max(1.0, np.linalg.norm(mu))
+    target = mu + (size / np.linalg.norm(noise)) * noise.reshape(mu.shape)
+    _, _, want = pairing_solve_by_dense_system(basis, target, w)
+    got = Pairings(basis, target, w, DEFAULT_TOL).product
+    assert want.inconsistent == inconsistent
+    assert_same_solution(f"factor {factor}", got, want)
 
 
 def test_pairing_consistency_matches_loops(rng, car_pair, pq):
@@ -393,8 +477,42 @@ def test_analyze_solves_each_pairing_system_once(monkeypatch, make):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     rep = report.analyze_algebra(A, skip={"sdp"})
-    assert len(calls) == 1
+    # one factorization: the stacks of the b_i and of the b_j^T, then the
+    # at most pq x t core; the d^2 pq x t system itself is never formed
+    env = injective_envelope(A.space)
+    (d, p, q), t = env.embedding.image_stack.shape, env.envelope.dim
+    assert calls[:2] == [(d * p, q), (d * q, p)] and len(calls) == 3
+    assert calls[2][0] <= p * q and calls[2][1] == t
+    assert all(rows < d * d * p * q for rows, _ in calls)
     assert rep.z is not None and rep.certificates["pairing_reversed"] is not None
+
+
+def test_family_pairing_memory_stays_small(monkeypatch):
+    # the materialized system of anticommuting_family(6) took a 260 MB
+    # tracemalloc peak; the factored one keeps every SVD input at most pq rows
+    import sys
+    import tracemalloc
+
+    from opalg import report
+
+    A = ex.anticommuting_family(6)
+    rows, original = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "opalg.reversibility":
+            rows.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    tracemalloc.start()
+    try:
+        rep = report.analyze_algebra(A, skip={"sdp"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdicts["reversible"] == "YES"
+    assert peak < 100e6
+    assert max(rows) <= A.ambient**2
 
 
 def test_pairings_in_a_conjugated_envelope(rng, car_pair, pq):

@@ -20,6 +20,7 @@ from .oracles import (
     block_shape_by_ranks,
     completely_isometric_kept_sets,
     embedding_residuals_by_loops,
+    fit_and_status_against_both_loops,
     star_closure_of_pairs,
     tro_by_triple_products,
 )
@@ -521,6 +522,24 @@ def test_every_deletion_decision_is_settled(monkeypatch):
         assert given.status == conjugated.status == "EXACT"
         assert given.deleted_blocks == conjugated.deleted_blocks != ()
     assert statuses and set(statuses) <= {tro.cb.FEASIBLE, tro.cb.INFEASIBLE}
+
+
+def test_deletion_fits_match_the_fit_with_both_loops(monkeypatch):
+    # each deletion map of the deleting spans: running only the fit the Gram
+    # matrices admit finds a pair exactly when running both loops does, and
+    # the decision ends the same way
+    original, decisions = tro.cb.is_completely_contractive, []
+    with monkeypatch.context() as patch:
+        patch.setattr(tro.cb, "is_completely_contractive", lambda *a: decisions.append(a) or original(*a))
+        for i in WIDE_DELETING:
+            injective_envelope(WIDE_SAMPLE[i])
+    assert len(decisions) >= len(WIDE_DELETING)
+    outcomes = []
+    for phi, tol, seed in decisions:
+        got, want = fit_and_status_against_both_loops(monkeypatch, phi, tol, seed)
+        assert got == want
+        outcomes.append(got)
+    assert {found for found, _ in outcomes} == {True, False}
 
 
 @pytest.mark.parametrize("name", list(TRO_INPUTS) + list(ENVELOPE_CASES))
