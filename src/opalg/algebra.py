@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
+    adjoints,
     as_matrix,
     contains,
     hs_norm,
@@ -40,6 +41,8 @@ __all__ = [
     "NotThreeCommutativeError",
     "WedderburnSplit",
     "verify_algebra",
+    "verify_algebras",
+    "commutation_predicates",
     "is_commutative",
     "is_anticommuting",
     "is_three_commutative",
@@ -102,7 +105,7 @@ class MatrixAlgebra:
         of |b_i b_j - b_j b_i| and |b_i b_j + b_j b_i|, each over
         max(1, |b_i b_j|).  Taken once per algebra; they do not depend on a
         tolerance."""
-        return _pair_deviation(self, -1.0), _pair_deviation(self, +1.0)
+        return tuple(float(dev) for dev in _pair_deviations(self.structure))
 
     @cached_property
     def _radicals(self) -> dict:
@@ -127,44 +130,80 @@ def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixA
     coefficients of the projections are kept as the structure tensor.  Input
     matrices are each scaled to unit Hilbert-Schmidt norm before their span
     is taken, so the rank cutoff does not depend on how their scales spread;
-    a zero matrix stays zero.
+    a zero matrix stays zero.  The span is certified by
+    :func:`verify_algebras` as a batch of one.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(space_or_mats, Subspace):
         space = space_or_mats
     else:
         space = orthonormalize([_unit_scaled(as_matrix(x)) for x in space_or_mats], tol)
-    if space.ambient_rows != space.ambient_cols:
+    return verify_algebras([space], tol)[0]
+
+
+def verify_algebras(spaces, tol: ToleranceConfig | None = None) -> list:
+    """:func:`verify_algebra` on spans of one dimension and one square
+    ambient, from one stack of every member's pairwise products and one
+    projection of it; raises for the first member that is not closed."""
+    tol = tol or DEFAULT_TOL
+    if any(space.ambient_rows != space.ambient_cols for space in spaces):
         raise ValueError("an algebra needs a square ambient space")
-    d = space.dim
-    worst = 0.0
-    worst_pair = None
-    coeffs = np.zeros((0, 0), complex)
-    if d:
-        prods = product_stack(space.stack, space.stack)
-        flat = prods.reshape(d * d, -1)
-        basis_flat = space.stack.reshape(d, -1)
-        coeffs = flat @ basis_flat.conj().T
-        res = np.linalg.norm(flat - coeffs @ basis_flat, axis=1)
-        rel = res / np.maximum(1.0, np.linalg.norm(flat, axis=1))
-        k = int(np.argmax(rel))
-        worst = float(rel[k])
-        worst_pair = divmod(k, d)
-    if worst > tol.eq_tol:
+    stack = np.stack([space.stack for space in spaces])
+    g, d, n, _ = stack.shape
+    prods = product_stack(stack, stack).reshape(g, d * d, n * n)
+    basis_flat = stack.reshape(g, d, n * n)
+    coeffs = prods @ adjoints(basis_flat)
+    res = np.linalg.norm(prods - coeffs @ basis_flat, axis=-1)
+    rel = res / np.maximum(1.0, np.linalg.norm(prods, axis=-1))
+    worst = rel.max(axis=-1, initial=0.0)
+    for i in np.flatnonzero(worst > tol.eq_tol)[:1]:
+        pair = divmod(int(np.argmax(rel[i])), d)
         raise NotAnAlgebraError(
-            f"span is not closed under the product: basis pair {worst_pair} "
-            f"has projection residual {worst:.3e}",
-            worst_pair=worst_pair,
-            residual=worst,
+            f"span is not closed under the product: basis pair {pair} "
+            f"has projection residual {worst[i]:.3e}",
+            worst_pair=pair,
+            residual=float(worst[i]),
         )
-    return MatrixAlgebra(space, worst, tol, coeffs.reshape(d, d, d))
+    structures = coeffs.reshape(g, d, d, d)
+    return [MatrixAlgebra(space, float(w), tol, c) for space, w, c in zip(spaces, worst, structures)]
 
 
-def _pair_deviation(A: MatrixAlgebra, sign: float) -> float:
-    """max over pairs of |b_i b_j + sign b_j b_i| / max(1, |b_i b_j|)."""
-    c = A.structure
-    dev = np.linalg.norm(c + sign * c.transpose(1, 0, 2), axis=2)
-    return float((dev / np.maximum(1.0, np.linalg.norm(c, axis=2))).max(initial=0.0))
+def _pair_deviations(structure: np.ndarray) -> tuple:
+    """(commutator, anticommutator) deviations of structure tensors stacked
+    on leading axes (..., d, d, d): the max over pairs of
+    |b_i b_j -+ b_j b_i| / max(1, |b_i b_j|), one per member."""
+    scale = np.maximum(1.0, np.linalg.norm(structure, axis=-1))
+    swapped = np.swapaxes(structure, -3, -2)
+    return tuple(
+        (np.linalg.norm(structure + sign * swapped, axis=-1) / scale).max(axis=(-2, -1), initial=0.0)
+        for sign in (-1.0, 1.0)
+    )
+
+
+def _three_commutative(structure: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Permutation invariance of every triple product, for structure tensors
+    stacked on leading axes (..., d, d, d); one boolean per member."""
+    *lead, d, _, _ = structure.shape
+    # triple[..., i, j, k] holds the coefficients of b_i b_j b_k
+    triple = (structure.reshape(*lead, d * d, d) @ structure.reshape(*lead, d, d * d)).reshape(*lead, d, d, d, d)
+    scale = tol.eq_tol * np.maximum(1.0, np.linalg.norm(triple, axis=-1))
+    n = len(lead)
+    # the five other orders of the three factors, as one stack
+    permuted = np.stack([
+        triple.transpose(*range(n), *(n + k for k in perm), n + 3)
+        for perm in list(itertools.permutations(range(3)))[1:]
+    ])
+    return (np.linalg.norm(permuted - triple, axis=-1) <= scale).all(axis=(0, -3, -2, -1))
+
+
+def commutation_predicates(algebras, tol: ToleranceConfig | None = None) -> tuple:
+    """(commutative, anticommuting, three_commutative) of algebras of one
+    dimension, each a boolean array with one entry per algebra, read from
+    their stacked structure tensors."""
+    tol = tol or algebras[0].tol
+    structure = np.stack([A.structure for A in algebras])
+    commutator, anticommutator = _pair_deviations(structure)
+    return commutator <= tol.eq_tol, anticommutator <= tol.eq_tol, _three_commutative(structure, tol)
 
 
 def is_commutative(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -> bool:
@@ -185,15 +224,7 @@ def is_three_commutative(A: MatrixAlgebra, tol: ToleranceConfig | None = None) -
     all products of length >= 3, because an adjacent transposition always
     sits inside some window of three consecutive factors.
     """
-    tol = tol or A.tol
-    c = A.structure
-    # triple[i, j, k] holds the coefficients of b_i b_j b_k
-    triple = np.einsum("ijl,lkm->ijkm", c, c)
-    scale = tol.eq_tol * np.maximum(1.0, np.linalg.norm(triple, axis=3))
-    return all(
-        (np.linalg.norm(triple - triple.transpose(*perm, 3), axis=3) <= scale).all()
-        for perm in itertools.permutations(range(3))
-    )
+    return bool(_three_commutative(A.structure, tol or A.tol))
 
 
 def _elements(A: MatrixAlgebra, coeffs) -> np.ndarray:

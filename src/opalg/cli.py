@@ -476,21 +476,31 @@ def cmd_reproduce(args) -> int:
 # search
 
 
-def _signature(A, verdict, tol) -> tuple:
-    """(signature string, whether A is a noncommutative reversible hit)."""
-    commutative = alg.is_commutative(A, tol)
-    parts = [
-        f"dim={A.dim}",
-        f"commutative={commutative}",
-        f"anticommuting={alg.is_anticommuting(A, tol)}",
-        f"three_commutative={alg.is_three_commutative(A, tol)}",
-        f"reversible={verdict}",
-    ]
-    return " ".join(parts), verdict == "YES" and not commutative
+def _decide(spaces, tol: ToleranceConfig, seed: int) -> list:
+    """(signature string, noncommutative reversible hit, undecided) of each
+    span, decided a dimension at a time: the spans of one dimension are
+    certified, classified and decided as one stack of algebras."""
+    out = [None] * len(spaces)
+    by_dim = {}
+    for i, space in enumerate(spaces):
+        by_dim.setdefault(space.dim, []).append(i)
+    for dim, idx in by_dim.items():
+        algebras = alg.verify_algebras([spaces[i] for i in idx], tol)
+        predicates = zip(*alg.commutation_predicates(algebras, tol))
+        verdicts = reversibility.decide_reversibles(algebras, tol, seed)
+        for i, (commutative, anticommuting, three), verdict in zip(idx, predicates, verdicts):
+            rev = verdict.reversible
+            sig = (
+                f"dim={dim} commutative={bool(commutative)} anticommuting={bool(anticommuting)} "
+                f"three_commutative={bool(three)} reversible={rev}"
+            )
+            out[i] = (sig, rev == "YES" and not commutative, rev == "UNDECIDED")
+    return out
 
 
 # trials sampled, keyed and decided together: a chunk's closures share
-# batched SVDs, and the working arrays do not grow with the trial count
+# batched SVDs, its cache misses are decided as stacks, and the working
+# arrays do not grow with the trial count
 _CHUNK = 64
 
 
@@ -503,47 +513,53 @@ def run_search(
     is decided and classified once: the cache key is a digest of its rounded
     projector, which depends on the span and not the basis.  The trials'
     spans are sampled _CHUNK at a time, each certified closed under the
-    product, and an algebra is built only for a span the cache has not
-    seen."""
+    product; the spans of a chunk that the cache has not seen are decided
+    together, one stack per dimension.  The summary counts the spans
+    decided (`distinct_spans`) and the trials whose verdict is UNDECIDED."""
     trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
     signatures: dict = {}
     hits = []
-    # span key -> (signature, hit), one tuple per distinct outcome
+    # span key -> (signature, hit, undecided), one tuple per distinct outcome
     cache: dict = {}
     outcomes: dict = {}
-    for trial_seed, space, A in _samples(ambient, max_dim, trial_seeds, tol, include):
-        if space.ambient_rows != ambient:
-            raise ValueError("included algebra does not match the search ambient")
-        # the verdict and the predicates depend only on the subspace
-        key = _subspace_key(space)
-        if key not in cache:
-            A = A if A is not None else alg.verify_algebra(space, tol)
-            outcome = _signature(A, reversibility.decide_reversible(A, tol, seed).reversible, tol)
+    undecided = 0
+    for chunk in _chunks(ambient, max_dim, trial_seeds, tol, include):
+        keys = [_subspace_key(space) for _, space in chunk]
+        misses = {}
+        for key, (_, space) in zip(keys, chunk):
+            if key not in cache:
+                misses.setdefault(key, space)
+        for key, outcome in zip(misses, _decide(list(misses.values()), tol, seed)):
             cache[key] = outcomes.setdefault(outcome, outcome)
-        sig, hit = cache[key]
-        signatures[sig] = signatures.get(sig, 0) + 1
-        if hit:
-            hits.append({
-                "seed": trial_seed,
-                "basis": [matrix_to_wire(b) for b in space.basis],
-            })
+        for key, (trial_seed, space) in zip(keys, chunk):
+            sig, hit, unsettled = cache[key]
+            signatures[sig] = signatures.get(sig, 0) + 1
+            undecided += unsettled
+            if hit:
+                hits.append({
+                    "seed": trial_seed,
+                    "basis": [matrix_to_wire(b) for b in space.basis],
+                })
     return {
         "ambient": ambient,
         "trials": len(include) + trials,
         "signatures": signatures,
         "noncommutative_reversible": hits,
+        "distinct_spans": len(cache),
+        "undecided": undecided,
     }
 
 
-def _samples(ambient, max_dim, trial_seeds, tol, include):
-    """(trial seed, span, algebra or None) for the included algebras, then
-    for each trial, sampled _CHUNK trials at a time."""
-    for A in include:
-        yield None, A.space, A
+def _chunks(ambient, max_dim, trial_seeds, tol, include):
+    """Lists of (trial seed, span): the included algebras' spans (seed
+    None), then the trials, sampled _CHUNK at a time."""
+    if include:
+        if any(A.space.ambient_rows != ambient for A in include):
+            raise ValueError("included algebra does not match the search ambient")
+        yield [(None, A.space) for A in include]
     for start in range(0, len(trial_seeds), _CHUNK):
         chunk = [int(s) for s in trial_seeds[start : start + _CHUNK]]
-        for trial_seed, space in zip(chunk, examples.random_triangular_spans(ambient, max_dim, chunk, tol)):
-            yield trial_seed, space, None
+        yield list(zip(chunk, examples.random_triangular_spans(ambient, max_dim, chunk, tol)))
 
 
 def _subspace_key(space) -> bytes:

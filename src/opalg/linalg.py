@@ -19,10 +19,12 @@ __all__ = [
     "Subspace",
     "LinearMapOnSubspace",
     "as_matrix",
+    "adjoints",
     "hs_inner",
     "hs_norm",
     "op_norm",
     "numerical_rank",
+    "basis_and_rank",
     "row_basis",
     "orthonormalize",
     "close_span",
@@ -32,6 +34,7 @@ __all__ = [
     "sqrt_psd",
     "identity_map",
     "product_stack",
+    "relative_gaps",
     "max_relative_gap",
     "max_projection_residual",
     "random_unitary",
@@ -72,6 +75,11 @@ def as_matrix(x) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def adjoints(stack: np.ndarray) -> np.ndarray:
+    """The adjoint of each matrix of a stack (..., rows, cols)."""
+    return np.swapaxes(stack.conj(), -1, -2)
 
 
 def hs_inner(a, b) -> complex:
@@ -147,7 +155,7 @@ def numerical_rank(s: np.ndarray, rel_tol: float, min_scale: float = 0.0):
     return int(np.sum(s > rel_tol * max(min_scale, s[0]))) if s.size else 0
 
 
-def _basis_and_rank(rows: np.ndarray, rel_tol: float, min_scale: float = 0.0):
+def basis_and_rank(rows: np.ndarray, rel_tol: float, min_scale: float = 0.0):
     """:func:`row_basis` and the rank of each member."""
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     rank = numerical_rank(s, rel_tol, min_scale)
@@ -163,7 +171,7 @@ def row_basis(rows: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.nd
     A stack (..., m, n) gives a stack of bases, trimmed to the largest
     rank; a member's rows beyond its own rank are zero.
     """
-    return _basis_and_rank(rows, rel_tol, min_scale)[0]
+    return basis_and_rank(rows, rel_tol, min_scale)[0]
 
 
 def orthonormalize(mats, tol: ToleranceConfig | None = None, *, shape=None) -> Subspace:
@@ -221,7 +229,7 @@ def close_span(seed, step, tol: ToleranceConfig | None = None, shape=None):
     tol = tol or DEFAULT_TOL
     if isinstance(seed, np.ndarray) and seed.ndim == 4:
         t, k, rows, cols = seed.shape
-        basis, dims = _basis_and_rank(seed.reshape(t, k, rows * cols), tol.eq_tol)
+        basis, dims = basis_and_rank(seed.reshape(t, k, rows * cols), tol.eq_tol)
         return _close_rows(basis, dims, step, tol, (rows, cols))
     cur = seed if isinstance(seed, Subspace) else orthonormalize(seed, tol, shape=shape)
     flat = cur.stack.reshape(1, cur.dim, cur.ambient_rows * cur.ambient_cols)
@@ -242,11 +250,11 @@ def _close_rows(basis, dims, step, tol, shape):
         if idx.size == 0:
             break
         images = step(basis.reshape(*basis.shape[:2], *shape)).reshape(idx.size, -1, size)
-        nxt, nxt_dims = _basis_and_rank(np.concatenate([basis, images], axis=1), tol.eq_tol)
+        nxt, nxt_dims = basis_and_rank(np.concatenate([basis, images], axis=1), tol.eq_tol)
         done = nxt_dims == dims
         if done.any():
             fixed, im = nxt[done], images[done]
-            res = np.linalg.norm(im - im @ fixed.conj().transpose(0, 2, 1) @ fixed, axis=-1)
+            res = np.linalg.norm(im - im @ adjoints(fixed) @ fixed, axis=-1)
             res = res / np.maximum(1.0, np.linalg.norm(im, axis=-1))
             settled.append((idx[done], fixed, dims[done], res.max(axis=-1, initial=0.0)))
         grew = ~done
@@ -358,10 +366,14 @@ def product_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.swapaxes(flat.reshape(*lead, a, i, b, k), -3, -2).reshape(*lead, a * b, i, k)
 
 
+def relative_gaps(ref: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """|ref - other| / max(1, |ref|) for each matrix of two stacks."""
+    return np.linalg.norm(ref - other, axis=(-2, -1)) / np.maximum(1.0, np.linalg.norm(ref, axis=(-2, -1)))
+
+
 def max_relative_gap(ref: np.ndarray, other: np.ndarray) -> float:
-    """Largest |ref - other| / max(1, |ref|) over two stacks of matrices (0 when empty)."""
-    gaps = np.linalg.norm(ref - other, axis=(-2, -1)) / np.maximum(1.0, np.linalg.norm(ref, axis=(-2, -1)))
-    return float(gaps.max(initial=0.0))
+    """Largest :func:`relative_gaps` over two stacks of matrices (0 when empty)."""
+    return float(relative_gaps(ref, other).max(initial=0.0))
 
 
 def max_projection_residual(space: Subspace, stack: np.ndarray) -> float:

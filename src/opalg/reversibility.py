@@ -21,6 +21,7 @@ from . import cb
 from .algebra import MatrixAlgebra, is_commutative
 from .linalg import (
     ToleranceConfig,
+    adjoints,
     as_matrix,
     contains,
     hs_norm,
@@ -29,16 +30,19 @@ from .linalg import (
     numerical_rank,
     op_norm,
     product_stack,
+    relative_gaps,
 )
-from .tro import EnvelopeResult, TROSpace, injective_envelope
+from .tro import EnvelopeResult, TROSpace, injective_envelopes
 
 __all__ = [
     "PairingSolution",
     "Pairings",
     "ReversibilityVerdict",
     "solve_pairing",
+    "solve_pairings",
     "certify_reversal_element",
     "decide_reversible",
+    "decide_reversibles",
     "PairingConsistency",
     "pairing_consistency",
 ]
@@ -79,83 +83,163 @@ class Pairings:
     for T the table as a dp x dq matrix: it gives each minimum-norm solution
     and the null vectors, each of which yields the two real directions n and
     i n of the solution set.  The residual is read from the products,
-    D Y C^T - T for Y = sum_k d_k z_k*.  Each solution is computed the first
-    time it is read.
+    D Y C^T - T for Y = sum_k d_k z_k*.
+
+    Systems of one shape (d, p, q and TRO dimension t) are factored and
+    solved as one stack, :func:`Pairings.batch`; a single system is a batch
+    of one.  A system with no null direction has the minimum-norm solution
+    as its only one, so its least norm is that solution's, taken stacked
+    with the others'; a system with null directions minimizes the norm
+    over them on its own.  Each table's solutions are computed, for the
+    whole batch, the first time one member's is read.
     """
 
     def __init__(self, basis, mu, z_space: TROSpace, tol: ToleranceConfig):
-        self.basis = np.asarray(basis, dtype=complex)
-        self.mu = np.asarray(mu, dtype=complex)
-        self.z_space, self.tol = z_space, tol
+        basis, mu = np.asarray(basis, dtype=complex), np.asarray(mu, dtype=complex)
+        self._batch, self._at = _PairingBatch(basis[None], mu[None], z_space.space.stack[None], tol), 0
+
+    @classmethod
+    def batch(cls, basis, mu, z_spaces, tol: ToleranceConfig) -> list:
+        """The pairings of stacked systems: bases (G, d, p, q), tables
+        (G, d, d, p, q) and G TROs of one dimension, one factorization."""
+        z = np.stack([w.space.stack for w in z_spaces])
+        shared = _PairingBatch(np.asarray(basis, dtype=complex), np.asarray(mu, dtype=complex), z, tol)
+        members = [cls.__new__(cls) for _ in z_spaces]
+        for at, member in enumerate(members):
+            member._batch, member._at = shared, at
+        return members
+
+    @property
+    def product(self) -> PairingSolution:
+        return self._batch.product[self._at]
+
+    @property
+    def reversed(self) -> PairingSolution:
+        return self._batch.reversed[self._at]
+
+
+class _PairingBatch:
+    """The factorization of G pairing systems of one shape, and both tables' solutions."""
+
+    def __init__(self, basis, mu, z, tol: ToleranceConfig):
+        self.basis, self.mu, self.z, self.tol = basis, mu, z, tol
         self._factors = None  # (D, C, U1, U2, u, s, vh, rank) with M = u s vh, none for the zero TRO
-        t = z_space.dim
+        g, t = z.shape[:2]
         if t == 0:
             return
-        B = self.basis
-        d, p, q = B.shape
-        D, C = B.reshape(d * p, q), B.transpose(0, 2, 1).reshape(d * q, p)
+        _, d, p, q = basis.shape
+        D, C = basis.reshape(g, d * p, q), np.swapaxes(basis, -1, -2).reshape(g, d * q, p)
         u1, s1, vh1 = np.linalg.svd(D, full_matrices=False)
         u2, s2, vh2 = np.linalg.svd(C, full_matrices=False)
-        m = ((s1[:, None] * vh1) @ z_space.space.stack.conj().transpose(0, 2, 1) @ (vh2.T * s2)).reshape(t, -1).T
-        u, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < t)
+        left, right = s1[..., None] * vh1, np.swapaxes(vh2, -1, -2) * s2[:, None, :]
+        m = np.swapaxes((left[:, None] @ adjoints(z) @ right[:, None]).reshape(g, t, -1), -1, -2)
+        u, s, vh = np.linalg.svd(m, full_matrices=m.shape[1] < t)
         self._factors = (D, C, u1, u2, u, s, vh, numerical_rank(s, tol.eq_tol, min_scale=1.0))
 
     @cached_property
-    def product(self) -> PairingSolution:
+    def product(self) -> tuple:
         return self._solve(self.mu)
 
     @cached_property
-    def reversed(self) -> PairingSolution:
-        return self._solve(self.mu.transpose(1, 0, 2, 3))
+    def reversed(self) -> tuple:
+        return self._solve(np.swapaxes(self.mu, 1, 2))
 
-    def _solve(self, mu) -> PairingSolution:
+    def _solve(self, mu) -> tuple:
+        g, t = self.z.shape[:2]
         if self._factors is None:
-            return PairingSolution(None, np.inf, np.inf, 0, "NONE", inconsistent=True, op_norm_lower=np.inf)
-        tol, Z, t = self.tol, self.z_space.space.stack, self.z_space.dim
+            return (PairingSolution(None, np.inf, np.inf, 0, "NONE", inconsistent=True, op_norm_lower=np.inf),) * g
+        tol, B, Z = self.tol, self.basis, self.z
         D, C, u1, u2, u, s, vh, rank = self._factors
-        target = mu.transpose(0, 2, 1, 3).reshape(D.shape[0], C.shape[0])
-        d = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ (u1.conj().T @ target @ u2.conj()).ravel()) / s[:rank])
+        target = np.swapaxes(mu, 2, 3).reshape(g, D.shape[1], C.shape[1])
+        rhs = (adjoints(u) @ (adjoints(u1) @ target @ u2.conj()).reshape(g, -1, 1))[..., 0]
+        kept = np.arange(s.shape[1]) < rank[:, None]
+        coeffs = np.divide(rhs, s, out=np.zeros_like(rhs), where=kept)
+        d = (adjoints(vh[:, : s.shape[1]]) @ coeffs[..., None])[..., 0]
         # d and the null vectors conj(vh[rank:]) become elements through conj(.) . z
-        flat = Z.reshape(t, -1)
-        particular = (d.conj() @ flat).reshape(Z.shape[1:])
+        flat = Z.reshape(g, t, -1)
+        particular = (d.conj()[:, None] @ flat).reshape(g, *Z.shape[2:])
         # the residual from the products: Y = sum_k d_k z_k* is particular*
-        raw = float(np.linalg.norm(D @ particular.conj().T @ C.T - target))
-        scale = max(1.0, float(np.linalg.norm(target)))
-        affine_dim = 2 * (t - rank)
+        raw = np.linalg.norm(D @ adjoints(particular) @ np.swapaxes(C, -1, -2) - target, axis=(1, 2))
+        scale = np.maximum(1.0, np.linalg.norm(target, axis=(1, 2)))
+        consistent = raw <= tol.eq_tol * scale
 
-        if raw > tol.eq_tol * scale:
-            return PairingSolution(None, raw / scale, np.inf, affine_dim, "NONE", inconsistent=True, op_norm_lower=np.inf)
+        # each consistent system's (element, least norm found, lower bound, status); with no
+        # null direction the minimum-norm solution is the only one, so its norm is the least
+        found = {}
+        unique = np.flatnonzero(consistent & (rank == t)).tolist()
+        norms = np.linalg.svd(particular[unique], compute_uv=False)[:, 0].tolist() if unique else []
+        for i, norm in zip(unique, norms):
+            found[i] = (particular[i], norm, norm, "UNIQUE_IN_BALL")
+        for i in np.flatnonzero(consistent & (rank < t)).tolist():
+            found[i] = _least_norm(particular[i], vh[i, rank[i] :] @ flat[i], tol)
+        inside = sorted(i for i, (_, norm, _, _) in found.items() if norm <= 1.0 + tol.sdp_tol)
+        final_res = {}
+        if inside:
+            Bi, elements = B[inside], np.stack([found[i][0] for i in inside])
+            prods = product_stack(Bi @ adjoints(elements)[:, None], Bi).reshape(mu[inside].shape)
+            gaps = relative_gaps(mu[inside], prods).reshape(len(inside), -1).max(axis=1, initial=0.0)
+            final_res = dict(zip(inside, gaps.tolist()))
 
-        null_elements = (vh[rank:] @ flat).reshape((-1,) + Z.shape[1:])
-        directions = tuple(e for n in null_elements for e in (n, 1j * n))
-        res = cb.min_opnorm_affine(cb.AffineMatrixSet(particular, directions, 0.0), tol)
-        if res.min_norm > 1.0 + tol.sdp_tol:
-            return PairingSolution(None, raw / scale, res.min_norm, affine_dim, "NONE", op_norm_lower=res.lower)
-        element = res.argmin
-        B = self.basis
-        final_res = max_relative_gap(mu, product_stack(B @ element.conj().T, B).reshape(mu.shape))
-        exits = all(
-            op_norm(element + eps * direction) > 1.0 + tol.sdp_tol
-            for direction in directions
-            for eps in (0.01, -0.01)
-        )
-        status = "UNIQUE_IN_BALL" if exits else "FOUND"  # vacuously unique with no directions
-        return PairingSolution(element, final_res, res.min_norm, affine_dim, status, op_norm_lower=res.lower)
+        out = []
+        for i in range(g):
+            affine_dim, rel = 2 * (t - int(rank[i])), float(raw[i] / scale[i])
+            if not consistent[i]:
+                out.append(PairingSolution(None, rel, np.inf, affine_dim, "NONE", True, np.inf))
+                continue
+            element, norm, lower, status = found[i]
+            if i in final_res:
+                out.append(PairingSolution(element, final_res[i], norm, affine_dim, status, op_norm_lower=lower))
+            else:
+                out.append(PairingSolution(None, rel, norm, affine_dim, "NONE", op_norm_lower=lower))
+        return tuple(out)
+
+
+def _least_norm(particular, null_elements, tol: ToleranceConfig) -> tuple:
+    """(element, least norm found, lower bound, status) over particular plus
+    the real span of the null elements n and i n: the minimizer, and
+    UNIQUE_IN_BALL when every sampled step along a direction leaves the
+    ball."""
+    directions = tuple(e for n in null_elements.reshape(-1, *particular.shape) for e in (n, 1j * n))
+    res = cb.min_opnorm_affine(cb.AffineMatrixSet(particular, directions, 0.0), tol)
+    element = res.argmin
+    exits = res.min_norm <= 1.0 + tol.sdp_tol and all(
+        op_norm(element + eps * direction) > 1.0 + tol.sdp_tol
+        for direction in directions
+        for eps in (0.01, -0.01)
+    )
+    return element, res.min_norm, res.lower, "UNIQUE_IN_BALL" if exits else "FOUND"
 
 
 def solve_pairing(A: MatrixAlgebra, env: EnvelopeResult, tol: ToleranceConfig | None = None) -> Pairings:
-    """Both pairing solutions of A in its envelope, from one factorization.
+    """Both pairing solutions of A in its envelope: :func:`solve_pairings` as a batch of one."""
+    return solve_pairings([A], [env], tol)[0]
 
-    The system is posed on A's basis transported into the envelope by the
-    embedding (the identity for an exact envelope), which the envelope
-    contains even when blocks were deleted, and the product table is read
-    off A's structure tensor.
+
+def solve_pairings(algebras, envelopes, tol: ToleranceConfig | None = None) -> list:
+    """Both pairing solutions of each algebra in its envelope; the systems
+    of one shape share one stacked factorization.
+
+    Each system is posed on the algebra's basis transported into the
+    envelope by the embedding (the identity for an exact envelope), which
+    the envelope contains even when blocks were deleted, and the product
+    table is read off the algebra's structure tensor.
     """
-    tol = tol or A.tol
-    basis = env.embedding.image_stack
-    if basis.shape != (A.dim,) + env.envelope.space.shape:
-        raise ValueError("the envelope's embedding must carry A's basis into the envelope")
-    return Pairings(basis, np.tensordot(A.structure, basis, axes=1), env.envelope, tol)
+    tol = tol or algebras[0].tol
+    groups = {}
+    for i, (A, env) in enumerate(zip(algebras, envelopes)):
+        basis = env.embedding.image_stack
+        if basis.shape != (A.dim,) + env.envelope.space.shape:
+            raise ValueError("the envelope's embedding must carry A's basis into the envelope")
+        groups.setdefault((basis.shape, env.envelope.dim), []).append(i)
+    out = [None] * len(algebras)
+    for idx in groups.values():
+        basis = np.stack([envelopes[i].embedding.image_stack for i in idx])
+        c = np.stack([algebras[i].structure for i in idx])
+        g, d, p, q = basis.shape
+        mu = (c.reshape(g, d * d, d) @ basis.reshape(g, d, p * q)).reshape(g, d, d, p, q)
+        for i, member in zip(idx, Pairings.batch(basis, mu, [envelopes[i].envelope for i in idx], tol)):
+            out[i] = member
+    return out
 
 
 def certify_reversal_element(
@@ -196,17 +280,32 @@ def decide_reversible(
 ) -> ReversibilityVerdict:
     """Is A with reversed multiplication still an operator algebra?
 
+    :func:`decide_reversibles` as a batch of one.
+    """
+    return decide_reversibles([A], tol, seed, None if envelope is None else [envelope])[0]
+
+
+def decide_reversibles(algebras, tol: ToleranceConfig | None = None, seed: int = 0, envelopes=None) -> list:
+    """Is each algebra with reversed multiplication still an operator
+    algebra?  The algebras share one dimension and ambient.
+
     The reversed-product pairing system is solved in the envelope, and the
     verdict is read from that solve alone: a solution in the ball certifies
     YES.  NO needs an exact envelope and a lower bound on the least norm
     above 1 + sdp_tol (infinite for an inconsistent system), which the dual
     witness certifies; a candidate envelope, or a bracket that contains 1,
-    leaves it UNDECIDED.  Only the reversed solution is computed; the
-    product one is there to be read.
+    leaves it UNDECIDED.  Only the reversed solutions are computed; the
+    product ones are there to be read.  The envelopes, unless given, come
+    from :func:`injective_envelopes`, and the solves from
+    :func:`solve_pairings`, so systems of one shape are solved stacked.
     """
-    tol = tol or A.tol
-    env = envelope if envelope is not None else injective_envelope(A.space, tol, seed)
-    pairings = solve_pairing(A, env, tol)
+    tol = tol or algebras[0].tol
+    if envelopes is None:
+        envelopes = injective_envelopes([A.space for A in algebras], tol, seed)
+    return [_verdict(p, env, tol) for p, env in zip(solve_pairings(algebras, envelopes, tol), envelopes)]
+
+
+def _verdict(pairings: Pairings, env: EnvelopeResult, tol: ToleranceConfig) -> ReversibilityVerdict:
     sol = pairings.reversed
     if sol.status != "NONE":
         return ReversibilityVerdict("YES", (), pairings)

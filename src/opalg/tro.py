@@ -30,7 +30,9 @@ from .linalg import (
     LinearMapOnSubspace,
     Subspace,
     ToleranceConfig,
+    adjoints,
     as_matrix,
+    basis_and_rank,
     close_span,
     contains,
     hs_norm,
@@ -51,10 +53,12 @@ __all__ = [
     "EnvelopeResult",
     "DegenerateDecompositionError",
     "generate_tro",
+    "generate_tros",
     "linking_algebra",
     "support_projections",
     "block_decompose",
     "injective_envelope",
+    "injective_envelopes",
     "multiplicative_embed",
 ]
 
@@ -97,68 +101,101 @@ class TROSpace:
         return verify_algebra(self.link_span, self.tol)
 
 
-def _adjoints(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
-
-
 def _range_columns(stack, tol):
-    """Orthonormal columns spanning the joint column space of the stacked
-    matrices, and orthonormal columns spanning its orthogonal complement,
-    from one SVD."""
-    k, rows, cols = stack.shape
-    joint = stack.transpose(1, 0, 2).reshape(rows, k * cols)
+    """Orthonormal columns whose first ``rank`` span the joint column space
+    of the stacked matrices (..., k, rows, cols) and whose others span its
+    orthogonal complement, and that rank, from one SVD per member."""
+    *lead, k, rows, cols = stack.shape
+    joint = np.swapaxes(stack, -3, -2).reshape(*lead, rows, k * cols)
     u, s, _ = np.linalg.svd(joint, full_matrices=k * cols < rows)
-    rank = numerical_rank(s, tol.eq_tol)
-    return u[:, :rank], u[:, rank:]
+    return u, numerical_rank(s, tol.eq_tol)
 
 
-def _matrix_units(left, right) -> Subspace:
+def _matrix_units(left, right) -> np.ndarray:
     """The orthonormal basis u_a v_b* of p M q, for u_a and v_b the
-    orthonormal columns of p and q."""
-    units = (left.T[:, None, :, None] * right.T.conj()[None, :, None, :]).reshape(-1, len(left), len(right))
-    return Subspace(len(left), len(right), tuple(units))
+    orthonormal columns of p and q, stacked (..., a b, rows, cols)."""
+    *lead, rows, a = left.shape
+    cols, b = right.shape[-2:]
+    lt, rt = np.swapaxes(left, -1, -2), np.swapaxes(right.conj(), -1, -2)
+    return (lt[..., :, None, :, None] * rt[..., None, :, None, :]).reshape(*lead, a * b, rows, cols)
 
 
 def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpace:
-    """Smallest TRO W containing the subspace X, built from its linking algebra.
+    """Smallest TRO W containing the subspace X: :func:`generate_tros` as a batch of one."""
+    return generate_tros([space], tol)[0]
+
+
+def generate_tros(spaces, tol: ToleranceConfig | None = None) -> list:
+    """Smallest TRO W containing each subspace X, built from its linking
+    algebra, for subspaces of one dimension and shape.
 
     G = span(X X*) lies in p M p, for p and q the support projections of X,
-    which are those of W.  When dim G = (rank p)^2, G is all of p M p, which
-    is then the linking algebra L, and W = L X = p M q: W and L are spanned
-    by matrix units in the support columns, W is closed exactly (closure
-    residual 0), and p x q = x is the check that X lies in W.  Otherwise G is
-    *-closed, so the algebra L it generates (the closure of G under left
-    multiplication by G) is a *-algebra, and W = X + L X is the span of the
-    odd alternating words x1 y1* x2 ... xk, the TRO generated by X.  Then
-    W W* lies in L and L in span(W W*), so L is kept as the linking
+    which are those of W.  The dimension of G and both supports come from
+    SVDs stacked over the members.  When dim G = (rank p)^2, G is all of
+    p M p, which is then the linking algebra L, and W = L X = p M q: W and L
+    are spanned by matrix units in the support columns, built for all such
+    members of equal support ranks at once, W is closed exactly (closure
+    residual 0), and p x q = x is the check that X lies in W.  Otherwise
+    G is *-closed, so the algebra L it generates (the closure of G under
+    left multiplication by G) is a *-algebra, and W = X + L X is the span
+    of the odd alternating words x1 y1* x2 ... xk, the TRO generated by X.
+    Then W W* lies in L and L in span(W W*), so L is kept as the linking
     algebra.  The closure residual is that of L W in W; L is checked
     adjoint-closed, W W* to lie in L (one slice w W* at a time, so the d_W^2
     stack is neither factorized nor held whole) and p W q = W, all by
-    projection residuals.
+    projection residuals.  These members are closed one at a time.
     """
     tol = tol or DEFAULT_TOL
-    x = space.stack
-    gens = orthonormalize(product_stack(x, _adjoints(x)), tol, shape=(space.ambient_rows,) * 2)
-    left, left_rest = _range_columns(x, tol)
-    right, right_rest = _range_columns(_adjoints(x), tol)
-    if gens.dim == left.shape[1] ** 2:
-        link_space, w = _matrix_units(left, left), _matrix_units(left, right)
-        worst, held = 0.0, x  # p M q is closed exactly; X is what must lie in it
-    else:
-        link_space = close_span(gens, lambda cur: product_stack(gens.stack, cur), tol)
-        lstack = link_space.stack
-        w = orthonormalize(np.concatenate([x, product_stack(lstack, x)]), tol, shape=space.shape)
-        worst = max_projection_residual(w, product_stack(lstack, w.stack))
-        if max_projection_residual(link_space, _adjoints(lstack)) > tol.eq_tol:
-            raise ArithmeticError("linking algebra failed to close under adjoints")
-        wstar = _adjoints(w.stack)
-        for wa in w.stack:
-            if max_projection_residual(link_space, product_stack(wa[None], wstar)) > tol.eq_tol:
-                raise ArithmeticError("linking algebra does not contain W W*")
-        held = w.stack  # X lies in W by construction
-    if max_relative_gap(held, left @ left.conj().T @ held @ right @ right.conj().T) > 10 * tol.eq_tol:
+    x = np.stack([space.stack for space in spaces])
+    g, d, m, n = x.shape
+    gens, gens_rank = basis_and_rank(product_stack(x, adjoints(x)).reshape(g, d * d, m * m), tol.eq_tol)
+    left, rank_p = _range_columns(x, tol)
+    right, rank_q = _range_columns(adjoints(x), tol)
+    corner = gens_rank == rank_p**2
+
+    def supports(i):
+        return left[i, :, : rank_p[i]], left[i, :, rank_p[i] :], right[i, :, : rank_q[i]], right[i, :, rank_q[i] :]
+
+    out = [None] * g
+    for rp, rq in sorted({(int(a), int(b)) for a, b in zip(rank_p[corner], rank_q[corner])}):
+        idx = np.flatnonzero(corner & (rank_p == rp) & (rank_q == rq))
+        lc, rc = left[idx, :, :rp], right[idx, :, :rq]
+        # p M q is closed exactly; X is what must lie in it
+        _check_supports(x[idx], lc, rc, tol)
+        links, units = _matrix_units(lc, lc), _matrix_units(lc, rc)
+        for j, i in enumerate(idx):
+            w, link = Subspace(m, n, tuple(units[j])), Subspace(m, m, tuple(links[j]))
+            out[i] = TROSpace(w, 0.0, link, spaces[i], supports(i), tol)
+    for i in np.flatnonzero(~corner):
+        gspan = Subspace(m, m, tuple(gens[i, : gens_rank[i]].reshape(-1, m, m)))
+        out[i] = _closed_tro(spaces[i], gspan, supports(i), tol)
+    return out
+
+
+def _check_supports(held, left, right, tol):
+    """p w q = w for the stacked matrices w of each member, p and q the
+    projections onto the member's left and right columns."""
+    p, q = (np.expand_dims(cols @ adjoints(cols), -3) for cols in (left, right))
+    if max_relative_gap(held, p @ held @ q) > 10 * tol.eq_tol:
         raise ArithmeticError("support projections do not reproduce the space")
-    return TROSpace(w, worst, link_space, space, (left, left_rest, right, right_rest), tol)
+
+
+def _closed_tro(space: Subspace, gens: Subspace, supports, tol) -> TROSpace:
+    """The TRO X + L X for L the algebra generated by G = span(X X*)."""
+    x = space.stack
+    link_space = close_span(gens, lambda cur: product_stack(gens.stack, cur), tol)
+    lstack = link_space.stack
+    w = orthonormalize(np.concatenate([x, product_stack(lstack, x)]), tol, shape=space.shape)
+    worst = max_projection_residual(w, product_stack(lstack, w.stack))
+    if max_projection_residual(link_space, adjoints(lstack)) > tol.eq_tol:
+        raise ArithmeticError("linking algebra failed to close under adjoints")
+    wstar = adjoints(w.stack)
+    for wa in w.stack:
+        if max_projection_residual(link_space, product_stack(wa[None], wstar)) > tol.eq_tol:
+            raise ArithmeticError("linking algebra does not contain W W*")
+    left, _, right, _ = supports
+    _check_supports(w.stack, left, right, tol)  # X lies in W by construction
+    return TROSpace(w, worst, link_space, space, supports, tol)
 
 
 def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
@@ -228,14 +265,15 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     left, left_rest, right, right_rest = w.supports
     p = left @ left.conj().T
     if w.full_corner:
-        center = p[None]  # the linking algebra is p M p, whose center is C p
-    else:
-        # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
-        link = w.linking
-        c = link.structure
-        commutators = (c - c.transpose(1, 0, 2)).reshape(link.dim, -1)
-        center_coeffs = null_space(commutators.T, tol.eq_tol, min_scale=1.0)
-        center = np.einsum("ck,kij->cij", center_coeffs, link.space.stack)
+        # p M q is the block M_(rank p, rank q): its linking algebra p M p is simple
+        lu, ru = np.hstack([left, left_rest]), np.hstack([right, right_rest])
+        return BlockStructure(((left.shape[1], right.shape[1]),), (1,), lu, ru, (p,), (right @ right.conj().T,))
+    # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
+    link = w.linking
+    c = link.structure
+    commutators = (c - c.transpose(1, 0, 2)).reshape(link.dim, -1)
+    center_coeffs = null_space(commutators.T, tol.eq_tol, min_scale=1.0)
+    center = np.einsum("ck,kij->cij", center_coeffs, link.space.stack)
     r = len(center)
     if r == 0:
         raise ArithmeticError("linking algebra has an empty center")
@@ -265,7 +303,10 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     else:
         raise DegenerateDecompositionError(f"no center element splits the left support into {r} blocks")
 
-    right_cols = [_range_columns(_adjoints(w.space.stack) @ cols, tol)[0] for cols in left_cols]
+    right_cols = []
+    for cols in left_cols:
+        u, rank = _range_columns(adjoints(w.space.stack) @ cols, tol)
+        right_cols.append(u[:, :rank])
     shapes, keys = [], []
     for lc, rc in zip(left_cols, right_cols):
         dim = numerical_rank(_singular_values(w.space.stack, lc, rc), tol.eq_tol, 1.0)
@@ -327,7 +368,14 @@ def _deletion_map(space: Subspace, bs: BlockStructure, kept, deleted, tol: Toler
 def injective_envelope(
     space: Subspace, tol: ToleranceConfig | None = None, seed: int = 0
 ) -> EnvelopeResult:
-    """The generated TRO W modulo its Shilov ideal J.
+    """The injective envelope of X: :func:`injective_envelopes` as a batch of one."""
+    return injective_envelopes([space], tol, seed)[0]
+
+
+def injective_envelopes(spaces, tol: ToleranceConfig | None = None, seed: int = 0) -> list:
+    """The generated TRO W modulo its Shilov ideal J, for each of some
+    subspaces X of one dimension and shape, whose TROs
+    :func:`generate_tros` generates together.
 
     J is the largest ideal of W whose quotient map is completely isometric
     on X (Hamana, Math. J. Toyama Univ. 1999).  An ideal is a sum of blocks.
@@ -335,10 +383,15 @@ def injective_envelope(
     the largest block norm at every level, so deleting blocks is completely
     isometric on X exactly when `_deletion_map` exists and is completely
     contractive.  J holds the blocks that pass alone; two or more get one
-    confirming decision together, which must not fail.
+    confirming decision together, which must not fail.  A TRO that fills
+    p M q is one block, so it is its own envelope.
     """
     tol = tol or DEFAULT_TOL
-    w = generate_tro(space, tol)
+    return [_envelope(space, w, tol, seed) for space, w in zip(spaces, generate_tros(spaces, tol))]
+
+
+def _envelope(space: Subspace, w: TROSpace, tol: ToleranceConfig, seed: int) -> EnvelopeResult:
+    """The envelope of X from its generated TRO W."""
     bs = block_decompose(w, tol, seed)
     r = len(bs.blocks)
 
@@ -393,6 +446,6 @@ def multiplicative_embed(
         raise ArithmeticError("embedding failed to be multiplicative")
     # ternary morphism, phi(x) phi(v)* phi(y) = phi(x v* y), on basis triples, one x at a time
     for x, im in zip(basis, ims):
-        if fails(product_stack(im @ _adjoints(ims), ims), product_stack(x @ _adjoints(basis), basis)):
+        if fails(product_stack(im @ adjoints(ims), ims), product_stack(x @ adjoints(basis), basis)):
             raise ArithmeticError("embedding failed to be a ternary morphism")
     return phi

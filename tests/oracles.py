@@ -31,6 +31,7 @@ import numpy as np
 from opalg import cb, cli, reversibility
 from opalg.algebra import verify_algebra
 from opalg.linalg import DEFAULT_TOL, LinearMapOnSubspace, Subspace, close_span, hs_norm, product_stack
+from opalg.tro import injective_envelope
 
 
 def _orth_columns(cols, tol=1e-10):
@@ -754,14 +755,39 @@ def random_triangular_algebra(n, dim, seed, tol=DEFAULT_TOL):
     raise ArithmeticError("could not sample an algebra within the dimension bound")
 
 
+def product_table_by_products(A, env, tol=DEFAULT_TOL):
+    """Entry (i, j): b_i b_j carried into the envelope by the embedding,
+    not read from the structure tensor."""
+    return np.array([[env.embedding.apply(bi @ bj, tol) for bj in A.basis] for bi in A.basis])
+
+
+def verdict_by_dense_system(A, env, tol=DEFAULT_TOL):
+    """The reversibility verdict of A in its envelope, read by the rule of
+    `decide_reversible` from the dense solve of the reversed table, and
+    that solution."""
+    table = product_table_by_products(A, env, tol)
+    _, _, sol = pairing_solve_by_dense_system(env.embedding.image_stack, table.transpose(1, 0, 2, 3), env.envelope, tol)
+    if sol.status != "NONE":
+        return "YES", sol
+    if env.status == "EXACT" and sol.op_norm_lower > 1.0 + tol.sdp_tol:
+        return "NO", sol
+    return "UNDECIDED", sol
+
+
 def search_signatures(ambient, trials, seed, max_dim, tol=DEFAULT_TOL):
-    """Signature counts of `cli.run_search`, each trial sampled on its own
-    and each distinct span decided once."""
+    """Signature counts of `cli.run_search`, each trial sampled on its own,
+    each distinct span decided once by the dense pairing solve and
+    classified by explicit products."""
     counts, cache = {}, {}
     for trial_seed in np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials):
         A = random_triangular_algebra(ambient, max_dim, int(trial_seed), tol)
         key = cli._subspace_key(A.space)
         if key not in cache:
-            cache[key] = cli._signature(A, reversibility.decide_reversible(A, tol, seed).reversible, tol)[0]
+            pred = predicates_by_products(A.basis, tol.eq_tol)
+            verdict, _ = verdict_by_dense_system(A, injective_envelope(A.space, tol, seed), tol)
+            cache[key] = (
+                f"dim={A.dim} commutative={pred['commutative']} anticommuting={pred['anticommuting']} "
+                f"three_commutative={pred['three_commutative']} reversible={verdict}"
+            )
         counts[cache[key]] = counts.get(cache[key], 0) + 1
     return counts

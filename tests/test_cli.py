@@ -255,37 +255,45 @@ def test_search_cache_keeps_the_summary_and_runs_predicates_once(monkeypatch):
     rebased = orthonormalize([A.basis[0] + A.basis[1], A.basis[1] - A.basis[2], A.basis[2]])
     include = [A, ex.strict_upper(4), again, verify_algebra(rebased), ex.strict_upper(4)]
     kwargs = dict(ambient=4, trials=6, seed=5, max_dim=3, tol=ToleranceConfig(), include=include)
-    calls, keys = [], []
-    for name in ("is_commutative", "is_anticommuting", "is_three_commutative"):
-        original = getattr(cli.alg, name)
-        monkeypatch.setattr(cli.alg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    classified, keys = [], []
+    original = cli.alg.commutation_predicates
+    monkeypatch.setattr(
+        cli.alg, "commutation_predicates", lambda algebras, tol: classified.extend(algebras) or original(algebras, tol)
+    )
     key = cli._subspace_key
     monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
     cached = run_search(**kwargs)
     assert len(keys) == len(include) + 6 and len(set(keys)) < len(keys)
-    assert calls.count("is_commutative") == calls.count("is_three_commutative") == len(set(keys))
+    assert len(classified) == len(set(keys)) == cached["distinct_spans"]
+    assert len({key(A.space) for A in classified}) == len(classified)
     fresh = iter(range(10**6))
     monkeypatch.setattr(cli, "_subspace_key", lambda B: next(fresh))
-    assert run_search(**kwargs) == cached
+    uncached = run_search(**kwargs)
+    assert uncached.pop("distinct_spans") == len(keys)
+    assert uncached == {k: v for k, v in cached.items() if k != "distinct_spans"}
     assert len(cached["noncommutative_reversible"]) == 3
 
 
 def test_search_takes_pair_deviations_once_per_subspace(monkeypatch):
-    # the signature asks is_commutative and is_anticommuting; the deviations
-    # behind them are taken once per algebra.  The summary is the one whose
-    # two predicates come from explicit products of the basis.
+    # the signature's commutativity and anticommutativity come from pair
+    # deviations taken once per algebra, for a stack of structure tensors
+    # at a time.  The summary is the one whose three predicates come from
+    # explicit products of the basis.
     kwargs = dict(ambient=3, trials=60, seed=1, max_dim=3, tol=ToleranceConfig())
-    calls, keys = [], []
-    deviation = cli.alg._pair_deviation
-    monkeypatch.setattr(cli.alg, "_pair_deviation", lambda A, sign: calls.append(A) or deviation(A, sign))
+    members, keys = [], []
+    deviations = cli.alg._pair_deviations
+    monkeypatch.setattr(cli.alg, "_pair_deviations", lambda c: members.append(len(c)) or deviations(c))
     key = cli._subspace_key
     monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
     summary = run_search(**kwargs)
-    assert 0 < len(calls) <= 2 * len(set(keys))
+    assert 0 < sum(members) == len(set(keys)) and len(members) < sum(members)
     monkeypatch.undo()
-    for name in ("commutative", "anticommuting"):
-        oracle = lambda A, tol=None, _n=name: predicates_by_products(A.basis)[_n]  # noqa: E731
-        monkeypatch.setattr(cli.alg, f"is_{name}", oracle)
+    names = ("commutative", "anticommuting", "three_commutative")
+
+    def oracle(algebras, tol):
+        return tuple(np.array([predicates_by_products(A.basis)[name] for A in algebras]) for name in names)
+
+    monkeypatch.setattr(cli.alg, "commutation_predicates", oracle)
     assert run_search(**kwargs) == summary
 
 
@@ -328,12 +336,12 @@ def test_search_decides_each_distinct_subspace_once(monkeypatch):
     # strict-upper-3 is the one 3-dimensional subspace in reach, and no two
     # decided algebras share a span
     decided, keys = [], []
-    decide = reversibility.decide_reversible
-    monkeypatch.setattr(reversibility, "decide_reversible", lambda A, *a: decided.append(A) or decide(A, *a))
+    decide = reversibility.decide_reversibles
+    monkeypatch.setattr(reversibility, "decide_reversibles", lambda As, *a: decided.extend(As) or decide(As, *a))
     key = cli._subspace_key
     monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
-    run_search(ambient=3, trials=200, seed=1, max_dim=3, tol=ToleranceConfig())
-    assert len(keys) == 200 and len(decided) == len(set(keys))
+    summary = run_search(ambient=3, trials=200, seed=1, max_dim=3, tol=ToleranceConfig())
+    assert len(keys) == 200 and len(decided) == len(set(keys)) == summary["distinct_spans"]
     assert sum(A.dim == 3 for A in decided) == 1
     projectors = [_projector(A) for A in decided]
     assert not any(np.allclose(p, q, atol=1e-6) for i, p in enumerate(projectors) for q in projectors[:i])
@@ -351,16 +359,44 @@ def test_search_spans_are_the_single_seed_spans(monkeypatch, ambient, trials):
     assert keys == [key(oracles.random_triangular_algebra(ambient, ambient, int(s)).space) for s in seeds]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_search_signatures_do_not_depend_on_the_chunk(monkeypatch, seed):
-    kwargs = dict(ambient=3, trials=1000, seed=seed, max_dim=3, tol=ToleranceConfig())
+def assert_summary_does_not_depend_on_the_chunk(monkeypatch, **kwargs):
+    """Whole summaries, the counts of decided spans and of UNDECIDED trials
+    included, agree for two chunk sizes, and the signatures are those of
+    spans sampled one at a time, decided by the dense pairing solve and
+    classified by explicit products."""
     want = oracles.search_signatures(**kwargs)
     summaries = []
     for chunk in (7, 64):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         summaries.append(run_search(**kwargs))
     assert summaries[0] == summaries[1]
-    assert summaries[0]["signatures"] == want and summaries[0]["noncommutative_reversible"] == []
+    assert summaries[0]["signatures"] == want
+    assert summaries[0]["undecided"] == sum(n for sig, n in want.items() if sig.endswith("reversible=UNDECIDED"))
+    return summaries[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+def test_search_signatures_do_not_depend_on_the_chunk(monkeypatch, seed):
+    summary = assert_summary_does_not_depend_on_the_chunk(
+        monkeypatch, ambient=3, trials=1000, seed=seed, max_dim=3, tol=ToleranceConfig()
+    )
+    assert summary["noncommutative_reversible"] == []
+
+
+@pytest.mark.parametrize("max_dim", [4, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_search_signatures_at_ambient_4_do_not_depend_on_the_chunk(monkeypatch, max_dim, seed):
+    assert_summary_does_not_depend_on_the_chunk(
+        monkeypatch, ambient=4, trials=300, seed=seed, max_dim=max_dim, tol=ToleranceConfig()
+    )
+
+
+@pytest.mark.xfail(strict=True, raises=ArithmeticError, reason="known generate_tro abort on mixed-scale spans")
+def test_search_at_ambient_4_seed_5_completes():
+    # trial 98 draws the span of tests/test_tro.py::test_generate_tro_closes_a_mixed_scale_span;
+    # its stack of cache misses reaches the same closure, which aborts
+    summary = run_search(ambient=4, trials=300, seed=5, max_dim=4, tol=ToleranceConfig())
+    assert summary["trials"] == 300 and summary["undecided"] == 0
 
 
 def test_search_memory_does_not_grow_with_the_trials():
@@ -396,11 +432,16 @@ def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):
     # settled them).  The factored pairing solve combines the TRO basis with
     # the solution and null-vector coefficients by matrix products (14 and
     # 25 when both were einsum calls; test_analyze_solves_each_pairing_system_once
-    # pins the single solve)
+    # pins the single solve).  The triple products of the 3-commutativity
+    # test are one matrix product of the stacked structure tensors, so the
+    # search, which reads no other structure-tensor predicate, takes no
+    # einsum (9 when each distinct span took its own triple einsum) and
+    # analyze two fewer (10 with the triple einsum in the predicates and
+    # in wedderburn_split)
     original, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
     report.analyze_algebra(car_pair)
-    assert len(calls) == 10
+    assert len(calls) == 8
     calls.clear()
     run_search(ambient=3, trials=20, seed=1, max_dim=3, tol=ToleranceConfig())
-    assert len(calls) == 9
+    assert len(calls) == 0

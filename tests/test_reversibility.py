@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opalg import examples as ex
-from opalg.algebra import is_anticommuting, verify_algebra
+from opalg.algebra import commutation_predicates, is_anticommuting, verify_algebra
 from opalg.linalg import (
     DEFAULT_TOL,
     LinearMapOnSubspace,
@@ -18,10 +18,11 @@ from opalg.reversibility import (
     Pairings,
     certify_reversal_element,
     decide_reversible,
+    decide_reversibles,
     pairing_consistency,
     solve_pairing,
 )
-from opalg.tro import EnvelopeResult, block_decompose, generate_tro, injective_envelope
+from opalg.tro import EnvelopeResult, block_decompose, generate_tro, injective_envelope, injective_envelopes
 
 from .oracles import (
     pairing_consistency_by_loops,
@@ -29,6 +30,9 @@ from .oracles import (
     pairing_solve_by_dense_system,
     pairing_system_by_einsum,
     pairing_system_bruteforce,
+    predicates_by_products,
+    product_table_by_products,
+    verdict_by_dense_system,
 )
 
 unit = ex.matrix_unit
@@ -190,12 +194,13 @@ def test_anticommuting_algebras_are_reversible_through_the_solve(rng):
 
 def factored_spectrum(monkeypatch, basis, mu, tro):
     """The pairings over a TRO and the singular values of the last SVD its
-    factorization took, which is that of the system."""
+    factorization took, which is that of the system; a single system is
+    factored as a batch of one."""
     original, spectra = np.linalg.svd, []
 
     def recording(*args, **kwargs):
         out = original(*args, **kwargs)
-        spectra.append(out[1])
+        spectra.append(out[1][0])
         return out
 
     with monkeypatch.context() as patch:
@@ -477,13 +482,16 @@ def test_analyze_solves_each_pairing_system_once(monkeypatch, make):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     rep = report.analyze_algebra(A, skip={"sdp"})
-    # one factorization: the stacks of the b_i and of the b_j^T, then the
-    # at most pq x t core; the d^2 pq x t system itself is never formed
+    # one factorization, of a batch of one: the stacks of the b_i and of
+    # the b_j^T, then the at most pq x t core; the d^2 pq x t system itself
+    # is never formed.  A system with no null direction then takes the
+    # norm of its one solution, a p x q matrix, once for each table
     env = injective_envelope(A.space)
     (d, p, q), t = env.embedding.image_stack.shape, env.envelope.dim
-    assert calls[:2] == [(d * p, q), (d * q, p)] and len(calls) == 3
-    assert calls[2][0] <= p * q and calls[2][1] == t
-    assert all(rows < d * d * p * q for rows, _ in calls)
+    assert calls[:2] == [(1, d * p, q), (1, d * q, p)]
+    assert calls[2][0] == 1 and calls[2][1] <= p * q and calls[2][2] == t
+    assert len(calls) <= 5 and set(calls[3:]) <= {(1, p, q)}
+    assert all(rows < d * d * p * q for _, rows, _ in calls)
     assert rep.z is not None and rep.certificates["pairing_reversed"] is not None
 
 
@@ -500,7 +508,7 @@ def test_family_pairing_memory_stays_small(monkeypatch):
 
     def counting(*args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "opalg.reversibility":
-            rows.append(args[0].shape[0])
+            rows.append(args[0].shape[-2])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
@@ -531,25 +539,111 @@ def test_pairings_in_a_conjugated_envelope(rng, car_pair, pq):
 
 
 def test_search_solves_only_the_reversed_system(monkeypatch):
-    # decide_reversible reads the reversed solution alone, so each call
-    # minimizes the pairing norm at most once
-    from opalg import cb, cli, reversibility
+    # decide_reversibles reads the reversed solutions alone, so each stacked
+    # batch of pairing systems is solved once, for the reversed table, and
+    # its product table is never solved
+    from opalg import cli, reversibility
 
-    minimized, per_call = [], []
-    decide, minimize = reversibility.decide_reversible, cb.min_opnorm_affine
+    solved = []
+    solve = reversibility._PairingBatch._solve
 
-    def counting_decide(*args, **kwargs):
-        before = len(minimized)
-        verdict = decide(*args, **kwargs)
-        per_call.append(len(minimized) - before)
-        return verdict
+    def counting_solve(self, mu):
+        solved.append(self)
+        return solve(self, mu)
 
-    def counting_minimize(*args, **kwargs):
-        minimized.append(1)
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(reversibility, "decide_reversible", counting_decide)
-    monkeypatch.setattr(cb, "min_opnorm_affine", counting_minimize)
+    monkeypatch.setattr(reversibility._PairingBatch, "_solve", counting_solve)
+    monkeypatch.setattr(reversibility._PairingBatch, "product", property(lambda self: pytest.fail("product solved")))
     cli.run_search(ambient=3, trials=200, seed=1, max_dim=3, tol=DEFAULT_TOL)
-    assert per_call and max(per_call) <= 1
-    assert sum(per_call) > 0
+    assert solved and len({id(batch) for batch in solved}) == len(solved)
+
+
+def stacked_groups(rng):
+    """Mixed batches of one dimension and ambient: the corpus and a
+    conjugate of each, {diag(t, t) : t in M_2} and a conjugate, and ten wide
+    M_3 spans whose envelopes delete a block.  Full corners share batches
+    with spans that are not (diagonal-3 and strict-upper-3, split-pair and
+    random-triangular-4-12)."""
+    from .test_tro import WIDE_DELETING, WIDE_SAMPLE
+
+    block = verify_algebra([np.kron(np.eye(2), unit(2, i, j)) for i in (1, 2) for j in (1, 2)])
+    q = random_unitary(4, rng)
+    named = list(corpus_and_conjugates(rng)) + [
+        ("diag(t, t)", block),
+        ("diag(t, t)~conj", verify_algebra([q @ b @ q.conj().T for b in block.basis])),
+    ]
+    named += [(f"wide-{i}", verify_algebra(WIDE_SAMPLE[i])) for i in WIDE_DELETING[:10]]
+    groups = {}
+    for name, A in named:
+        groups.setdefault((A.dim, A.ambient), []).append((name, A))
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def assert_matches_dense(name, got, want):
+    """Equal status, affine dimension and inconsistency; element, residual
+    and the norm bracket within 1e-9 relative (against max(1, |want|))."""
+    assert (got.status, got.affine_dim, got.inconsistent) == (want.status, want.affine_dim, want.inconsistent), name
+    for field in ("residual", "op_norm", "op_norm_lower"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert (g == w) if not np.isfinite(w) else abs(g - w) <= 1e-9 * max(1.0, abs(w)), f"{name} {field}"
+    if want.element is None:
+        assert got.element is None, name
+    else:
+        assert hs_norm(got.element - want.element) <= 1e-9 * max(1.0, hs_norm(want.element)), name
+
+
+def test_stacked_decisions_match_the_dense_solve_and_products(rng):
+    # each batch goes through the stacked steps together; every member's
+    # envelope is the one it has alone, its predicates are those of explicit
+    # products, and both its solutions and its verdict are those of one SVD
+    # of its materialized system
+    names = ("commutative", "anticommuting", "three_commutative")
+    kinds = set()
+    for group in stacked_groups(rng):
+        labels, algebras = zip(*group)
+        envelopes = injective_envelopes([A.space for A in algebras], DEFAULT_TOL)
+        verdicts = decide_reversibles(list(algebras), DEFAULT_TOL, 0, envelopes)
+        predicates = commutation_predicates(list(algebras), DEFAULT_TOL)
+        corners = set()
+        for k, (name, A, env, verdict) in enumerate(zip(labels, algebras, envelopes, verdicts)):
+            alone = injective_envelope(A.space, DEFAULT_TOL)
+            assert (env.status, env.deleted_blocks, env.envelope.dim) == (
+                alone.status, alone.deleted_blocks, alone.envelope.dim), name
+            assert (env.blocks.blocks, env.blocks.multiplicities) == (alone.blocks.blocks, alone.blocks.multiplicities)
+            want = predicates_by_products(A.basis)
+            assert [bool(p[k]) for p in predicates] == [want[n] for n in names], name
+            reversible, reversed_sol = verdict_by_dense_system(A, env)
+            assert verdict.reversible == reversible, name
+            assert_matches_dense(f"{name} reversed", verdict.pairings.reversed, reversed_sol)
+            table = product_table_by_products(A, env)
+            _, _, product_sol = pairing_solve_by_dense_system(env.embedding.image_stack, table, env.envelope)
+            assert_matches_dense(f"{name} product", verdict.pairings.product, product_sol)
+            corner = generate_tro(A.space).full_corner
+            corners.add(corner)
+            kinds.add((corner, bool(env.deleted_blocks), reversible))
+        kinds.add(("mixed", corners == {True, False}))
+    assert {(True, False, "YES"), (True, False, "NO"), (False, True, "YES"), ("mixed", True)} <= kinds
+
+
+def test_stacked_pairing_batches_with_null_directions_match_the_dense_solve():
+    # batches that mix systems with null directions (affine_dim 6 and 2),
+    # which minimize the norm one at a time, with systems that have none
+    # and an inconsistent one: each member is the dense solve of its system
+    full = generate_tro(orthonormalize([unit(2, i, j) for i in (1, 2) for j in (1, 2)]))
+    diag = generate_tro(orthonormalize([unit(2, 1, 1), unit(2, 2, 2)]))
+    e11, e12, half = unit(2, 1, 1), unit(2, 1, 2), np.eye(2, dtype=complex) / np.sqrt(2)
+    b, s = np.array([[1.0, 2j], [1.0, 2j]]), 2.7 * np.exp(0.6j)
+    batches = [
+        (full, [(e11, (1 + 1e-6) * e11), (e11, (1 - 1e-6) * e11), (e12, 0 * e12), (half, half @ half)]),
+        (diag, [(b, s * b), (half, half @ half), (e11, e12)]),
+    ]
+    seen = []
+    for tro, systems in batches:
+        basis = np.array([[x] for x, _ in systems])
+        mu = np.array([[[t]] for _, t in systems])
+        members = Pairings.batch(basis, mu, [tro] * len(systems), DEFAULT_TOL)
+        for k, member in enumerate(members):
+            _, _, want = pairing_solve_by_dense_system(basis[k], mu[k], tro)
+            assert_matches_dense(f"{tro.dim}-{k}", member.product, want)
+            seen.append((want.affine_dim, want.status))
+    assert seen == [(6, "NONE"), (6, "FOUND"), (6, "FOUND"), (0, "UNIQUE_IN_BALL"),
+                    (2, "FOUND"), (0, "UNIQUE_IN_BALL"), (2, "NONE")]
