@@ -239,7 +239,7 @@ def _rows(coeffs, tol: ToleranceConfig) -> np.ndarray:
 
 def _span(A: MatrixAlgebra, coeffs, tol: ToleranceConfig) -> Subspace:
     # orthonormal rows over an orthonormal basis give orthonormal matrices
-    return Subspace(A.ambient, A.ambient, tuple(_elements(A, _rows(coeffs, tol))))
+    return Subspace(A.ambient, A.ambient, _elements(A, _rows(coeffs, tol)))
 
 
 def _products(A: MatrixAlgebra, left, right) -> np.ndarray:

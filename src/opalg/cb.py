@@ -439,13 +439,13 @@ def inverse_map(phi: LinearMapOnSubspace, tol: ToleranceConfig | None = None) ->
     """Inverse of an injective map, defined on the span of its images."""
     tol = tol or DEFAULT_TOL
     d = phi.domain.dim
-    image_space = orthonormalize(list(phi.images), tol, shape=phi.codomain_shape)
+    image_space = orthonormalize(phi.image_stack, tol, shape=phi.codomain_shape)
     if image_space.dim != d:
         raise ValueError("map is not injective on its domain")
     # one least-squares solve for the coefficients of every image basis element
     alpha = np.linalg.lstsq(phi.image_stack.reshape(d, -1).T, image_space.stack.reshape(d, -1).T, rcond=None)[0]
     preimages = np.einsum("kf,kij->fij", alpha, phi.domain.stack)
-    return LinearMapOnSubspace(image_space, tuple(preimages), phi.domain.shape)
+    return LinearMapOnSubspace(image_space, preimages, phi.domain.shape)
 
 
 def is_complete_isometry(
@@ -478,7 +478,7 @@ def is_symmetric_space(
         raise ValueError("symmetry is defined for subspaces of a square matrix space")
     if space.dim == 0:
         return FeasibilityOutcome(FEASIBLE, None, 0.0, "zero subspace")
-    transpose = LinearMapOnSubspace(space, tuple(b.T for b in space.basis), space.shape)
+    transpose = LinearMapOnSubspace(space, np.swapaxes(space.stack, -1, -2), space.shape)
     return is_completely_contractive(transpose, tol, seed)
 
 

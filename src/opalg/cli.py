@@ -504,17 +504,14 @@ def _decide(spaces, tol: ToleranceConfig, seed: int) -> list:
 _CHUNK = 64
 
 
-def run_search(
-    ambient: int, trials: int, seed: int, max_dim: int, tol: ToleranceConfig, include=()
-) -> dict:
+def run_search(ambient: int, trials: int, seed: int, max_dim: int, tol: ToleranceConfig) -> dict:
     """Classify random triangular algebras; report signatures and the
-    noncommutative reversible hits.  `include` prepends known algebras to the
-    sample (useful to confirm a specific basis would be flagged).  Each span
-    is decided and classified once: the cache key is a digest of its rounded
-    projector, which depends on the span and not the basis.  The trials'
-    spans are sampled _CHUNK at a time, each certified closed under the
-    product; the spans of a chunk that the cache has not seen are decided
-    together, one stack per dimension.  The summary counts the spans
+    noncommutative reversible hits.  Each span is decided and classified
+    once: the cache key is a digest of its rounded projector, which depends
+    on the span and not the basis.  The trials' spans are sampled _CHUNK at
+    a time, each certified closed under the product; the spans of a chunk
+    that the cache has not seen are decided together, one stack per
+    dimension.  The summary counts the spans
     decided (`distinct_spans`) and the trials whose verdict is UNDECIDED."""
     trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
     signatures: dict = {}
@@ -523,7 +520,7 @@ def run_search(
     cache: dict = {}
     outcomes: dict = {}
     undecided = 0
-    for chunk in _chunks(ambient, max_dim, trial_seeds, tol, include):
+    for chunk in _chunks(ambient, max_dim, trial_seeds, tol):
         keys = [_subspace_key(space) for _, space in chunk]
         misses = {}
         for key, (_, space) in zip(keys, chunk):
@@ -542,7 +539,7 @@ def run_search(
                 })
     return {
         "ambient": ambient,
-        "trials": len(include) + trials,
+        "trials": trials,
         "signatures": signatures,
         "noncommutative_reversible": hits,
         "distinct_spans": len(cache),
@@ -550,13 +547,8 @@ def run_search(
     }
 
 
-def _chunks(ambient, max_dim, trial_seeds, tol, include):
-    """Lists of (trial seed, span): the included algebras' spans (seed
-    None), then the trials, sampled _CHUNK at a time."""
-    if include:
-        if any(A.space.ambient_rows != ambient for A in include):
-            raise ValueError("included algebra does not match the search ambient")
-        yield [(None, A.space) for A in include]
+def _chunks(ambient, max_dim, trial_seeds, tol):
+    """Lists of (trial seed, span), the trials sampled _CHUNK at a time."""
     for start in range(0, len(trial_seeds), _CHUNK):
         chunk = [int(s) for s in trial_seeds[start : start + _CHUNK]]
         yield list(zip(chunk, examples.random_triangular_spans(ambient, max_dim, chunk, tol)))

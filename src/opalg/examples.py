@@ -236,7 +236,7 @@ def random_triangular_spans(n: int, dim: int, seeds, tol: ToleranceConfig | None
         if worst > tol.eq_tol:
             raise NotAnAlgebraError(f"closed span has projection residual {worst:.3e}", residual=float(worst))
         for i in np.flatnonzero(kept):
-            spans[pending[i]] = Subspace(n, n, tuple(basis[i, : dims[i]].reshape(-1, n, n)))
+            spans[pending[i]] = Subspace(n, n, basis[i, : dims[i]].reshape(-1, n, n))
         pending = [t for t, ok in zip(pending, kept) if not ok]
     return spans
 

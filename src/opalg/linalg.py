@@ -1,7 +1,8 @@
 """Dense complex linear algebra on subspaces of matrices.
 
-Everything operates on plain 2-D complex numpy arrays.  A :class:`Subspace`
-carries an orthonormal basis under the Hilbert-Schmidt inner product
+Everything operates on complex numpy arrays: a matrix is 2-D and a list
+of matrices is a stack (k, rows, cols).  A :class:`Subspace` stores the
+stack of an orthonormal basis under the Hilbert-Schmidt inner product
 ``<a, b> = trace(b^* a)``, which is linear in the first argument.  All
 equality decisions are residual tests against a :class:`ToleranceConfig`.
 """
@@ -9,7 +10,6 @@ equality decisions are residual tests against a :class:`ToleranceConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -99,35 +99,48 @@ def op_norm(x) -> float:
     return float(np.linalg.norm(x, 2))
 
 
+def _as_stack(mats, shape) -> np.ndarray:
+    """Coerce matrices to a finite complex stack (k, rows, cols) of the declared shape."""
+    a = np.asarray(mats, dtype=complex)
+    if a.size == 0 and a.ndim == 1:
+        a = a.reshape(0, *shape)
+    if a.ndim != 3 or a.shape[1:] != tuple(shape):
+        raise ValueError(f"expected matrices of shape {tuple(shape)}, got a stack of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Orthonormalized span of matrices inside a fixed ambient space."""
+    """Orthonormalized span of matrices inside a fixed ambient space, stored
+    as the stack (dim, rows, cols) of its basis; a sequence of matrices is
+    stacked once."""
 
     ambient_rows: int
     ambient_cols: int
-    basis: tuple
+    stack: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stack", _as_stack(self.stack, self.shape))
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(self.stack)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.stack)
 
     @property
     def shape(self) -> tuple:
         return (self.ambient_rows, self.ambient_cols)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        if not self.basis:
-            return np.zeros((0, self.ambient_rows, self.ambient_cols), complex)
-        return np.stack(self.basis)
 
     def coeffs(self, x) -> np.ndarray:
         """Coordinates of x against the orthonormal basis."""
         x = as_matrix(x)
         if x.shape != self.shape:
             raise ValueError(f"shape mismatch: {x.shape} vs ambient {self.shape}")
-        if not self.basis:
-            return np.zeros(0, complex)
         return np.einsum("kij,ij->k", self.stack.conj(), x)
 
     def project(self, x) -> np.ndarray:
@@ -137,8 +150,6 @@ class Subspace:
         c = np.asarray(c, dtype=complex)
         if c.shape != (self.dim,):
             raise ValueError("coefficient vector has wrong length")
-        if not self.basis:
-            return np.zeros(self.shape, complex)
         return np.einsum("k,kij->ij", c, self.stack)
 
 
@@ -175,38 +186,21 @@ def row_basis(rows: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.nd
 
 
 def orthonormalize(mats, tol: ToleranceConfig | None = None, *, shape=None) -> Subspace:
-    """Orthonormal basis of the span of ``mats``.
+    """Orthonormal basis of the span of ``mats``, a stack or a sequence of matrices.
 
     Rank is decided by a singular-value cutoff of ``eq_tol`` relative to the
     largest singular value, with no floor.  An empty input yields the zero
     subspace, in which case the ambient ``shape`` must be supplied.
     """
     tol = tol or DEFAULT_TOL
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        stacked = np.asarray(mats, dtype=complex)
-        if stacked.shape[0] == 0:
-            if shape is None:
-                raise ValueError("empty input needs an explicit ambient shape")
-            return Subspace(shape[0], shape[1], ())
-        mshape = stacked.shape[1:]
-    else:
-        mats = [as_matrix(m) for m in mats]
-        if not mats:
-            if shape is None:
-                raise ValueError("empty input needs an explicit ambient shape")
-            return Subspace(shape[0], shape[1], ())
-        mshape = mats[0].shape
-        for m in mats:
-            if m.shape != mshape:
-                raise ValueError(f"shape mismatch: {m.shape} vs {mshape}")
-        stacked = np.stack(mats)
-    if shape is not None and tuple(shape) != tuple(mshape):
-        raise ValueError(f"declared ambient {tuple(shape)} does not match matrices {tuple(mshape)}")
-    rows = stacked.reshape(stacked.shape[0], -1)
-    if not np.isfinite(rows).all():
-        raise ValueError("matrix entries must be finite")
-    basis = tuple(v.reshape(mshape) for v in row_basis(rows, tol.eq_tol))
-    return Subspace(mshape[0], mshape[1], basis)
+    stacked = np.asarray(mats, dtype=complex)
+    if shape is None:
+        if stacked.size == 0:
+            raise ValueError("empty input needs an explicit ambient shape")
+        shape = stacked.shape[1:]
+    stacked = _as_stack(stacked, shape)
+    rows = stacked.reshape(len(stacked), shape[0] * shape[1])
+    return Subspace(*shape, row_basis(rows, tol.eq_tol).reshape(-1, *shape))
 
 
 def close_span(seed, step, tol: ToleranceConfig | None = None, shape=None):
@@ -234,7 +228,7 @@ def close_span(seed, step, tol: ToleranceConfig | None = None, shape=None):
     cur = seed if isinstance(seed, Subspace) else orthonormalize(seed, tol, shape=shape)
     flat = cur.stack.reshape(1, cur.dim, cur.ambient_rows * cur.ambient_cols)
     basis, _, _ = _close_rows(flat, np.array([cur.dim]), lambda b: step(b[0])[None], tol, cur.shape)
-    return Subspace(*cur.shape, tuple(basis[0].reshape(-1, *cur.shape)))
+    return Subspace(*cur.shape, basis[0].reshape(-1, *cur.shape))
 
 
 def _close_rows(basis, dims, step, tol, shape):
@@ -307,38 +301,31 @@ def sqrt_psd(x, tol: ToleranceConfig | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearMapOnSubspace:
-    """Linear map determined by images of an orthonormal domain basis."""
+    """Linear map determined by the stacked images of an orthonormal domain basis."""
 
     domain: Subspace
-    images: tuple
+    image_stack: np.ndarray
     codomain_shape: tuple
 
     def __post_init__(self) -> None:
-        if len(self.images) != self.domain.dim:
+        object.__setattr__(self, "image_stack", _as_stack(self.image_stack, self.codomain_shape))
+        if len(self.image_stack) != self.domain.dim:
             raise ValueError("one image per domain basis element required")
-        for im in self.images:
-            if as_matrix(im).shape != tuple(self.codomain_shape):
-                raise ValueError("image shape does not match declared codomain")
 
-    @cached_property
-    def image_stack(self) -> np.ndarray:
-        if not self.images:
-            return np.zeros((0,) + tuple(self.codomain_shape), complex)
-        return np.stack(self.images)
+    @property
+    def images(self) -> tuple:
+        return tuple(self.image_stack)
 
     def apply(self, x, tol: ToleranceConfig | None = None) -> np.ndarray:
         tol = tol or DEFAULT_TOL
         x = as_matrix(x)
         if not contains(self.domain, x, tol):
             raise ValueError("argument lies outside the map's domain")
-        c = self.domain.coeffs(x)
-        if not self.images:
-            return np.zeros(self.codomain_shape, complex)
-        return np.einsum("k,kij->ij", c, self.image_stack)
+        return np.einsum("k,kij->ij", self.domain.coeffs(x), self.image_stack)
 
 
 def identity_map(space: Subspace) -> LinearMapOnSubspace:
-    return LinearMapOnSubspace(space, tuple(space.basis), space.shape)
+    return LinearMapOnSubspace(space, space.stack, space.shape)
 
 
 def null_space(a: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.ndarray:

@@ -6,13 +6,13 @@ W = X + L X; L = span(W W*) is kept with it.  When X X* already spans
 p M p, for p and q the supports of X, one rank count shows W = p M q, and
 no closure runs.  Finite dimensional TROs are unitarily equivalent to
 direct sums of rectangular matrix blocks; a W that fills p M q is one
-block, otherwise the block form is read off from the center of L, and a
-one-dimensional center means a single block spanned by the supports of W.
-Each block is M_(a,b) tensor 1_m, with its multiplicity m read from ranks
-and dimensions.  The injective envelope of a subspace X is W modulo its
-Shilov ideal, the largest ideal whose quotient map is completely isometric
-on X; it is the sum of the blocks whose deletion alone is completely
-isometric on X, which is one complete contractivity decision per block.
+block, otherwise the block form is read off from the spectrum of a central
+element of L.  Each block is M_(a,b) tensor 1_m, with its multiplicity m
+read from ranks and dimensions.  The injective envelope of a subspace X is
+W modulo its Shilov ideal, the largest ideal whose quotient map is
+completely isometric on X; it is the sum of the blocks whose deletion alone
+is completely isometric on X, which is one complete contractivity decision
+per block.
 """
 
 from __future__ import annotations
@@ -70,10 +70,9 @@ class DegenerateDecompositionError(ArithmeticError):
 @dataclass(frozen=True, eq=False)
 class TROSpace:
     """A TRO W, the subspace it was generated from, and the orthonormal
-    columns (left, left complement, right, right complement) of the supports
-    of W and of their complements.  The left linking algebra span(W W*) is
-    certified product-closed the first time it is read, from its *-closed
-    span ``link_span``."""
+    columns (left, right) of the supports of W.  The left linking algebra
+    span(W W*) is certified product-closed the first time it is read, from
+    its *-closed span ``link_span``."""
 
     space: Subspace
     closure_residual: float
@@ -93,7 +92,7 @@ class TROSpace:
     @property
     def full_corner(self) -> bool:
         """W is all of p M q, for p and q its support projections."""
-        left, _, right, _ = self.supports
+        left, right = self.supports
         return self.dim == left.shape[1] * right.shape[1]
 
     @cached_property
@@ -103,11 +102,11 @@ class TROSpace:
 
 def _range_columns(stack, tol):
     """Orthonormal columns whose first ``rank`` span the joint column space
-    of the stacked matrices (..., k, rows, cols) and whose others span its
-    orthogonal complement, and that rank, from one SVD per member."""
+    of the stacked matrices (..., k, rows, cols), and that rank, from one
+    SVD per member."""
     *lead, k, rows, cols = stack.shape
     joint = np.swapaxes(stack, -3, -2).reshape(*lead, rows, k * cols)
-    u, s, _ = np.linalg.svd(joint, full_matrices=k * cols < rows)
+    u, s, _ = np.linalg.svd(joint, full_matrices=False)
     return u, numerical_rank(s, tol.eq_tol)
 
 
@@ -154,7 +153,7 @@ def generate_tros(spaces, tol: ToleranceConfig | None = None) -> list:
     corner = gens_rank == rank_p**2
 
     def supports(i):
-        return left[i, :, : rank_p[i]], left[i, :, rank_p[i] :], right[i, :, : rank_q[i]], right[i, :, rank_q[i] :]
+        return left[i, :, : rank_p[i]], right[i, :, : rank_q[i]]
 
     out = [None] * g
     for rp, rq in sorted({(int(a), int(b)) for a, b in zip(rank_p[corner], rank_q[corner])}):
@@ -164,10 +163,10 @@ def generate_tros(spaces, tol: ToleranceConfig | None = None) -> list:
         _check_supports(x[idx], lc, rc, tol)
         links, units = _matrix_units(lc, lc), _matrix_units(lc, rc)
         for j, i in enumerate(idx):
-            w, link = Subspace(m, n, tuple(units[j])), Subspace(m, m, tuple(links[j]))
+            w, link = Subspace(m, n, units[j]), Subspace(m, m, links[j])
             out[i] = TROSpace(w, 0.0, link, spaces[i], supports(i), tol)
     for i in np.flatnonzero(~corner):
-        gspan = Subspace(m, m, tuple(gens[i, : gens_rank[i]].reshape(-1, m, m)))
+        gspan = Subspace(m, m, gens[i, : gens_rank[i]].reshape(-1, m, m))
         out[i] = _closed_tro(spaces[i], gspan, supports(i), tol)
     return out
 
@@ -193,8 +192,7 @@ def _closed_tro(space: Subspace, gens: Subspace, supports, tol) -> TROSpace:
     for wa in w.stack:
         if max_projection_residual(link_space, product_stack(wa[None], wstar)) > tol.eq_tol:
             raise ArithmeticError("linking algebra does not contain W W*")
-    left, _, right, _ = supports
-    _check_supports(w.stack, left, right, tol)  # X lies in W by construction
+    _check_supports(w.stack, *supports, tol)  # X lies in W by construction
     return TROSpace(w, worst, link_space, space, supports, tol)
 
 
@@ -205,7 +203,7 @@ def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> Matr
 
 def support_projections(w: TROSpace):
     """(p, q): projections onto the joint column and row spaces, with p x q = x."""
-    left, _, right, _ = w.supports
+    left, right = w.supports
     return left @ left.conj().T, right @ right.conj().T
 
 
@@ -214,15 +212,13 @@ class BlockStructure:
     """Rectangular block form of a TRO.
 
     Block k is M_(a,b) tensor 1_m, with (a, b) in ``blocks`` and m in
-    ``multiplicities``: ``left_unitary* . w . right_unitary`` is supported on
-    diagonal blocks of shapes (a m, b m) in this order, and the projections
-    are the block supports in the original frame.
+    ``multiplicities``; its left and right supports, of ranks a m and b m,
+    are the orthogonal projections ``left_projections[k]`` and
+    ``right_projections[k]``, and every w is the sum of the p_k w q_k.
     """
 
     blocks: tuple
     multiplicities: tuple
-    left_unitary: np.ndarray
-    right_unitary: np.ndarray
     left_projections: tuple
     right_projections: tuple
 
@@ -242,32 +238,29 @@ def _singular_values(stack, left, right):
 
 
 def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int = 0) -> BlockStructure:
-    """Unitaries putting the TRO into diagonal rectangular block form.
+    """Projections onto the supports of the diagonal rectangular blocks of the TRO.
 
     A TRO that fills p M q, for p and q its supports, is the one block
-    M_(rank p, rank q), found without reading the linking algebra.  Else a
-    one-dimensional center of the left linking algebra means one block
-    M_(a,b) tensor 1_m, m > 1, whose left and right columns are the
-    supports of the TRO; its central element must then be a multiple of
-    the left support.  Otherwise minimal central projections are separated
-    by the spectrum of one random Hermitian center element; a fresh element
-    is drawn when eigenvalues collide (up to ten retries).  Each block's
-    eigenvectors are its left columns; the right columns are the row space
-    of the block's slice of the TRO, and the slice's rank is its dimension
-    a b.  Blocks are ordered by (a, b, m) descending, then by the singular
-    values of the generating subspace compressed to the block, which
-    unitary conjugation leaves alone, then by first supported row.
+    M_(rank p, rank q), found without reading the linking algebra.  Every
+    other TRO is split by the spectrum of one random Hermitian element of
+    the center of its left linking algebra: there must be one nonzero
+    eigenspace per dimension of the center, and their projections must sum
+    to the left support (a one-dimensional center is a multiple of it).  A
+    fresh element is drawn when eigenvalues collide (up to ten retries).
+    Each block's eigenvectors are its left columns; the right columns are
+    the row space of the block's slice of the TRO, and the slice's rank is
+    its dimension a b.  Blocks are ordered by (a, b, m) descending, then by
+    the singular values of the generating subspace compressed to the block,
+    which unitary conjugation leaves alone, then by first supported row.
     """
     tol = tol or DEFAULT_TOL
-    m, n = w.space.shape
     if w.dim == 0:
-        return BlockStructure((), (), np.eye(m, dtype=complex), np.eye(n, dtype=complex), (), ())
-    left, left_rest, right, right_rest = w.supports
+        return BlockStructure((), (), (), ())
+    left, right = w.supports
     p = left @ left.conj().T
     if w.full_corner:
         # p M q is the block M_(rank p, rank q): its linking algebra p M p is simple
-        lu, ru = np.hstack([left, left_rest]), np.hstack([right, right_rest])
-        return BlockStructure(((left.shape[1], right.shape[1]),), (1,), lu, ru, (p,), (right @ right.conj().T,))
+        return BlockStructure(((left.shape[1], right.shape[1]),), (1,), (p,), (right @ right.conj().T,))
     # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
     link = w.linking
     c = link.structure
@@ -277,14 +270,6 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     r = len(center)
     if r == 0:
         raise ArithmeticError("linking algebra has an empty center")
-    if r == 1:
-        # the unit of the linking algebra is p, and a simple algebra's center is C p
-        scale = np.vdot(p, center[0]) / left.shape[1]
-        if hs_norm(center[0] - scale * p) > 1e-6 * max(1.0, hs_norm(center[0])):
-            raise DegenerateDecompositionError("the one-dimensional center is not spanned by the left support")
-        a, b, mult = _block_shape(left.shape[1], right.shape[1], w.dim)
-        lu, ru = np.hstack([left, left_rest]), np.hstack([right, right_rest])
-        return BlockStructure(((a, b),), (mult,), lu, ru, (p,), (right @ right.conj().T,))
 
     rng = np.random.default_rng(seed)
     for _ in range(10):
@@ -295,7 +280,6 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
         gap = 1e-6 * max(1.0, float(np.abs(vals).max()))
         groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > gap) + 1)  # vals ascend
         left_cols = [vecs[:, g] for g in groups if abs(vals[g].mean()) > gap]
-        zero_cols = [vecs[:, g] for g in groups if abs(vals[g].mean()) <= gap]
         # r spectral blocks whose projections sum to the left support
         total = sum(cols @ cols.conj().T for cols in left_cols)
         if len(left_cols) == r and hs_norm(total - p) <= 1e-6 * max(1.0, hs_norm(p)):
@@ -317,9 +301,8 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
         keys.append((-a, -b, -mult, *invariant, first_row))
     order = sorted(range(r), key=keys.__getitem__)
     left_cols, right_cols, shapes = ([seq[k] for k in order] for seq in (left_cols, right_cols, shapes))
-    lu, ru = np.hstack(left_cols + zero_cols), np.hstack(right_cols + [right_rest])
-    if ru.shape != (n, n):
-        raise DegenerateDecompositionError("block supports do not fill the ambient space")
+    if sum(rc.shape[1] for rc in right_cols) != right.shape[1]:
+        raise DegenerateDecompositionError("the blocks' right supports do not fill the right support")
 
     lps = tuple(lc @ lc.conj().T for lc in left_cols)
     rps = tuple(rc @ rc.conj().T for rc in right_cols)
@@ -327,7 +310,7 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     blockwise = sum(pk @ w.space.stack @ qk for pk, qk in zip(lps, rps))
     if np.abs(w.space.stack - blockwise).max() > 1e-7:
         raise DegenerateDecompositionError("the space is not supported on its blocks")
-    return BlockStructure(tuple((a, b) for a, b, _ in shapes), tuple(mult for *_, mult in shapes), lu, ru, lps, rps)
+    return BlockStructure(tuple((a, b) for a, b, _ in shapes), tuple(mult for *_, mult in shapes), lps, rps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +333,7 @@ def _compression(space: Subspace, bs: BlockStructure, kept) -> LinearMapOnSubspa
     """The map x -> p x q on the space, for p and q the supports of the kept blocks."""
     p = sum(bs.left_projections[k] for k in kept)
     q = sum(bs.right_projections[k] for k in kept)
-    return LinearMapOnSubspace(space, tuple(p @ space.stack @ q), space.shape)
+    return LinearMapOnSubspace(space, p @ space.stack @ q, space.shape)
 
 
 def _deletion_map(space: Subspace, bs: BlockStructure, kept, deleted, tol: ToleranceConfig):
@@ -362,7 +345,7 @@ def _deletion_map(space: Subspace, bs: BlockStructure, kept, deleted, tol: Toler
     if numerical_rank(s, tol.eq_tol, 1.0) < d:
         return None
     images = (u / s).conj().T @ _compression(space, bs, deleted).image_stack.reshape(d, -1)
-    return LinearMapOnSubspace(Subspace(*shape, tuple(vh.reshape(d, *shape))), tuple(images.reshape(d, *shape)), shape)
+    return LinearMapOnSubspace(Subspace(*shape, vh.reshape(d, *shape)), images.reshape(d, *shape), shape)
 
 
 def injective_envelope(
@@ -434,7 +417,7 @@ def multiplicative_embed(
     basis = z_space.space.stack
     ims = np.zeros((len(basis), m + n, m + n), complex)
     ims[:, :m, :m], ims[:, :m, m:] = basis @ z.conj().T, basis @ defect
-    phi = LinearMapOnSubspace(z_space.space, tuple(ims), (m + n, m + n))
+    phi = LinearMapOnSubspace(z_space.space, ims, (m + n, m + n))
     # phi(proj(s)) is vec(s) @ lift: the coefficients of s against the basis, then the images
     lift = basis.reshape(len(basis), m * n).conj().T @ ims.reshape(len(ims), (m + n) ** 2)
 

@@ -231,13 +231,21 @@ def test_search_zero_trials():
     assert summary["noncommutative_reversible"] == []
 
 
-def test_search_flags_injected_basis():
+def _inject(monkeypatch, algebras):
+    """The first trials of each chunk a search samples are the algebras' spans."""
+    sample = cli.examples.random_triangular_spans
+
+    def spans(ambient, max_dim, seeds, tol):
+        return [A.space for A in algebras] + sample(ambient, max_dim, seeds[len(algebras) :], tol)
+
+    monkeypatch.setattr(cli.examples, "random_triangular_spans", spans)
+
+
+def test_search_flags_injected_basis(monkeypatch):
     # a sample that contains the known noncommutative reversible algebra in
     # M_4 must surface it as a hit
-    summary = run_search(
-        ambient=4, trials=20, seed=3, max_dim=4, tol=ToleranceConfig(),
-        include=[ex.car_pair()],
-    )
+    _inject(monkeypatch, [ex.car_pair()])
+    summary = run_search(ambient=4, trials=21, seed=3, max_dim=4, tol=ToleranceConfig())
     assert len(summary["noncommutative_reversible"]) >= 1
     basis = [matrix_from_wire(m) for m in summary["noncommutative_reversible"][0]["basis"]]
     span = np.stack([b.ravel() for b in basis])
@@ -254,7 +262,8 @@ def test_search_cache_keeps_the_summary_and_runs_predicates_once(monkeypatch):
     again = ex.car_pair()
     rebased = orthonormalize([A.basis[0] + A.basis[1], A.basis[1] - A.basis[2], A.basis[2]])
     include = [A, ex.strict_upper(4), again, verify_algebra(rebased), ex.strict_upper(4)]
-    kwargs = dict(ambient=4, trials=6, seed=5, max_dim=3, tol=ToleranceConfig(), include=include)
+    _inject(monkeypatch, include)
+    kwargs = dict(ambient=4, trials=len(include) + 6, seed=5, max_dim=3, tol=ToleranceConfig())
     classified, keys = [], []
     original = cli.alg.commutation_predicates
     monkeypatch.setattr(

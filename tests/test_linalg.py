@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from opalg.examples import matrix_unit
 from opalg.linalg import (
     LinearMapOnSubspace,
+    Subspace,
     ToleranceConfig,
     as_matrix,
     close_span,
@@ -65,6 +66,19 @@ def test_orthonormalize_empty():
 def test_orthonormalize_shape_mismatch():
     with pytest.raises(ValueError):
         orthonormalize([np.zeros((2, 2)), np.zeros((3, 3))])
+
+
+def test_spans_and_maps_reject_wrong_shapes_and_nonfinite_entries():
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for bad in ((np.zeros((3, 3)),), (nan,), np.zeros((1, 2, 3)), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            Subspace(2, 2, bad)
+    s = Subspace(2, 2, (matrix_unit(2, 1, 2),))
+    assert s.stack.shape == (1, 2, 2) and Subspace(2, 2, ()).dim == 0
+    for bad in ((np.zeros((3, 3)),), (nan,), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            LinearMapOnSubspace(s, bad, (2, 2))
+    assert LinearMapOnSubspace(s, s.stack, (2, 2)).images[0].shape == (2, 2)
 
 
 def test_reorthonormalize_is_identity(rng):

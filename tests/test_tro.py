@@ -169,7 +169,7 @@ def _assert_full_corner_path(monkeypatch, space):
     columns = []
     for stack in (closed.stack, closed.stack.conj().transpose(0, 2, 1)):
         u, rank = tro._range_columns(stack, linalg.DEFAULT_TOL)
-        columns += [u[:, :rank], u[:, rank:]]
+        columns.append(u[:, :rank])
     closure_tro = TROSpace(closed, 0.0, link, space, tuple(columns))
     monkeypatch.setattr(TROSpace, "full_corner", False)
     centered = block_decompose(closure_tro)
@@ -374,17 +374,20 @@ def test_block_decompose_orders_blocks_by_size_then_first_row():
     assert np.allclose(bs.left_projections[0], unit(4, 1, 1)) and np.allclose(bs.right_projections[0], unit(4, 2, 2))
 
 
-def test_block_decompose_roundtrip(rng):
-    mats = [unit(4, 1, 2) + unit(4, 3, 4), unit(4, 1, 4)]
-    w = generate_tro(orthonormalize(mats))
-    bs = block_decompose(w)
-    lu, ru = bs.left_unitary, bs.right_unitary
-    assert np.allclose(lu.conj().T @ lu, np.eye(4), atol=1e-10)
-    assert np.allclose(ru.conj().T @ ru, np.eye(4), atol=1e-10)
-    for x in w.basis:
-        rot = lu.conj().T @ x @ ru
-        back = lu @ rot @ ru.conj().T
-        assert hs_norm(back - x) <= 1e-8
+def test_block_decompose_roundtrip():
+    # the block supports are orthogonal projections, mutually orthogonal on
+    # each side, and sum_k p_k x q_k = x on the TRO; {diag(t, t)} is one
+    # block of multiplicity 2, no full corner, so it takes the spectral split
+    for mats in ([unit(4, 1, 2) + unit(4, 3, 4), unit(4, 1, 4)], ENVELOPE_CASES["m2-twice"][0]):
+        w = generate_tro(orthonormalize(mats))
+        bs = block_decompose(w)
+        for projections in (bs.left_projections, bs.right_projections):
+            for j, pj in enumerate(projections):
+                assert np.allclose(pj @ pj, pj, atol=1e-10) and np.allclose(pj.conj().T, pj, atol=1e-10)
+                assert all(np.allclose(pj @ pk, 0.0, atol=1e-10) for pk in projections[j + 1 :])
+        for x in w.basis:
+            back = sum(p @ x @ q for p, q in zip(bs.left_projections, bs.right_projections))
+            assert hs_norm(back - x) <= 1e-8
 
 
 def test_full_rectangular_is_simple():
