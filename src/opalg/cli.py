@@ -298,25 +298,8 @@ def _chain(t: _Table, inputs: _Inputs):
             and _close(q, np.diag([0.0] + [1.0] * (2 * n + 1)).astype(complex)),
         )
     # pairwise distance law u_i u_j = 0 for |i-j| > 1, on the raw generators
-    n = 3
-    size = 2 * n + 2
-    raw = []
-    for i in range(n):
-        row1 = np.zeros(2 * n)
-        row1[2 * i] = 1.0
-        col1 = np.zeros(2 * n)
-        col1[2 * i + 1] = 1.0
-        for row, col in ((row1, col1), (col1, -row1)):
-            m = np.zeros((size, size), complex)
-            m[0, 1 : 2 * n + 1] = row
-            m[1 : 2 * n + 1, size - 1] = col
-            raw.append(m)
-    far = max(
-        hs_norm(raw[i] @ raw[j])
-        for i in range(2 * n)
-        for j in range(2 * n)
-        if abs(i - j) > 1
-    )
+    raw = examples.anticommuting_generators(3)
+    far = max(hs_norm(x @ y) for i, x in enumerate(raw) for j, y in enumerate(raw) if abs(i - j) > 1)
     t.check(g, "distant-products-vanish", far <= 1e-12)
 
 

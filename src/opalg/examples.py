@@ -24,6 +24,7 @@ __all__ = [
     "matrix_unit",
     "car_pair",
     "car_pair_symmetry_unitary",
+    "anticommuting_generators",
     "anticommuting_family",
     "shift_family",
     "isometry_algebra",
@@ -66,20 +67,15 @@ def car_pair_symmetry_unitary() -> np.ndarray:
     )
 
 
-def anticommuting_family(n: int, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
-    """2n anticommuting generators plus their common product in M_{2n+2}.
+def anticommuting_generators(n: int) -> list:
+    """The 2n generators of :func:`anticommuting_family` in M_{2n+2}.
 
     u_{2i-1} carries row vector e_i (x) e_1 and column vector e_i (x) e_2;
     u_{2i} carries e_i (x) e_2 and -(e_i (x) e_1).  Then u_a u_b is a scalar
     multiple of e_{1,2n+2} and vanishes for |a - b| > 1.
     """
-    tol = tol or DEFAULT_TOL
-    if n < 1:
-        raise ValueError("n must be at least 1")
     size = 2 * n + 2
     mats = []
-    w = matrix_unit(size, 1, size)
-    mats.append(w)
     for i in range(n):
         row1 = np.zeros(2 * n)
         row1[2 * i] = 1.0  # e_i (x) e_1
@@ -90,7 +86,16 @@ def anticommuting_family(n: int, tol: ToleranceConfig | None = None) -> MatrixAl
             m[0, 1 : 2 * n + 1] = row
             m[1 : 2 * n + 1, size - 1] = col
             mats.append(m)
-    return verify_algebra(mats, tol)
+    return mats
+
+
+def anticommuting_family(n: int, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
+    """The 2n anticommuting generators of :func:`anticommuting_generators`
+    plus their common product e_{1,2n+2} in M_{2n+2}."""
+    tol = tol or DEFAULT_TOL
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return verify_algebra([matrix_unit(2 * n + 2, 1, 2 * n + 2)] + anticommuting_generators(n), tol)
 
 
 def shift_family(n: int, tol: ToleranceConfig | None = None) -> MatrixAlgebra:

@@ -1,25 +1,26 @@
 """Ternary rings of operators: generation, block form, envelopes.
 
-A TRO is a subspace W with W W* W inside W.  The TRO generated by X is
-built from its linking algebra L, the *-algebra generated by X X*, as
-W = X + L X; L = span(W W*) is kept with it.  When X X* already spans
-p M p, for p and q the supports of X, one rank count shows W = p M q, and
-no closure runs.  Finite dimensional TROs are unitarily equivalent to
-direct sums of rectangular matrix blocks; a W that fills p M q is one
-block, otherwise the block form is read off from the spectrum of a central
-element of L.  Each block is M_(a,b) tensor 1_m, with its multiplicity m
-read from ranks and dimensions.  The injective envelope of a subspace X is
-W modulo its Shilov ideal, the largest ideal whose quotient map is
-completely isometric on X; it is the sum of the blocks whose deletion alone
-is completely isometric on X, which is one complete contractivity decision
-per block.
+A TRO is a subspace W with W W* W inside W.  The TRO generated by X lies
+in p M q, for p and q the supports of X.  When X X* already spans p M p,
+one rank count shows W = p M q.  Otherwise W is read off the commutant C
+of the Hermitian dilations [[0, y], [y*, 0]] of X compressed to its
+supports, with the grading: by the bicommutant theorem C' is the algebra
+they generate, and its off-diagonal corner, the span of the odd words
+x1 x2* x3 ..., is W.  These conditions are linear in X.  Finite
+dimensional TROs are unitarily equivalent to direct sums of rectangular
+blocks M_(a,b) tensor 1_m; a W that fills p M q is one block, otherwise
+one random element of the center of C takes one value on each block, so
+its eigenspaces give the blocks' supports, and m is read from ranks and
+dimensions.  The injective envelope of a subspace X is W modulo its Shilov
+ideal, the largest ideal whose quotient map is completely isometric on X;
+it is the sum of the blocks whose deletion alone is completely isometric
+on X, which is one complete contractivity decision per block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .linalg import (
     ToleranceConfig,
     adjoints,
     as_matrix,
-    basis_and_rank,
-    close_span,
     contains,
     hs_norm,
     identity_map,
@@ -70,13 +69,14 @@ class DegenerateDecompositionError(ArithmeticError):
 @dataclass(frozen=True, eq=False)
 class TROSpace:
     """A TRO W, the subspace it was generated from, and the orthonormal
-    columns (left, right) of the supports of W.  The left linking algebra
-    span(W W*) is certified product-closed the first time it is read, from
-    its *-closed span ``link_span``."""
+    columns (left, right) of the supports of W.  ``center`` is a basis of
+    the center of the commutant that W was read from (see
+    :func:`generate_tros`), in the support coordinates; it is None for a
+    full corner, which reads no commutant."""
 
     space: Subspace
     closure_residual: float
-    link_span: Subspace | None = field(repr=False)
+    center: np.ndarray | None = field(repr=False)
     generators: Subspace = field(repr=False)
     supports: tuple | None = field(default=None, repr=False)
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
@@ -94,10 +94,6 @@ class TROSpace:
         """W is all of p M q, for p and q its support projections."""
         left, right = self.supports
         return self.dim == left.shape[1] * right.shape[1]
-
-    @cached_property
-    def linking(self) -> MatrixAlgebra:
-        return verify_algebra(self.link_span, self.tol)
 
 
 def _range_columns(stack, tol):
@@ -125,32 +121,25 @@ def generate_tro(space: Subspace, tol: ToleranceConfig | None = None) -> TROSpac
 
 
 def generate_tros(spaces, tol: ToleranceConfig | None = None) -> list:
-    """Smallest TRO W containing each subspace X, built from its linking
-    algebra, for subspaces of one dimension and shape.
+    """Smallest TRO W containing each subspace X, for subspaces of one
+    dimension and shape.
 
-    G = span(X X*) lies in p M p, for p and q the support projections of X,
-    which are those of W.  The dimension of G and both supports come from
+    W lies in p M q, for p and q the support projections of X, which are
+    those of W.  The dimension of G = span(X X*) and both supports come from
     SVDs stacked over the members.  When dim G = (rank p)^2, G is all of
-    p M p, which is then the linking algebra L, and W = L X = p M q: W and L
-    are spanned by matrix units in the support columns, built for all such
-    members of equal support ranks at once, W is closed exactly (closure
-    residual 0), and p x q = x is the check that X lies in W.  Otherwise
-    G is *-closed, so the algebra L it generates (the closure of G under
-    left multiplication by G) is a *-algebra, and W = X + L X is the span
-    of the odd alternating words x1 y1* x2 ... xk, the TRO generated by X.
-    Then W W* lies in L and L in span(W W*), so L is kept as the linking
-    algebra.  The closure residual is that of L W in W; L is checked
-    adjoint-closed, W W* to lie in L (one slice w W* at a time, so the d_W^2
-    stack is neither factorized nor held whole) and p W q = W, all by
-    projection residuals.  These members are closed one at a time.
+    p M p and W = p M q: W is spanned by matrix units in the support
+    columns, built for all such members of equal support ranks at once, W
+    is closed exactly (closure residual 0), and p x q = x is the check that
+    X lies in W.  Every other member is read off a commutant, one at a
+    time, by :func:`_commutant_tro`, whose conditions are linear in X.
     """
     tol = tol or DEFAULT_TOL
     x = np.stack([space.stack for space in spaces])
     g, d, m, n = x.shape
-    gens, gens_rank = basis_and_rank(product_stack(x, adjoints(x)).reshape(g, d * d, m * m), tol.eq_tol)
+    gens = np.linalg.svd(product_stack(x, adjoints(x)).reshape(g, d * d, m * m), compute_uv=False)
     left, rank_p = _range_columns(x, tol)
     right, rank_q = _range_columns(adjoints(x), tol)
-    corner = gens_rank == rank_p**2
+    corner = numerical_rank(gens, tol.eq_tol) == rank_p**2
 
     def supports(i):
         return left[i, :, : rank_p[i]], right[i, :, : rank_q[i]]
@@ -161,13 +150,11 @@ def generate_tros(spaces, tol: ToleranceConfig | None = None) -> list:
         lc, rc = left[idx, :, :rp], right[idx, :, :rq]
         # p M q is closed exactly; X is what must lie in it
         _check_supports(x[idx], lc, rc, tol)
-        links, units = _matrix_units(lc, lc), _matrix_units(lc, rc)
+        units = _matrix_units(lc, rc)
         for j, i in enumerate(idx):
-            w, link = Subspace(m, n, units[j]), Subspace(m, m, links[j])
-            out[i] = TROSpace(w, 0.0, link, spaces[i], supports(i), tol)
+            out[i] = TROSpace(Subspace(m, n, units[j]), 0.0, None, spaces[i], supports(i), tol)
     for i in np.flatnonzero(~corner):
-        gspan = Subspace(m, m, gens[i, : gens_rank[i]].reshape(-1, m, m))
-        out[i] = _closed_tro(spaces[i], gspan, supports(i), tol)
+        out[i] = _commutant_tro(spaces[i], supports(i), tol)
     return out
 
 
@@ -179,26 +166,59 @@ def _check_supports(held, left, right, tol):
         raise ArithmeticError("support projections do not reproduce the space")
 
 
-def _closed_tro(space: Subspace, gens: Subspace, supports, tol) -> TROSpace:
-    """The TRO X + L X for L the algebra generated by G = span(X X*)."""
-    x = space.stack
-    link_space = close_span(gens, lambda cur: product_stack(gens.stack, cur), tol)
-    lstack = link_space.stack
-    w = orthonormalize(np.concatenate([x, product_stack(lstack, x)]), tol, shape=space.shape)
-    worst = max_projection_residual(w, product_stack(lstack, w.stack))
-    if max_projection_residual(link_space, adjoints(lstack)) > tol.eq_tol:
-        raise ArithmeticError("linking algebra failed to close under adjoints")
-    wstar = adjoints(w.stack)
-    for wa in w.stack:
-        if max_projection_residual(link_space, product_stack(wa[None], wstar)) > tol.eq_tol:
-            raise ArithmeticError("linking algebra does not contain W W*")
-    _check_supports(w.stack, *supports, tol)  # X lies in W by construction
-    return TROSpace(w, worst, link_space, space, supports, tol)
+def _commuting(stack, mask, tol) -> np.ndarray:
+    """Basis of the matrices z supported on the entries of ``mask`` with
+    z h = h z for every h of the stack (k, N, N): one null space of the
+    rows 1 (x) h^T - h (x) 1 of z -> z h - h z, on the mask's columns."""
+    k, size, _ = stack.shape
+    eye = np.eye(size)
+    rows = np.einsum("ri,kjs->krsij", eye, stack) - np.einsum("kri,js->krsij", stack, eye)
+    coeffs = null_space(rows.reshape(k * size * size, -1)[:, mask.ravel()], tol.eq_tol, min_scale=1.0)
+    out = np.zeros((len(coeffs), size * size), complex)
+    out[:, mask.ravel()] = coeffs
+    return out.reshape(-1, size, size)
+
+
+def _commutant_tro(space: Subspace, supports, tol) -> TROSpace:
+    """The TRO generated by X, read off the commutant of its dilations.
+
+    For U and V the support columns, of ranks a and b, X compressed is
+    y = U* x V, with dilation h(y) = [[0, y], [y*, 0]] in M_(a+b).  The
+    commutant C of the dilations and the grading diag(1, -1) is the block
+    diagonal z = diag(S, T) commuting with every h(y).  By the bicommutant
+    theorem, C' is the algebra generated by the dilations and the grading,
+    and its upper-right corner, {w : S w = w T for (S, T) in C}, is the span
+    of the odd words y1 y2* y3 ..., the TRO generated by the y; W is U w V*.
+    Its closure residual is max |S w - w T| over the bases, and the center
+    C cap C', the block diagonal z commuting with the dilations and with C,
+    is kept for :func:`block_decompose`.
+    """
+    left, right = supports
+    a, b = left.shape[1], right.shape[1]
+    y = adjoints(left) @ space.stack @ right
+    dilations = np.zeros((space.dim, a + b, a + b), complex)
+    dilations[:, :a, a:], dilations[:, a:, :a] = y, adjoints(y)
+    diagonal, corner = np.zeros((2, a + b, a + b), bool)
+    diagonal[:a, :a] = diagonal[a:, a:] = corner[:a, a:] = True
+    commutant = _commuting(dilations, diagonal, tol)
+    ws = _commuting(commutant, corner, tol)[:, :a, a:]
+    gaps = commutant[:, None, :a, :a] @ ws - ws @ commutant[:, None, a:, a:]
+    residual = np.linalg.norm(gaps, axis=(-2, -1)).max(initial=0.0)
+    if residual > 10 * tol.eq_tol:
+        raise ArithmeticError(f"the TRO commutes with the commutant only to {residual:.3e}")
+    w = Subspace(*space.shape, left @ ws @ adjoints(right))
+    if max_projection_residual(w, space.stack) > 10 * tol.eq_tol:
+        raise ArithmeticError("the space does not lie in the TRO read off its commutant")
+    _check_supports(space.stack, left, right, tol)
+    center = _commuting(np.concatenate([dilations, commutant]), diagonal, tol)
+    return TROSpace(w, float(residual), center, space, supports, tol)
 
 
 def linking_algebra(space: Subspace, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
-    """The *-algebra generated by the products a b* (acting on the row side)."""
-    return generate_tro(space, tol).linking
+    """The left linking algebra span(W W*) of the TRO W generated by the space."""
+    tol = tol or DEFAULT_TOL
+    w, m = generate_tro(space, tol).space.stack, space.ambient_rows
+    return verify_algebra(orthonormalize(product_stack(w, adjoints(w)), tol, shape=(m, m)), tol)
 
 
 def support_projections(w: TROSpace):
@@ -241,69 +261,56 @@ def block_decompose(w: TROSpace, tol: ToleranceConfig | None = None, seed: int =
     """Projections onto the supports of the diagonal rectangular blocks of the TRO.
 
     A TRO that fills p M q, for p and q its supports, is the one block
-    M_(rank p, rank q), found without reading the linking algebra.  Every
-    other TRO is split by the spectrum of one random Hermitian element of
-    the center of its left linking algebra: there must be one nonzero
-    eigenspace per dimension of the center, and their projections must sum
-    to the left support (a one-dimensional center is a multiple of it).  A
-    fresh element is drawn when eigenvalues collide (up to ten retries).
-    Each block's eigenvectors are its left columns; the right columns are
-    the row space of the block's slice of the TRO, and the slice's rank is
-    its dimension a b.  Blocks are ordered by (a, b, m) descending, then by
-    the singular values of the generating subspace compressed to the block,
-    which unitary conjugation leaves alone, then by first supported row.
+    M_(rank p, rank q).  Every other TRO is split by one random Hermitian
+    element diag(S, T) of the center of the commutant it was read from
+    (:func:`_commutant_tro`), which takes one value on both supports of
+    each block: S and T must each have one eigenspace per dimension of the
+    center, paired by equal eigenvalues, and these give each block's left
+    and right columns.  A fresh element is drawn when eigenvalues collide
+    (up to ten retries).  The rank of the TRO's slice on a block's columns
+    is its dimension a b.  Blocks are ordered by (a, b, m) descending, then
+    by the singular values of the generating subspace compressed to the
+    block, which unitary conjugation leaves alone, then by the rounded row
+    masses of the block's left support (more mass on the first row where
+    two blocks differ comes first), so the order never follows the random
+    element.
     """
     tol = tol or DEFAULT_TOL
     if w.dim == 0:
         return BlockStructure((), (), (), ())
     left, right = w.supports
-    p = left @ left.conj().T
+    rank_p, rank_q = left.shape[1], right.shape[1]
     if w.full_corner:
-        # p M q is the block M_(rank p, rank q): its linking algebra p M p is simple
-        return BlockStructure(((left.shape[1], right.shape[1]),), (1,), (p,), (right @ right.conj().T,))
-    # center of the linking algebra: coefficients y with sum_i y_i (c_ijk - c_jik) = 0
-    link = w.linking
-    c = link.structure
-    commutators = (c - c.transpose(1, 0, 2)).reshape(link.dim, -1)
-    center_coeffs = null_space(commutators.T, tol.eq_tol, min_scale=1.0)
-    center = np.einsum("ck,kij->cij", center_coeffs, link.space.stack)
-    r = len(center)
-    if r == 0:
-        raise ArithmeticError("linking algebra has an empty center")
-
+        return BlockStructure(((rank_p, rank_q),), (1,), (left @ left.conj().T,), (right @ right.conj().T,))
+    r = len(w.center)
     rng = np.random.default_rng(seed)
     for _ in range(10):
         mu = rng.uniform(1.0, 2.0, r) + 1j * rng.uniform(-0.5, 0.5, r)
-        h = np.einsum("c,cij->ij", mu, center)
+        h = np.einsum("c,cij->ij", mu, w.center)
         h = (h + h.conj().T) / 2.0  # the center is *-closed, so h stays central
-        vals, vecs = np.linalg.eigh(h)
-        gap = 1e-6 * max(1.0, float(np.abs(vals).max()))
-        groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > gap) + 1)  # vals ascend
-        left_cols = [vecs[:, g] for g in groups if abs(vals[g].mean()) > gap]
-        # r spectral blocks whose projections sum to the left support
-        total = sum(cols @ cols.conj().T for cols in left_cols)
-        if len(left_cols) == r and hs_norm(total - p) <= 1e-6 * max(1.0, hs_norm(p)):
+        gap = 1e-6 * max(1.0, hs_norm(h))
+        sides = []
+        for cols, part in ((left, h[:rank_p, :rank_p]), (right, h[rank_p:, rank_p:])):
+            vals, vecs = np.linalg.eigh(part)
+            groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > gap) + 1)  # vals ascend
+            sides.append(([vals[g].mean() for g in groups], [cols @ vecs[:, g] for g in groups]))
+        (left_vals, left_cols), (right_vals, right_cols) = sides
+        # r values, each taken on the left and on the right support of one block
+        if len(left_vals) == len(right_vals) == r and np.allclose(left_vals, right_vals, rtol=0.0, atol=gap):
             break
     else:
-        raise DegenerateDecompositionError(f"no center element splits the left support into {r} blocks")
+        raise DegenerateDecompositionError(f"no center element splits the supports into {r} blocks")
 
-    right_cols = []
-    for cols in left_cols:
-        u, rank = _range_columns(adjoints(w.space.stack) @ cols, tol)
-        right_cols.append(u[:, :rank])
     shapes, keys = [], []
     for lc, rc in zip(left_cols, right_cols):
         dim = numerical_rank(_singular_values(w.space.stack, lc, rc), tol.eq_tol, 1.0)
         a, b, mult = _block_shape(lc.shape[1], rc.shape[1], dim)
         invariant = np.round(_singular_values(w.generators.stack, lc, rc), 9)
-        first_row = int(np.argmax(np.sum(np.abs(lc) ** 2, axis=1) > 0.5))
+        row_mass = np.round(np.sum(np.abs(lc) ** 2, axis=1), 6)
         shapes.append((a, b, mult))
-        keys.append((-a, -b, -mult, *invariant, first_row))
+        keys.append((-a, -b, -mult, *invariant, *-row_mass))
     order = sorted(range(r), key=keys.__getitem__)
     left_cols, right_cols, shapes = ([seq[k] for k in order] for seq in (left_cols, right_cols, shapes))
-    if sum(rc.shape[1] for rc in right_cols) != right.shape[1]:
-        raise DegenerateDecompositionError("the blocks' right supports do not fill the right support")
-
     lps = tuple(lc @ lc.conj().T for lc in left_cols)
     rps = tuple(rc @ rc.conj().T for rc in right_cols)
     # off-block mass must vanish: W is the sum of its (a m, b m) blocks

@@ -18,9 +18,11 @@ search that stops at its first violating run is checked against the search
 that polishes every level and keeps the best ratio, and the conjugation
 fit chosen by the Gram matrices against the fit that runs both its loops.
 The factored pairing solve is checked against one SVD of the materialized
-system.  Random triangular algebras are sampled one seed at a time, each
-closed by its own `close_span` and certified by `verify_algebra`, rather
-than in batches.
+system.  The commutant that a TRO is read from is checked through its
+dimension and its center's, from dense Kronecker null spaces in the whole
+ambient, with no support compression.  Random triangular algebras are
+sampled one seed at a time, each closed by its own `close_span` and
+certified by `verify_algebra`, rather than in batches.
 """
 
 import itertools
@@ -691,6 +693,29 @@ def commutator_ideal_is_nilpotent(A, tol=1e-9):
             return False
         power = np.array(nxt).reshape(-1, n, n)
     return True
+
+
+def commutant_and_center_dims(mats, tol=1e-9):
+    """(dim C, dim Z(C)) for C the commutant in M_(m+n) of the dilations
+    [[0, x], [x*, 0]] of the matrices and of the grading diag(1_m, -1_n), and
+    Z(C) its center, the matrices that also commute with C: each a dense
+    Kronecker null space of the rows 1 (x) h^T - h (x) 1 over the generators."""
+    x = np.asarray(mats, complex)
+    k, m, n = x.shape
+    size = m + n
+    gens = np.zeros((k + 1, size, size), complex)
+    gens[:k, :m, m:], gens[:k, m:, :m] = x, x.conj().transpose(0, 2, 1)
+    gens[k] = np.diag([1.0] * m + [-1.0] * n)
+
+    def commutant(hs):
+        eye = np.eye(size)
+        rows = np.concatenate([np.kron(eye, h.T) - np.kron(h, eye) for h in hs])
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)  # rows outnumber the N^2 columns
+        rank = int(np.sum(s > tol * max(1.0, s[0])))
+        return vh[rank:].conj().reshape(-1, size, size)
+
+    c = commutant(gens)
+    return len(c), len(commutant(np.concatenate([gens, c])))
 
 
 def block_shape_by_ranks(tro_basis, left_projection):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -18,6 +19,7 @@ from opalg.tro import (
 
 from .oracles import (
     block_shape_by_ranks,
+    commutant_and_center_dims,
     completely_isometric_kept_sets,
     embedding_residuals_by_loops,
     fit_and_status_against_both_loops,
@@ -108,7 +110,7 @@ def test_generated_linking_algebra_is_adjoint_closed(name):
     band = orthonormalize([unit(2, i, j, 3) for i in (1, 2) for j in (1, 2, 3)])
     space = band if name == "row-band" else dict(ex.corpus())[name].space
     w = generate_tro(space)
-    link = w.linking
+    link = linking_algebra(space)
     assert link.space.shape == (space.ambient_rows, space.ambient_rows)
     assert max_projection_residual(link.space, link.space.stack.conj().transpose(0, 2, 1)) <= 1e-9
     # it is the pair space of the TRO: every x y* lies in it
@@ -117,19 +119,17 @@ def test_generated_linking_algebra_is_adjoint_closed(name):
 
 
 @pytest.mark.parametrize(
-    "make, closures",
-    [(lambda: ex.anticommuting_family(2), []), (lambda: ex.diagonal_algebra(3), ["_closed_tro"])],
+    "make, commutants",
+    [(lambda: ex.anticommuting_family(2), 0), (lambda: ex.diagonal_algebra(3), 1)],
     ids=["anticommuting-family-2", "diagonal-3"],
 )
-def test_envelope_closes_one_span_inside_generate_tro(monkeypatch, make, closures):
-    # at most one closure per envelope, inside generate_tro (in _closed_tro,
-    # which closes the members that are not full corners): none when X X*
-    # spans the full corner p M p, one otherwise; block_decompose reads the
-    # linking algebra that generate_tro kept, so linking_algebra and a
-    # second close_span loop stay out of injective_envelope
+def test_no_envelope_calls_close_span(monkeypatch, make, commutants):
+    # no envelope closes a span: a full corner p M q is read off one rank
+    # count, and every other TRO off one commutant inside generate_tro, whose
+    # center block_decompose reads, so linking_algebra stays out too
     A = make()
-    original = linalg.close_span
-    callers, linking_calls = [], []
+    original, read = linalg.close_span, tro._commutant_tro
+    callers, linking_calls, commutant_calls = [], [], []
 
     def spy(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
@@ -139,9 +139,10 @@ def test_envelope_closes_one_span_inside_generate_tro(monkeypatch, make, closure
         if getattr(module, "__name__", "").startswith("opalg") and getattr(module, "close_span", None) is original:
             monkeypatch.setattr(module, "close_span", spy)
     monkeypatch.setattr(tro, "linking_algebra", lambda *a, **k: linking_calls.append(1))
+    monkeypatch.setattr(tro, "_commutant_tro", lambda *a, **k: commutant_calls.append(1) or read(*a, **k))
     injective_envelope(A.space)
-    assert linking_calls == []
-    assert callers == closures
+    assert callers == [] and linking_calls == []
+    assert len(commutant_calls) == commutants
 
 
 def _closure_path(space):
@@ -157,23 +158,19 @@ def _assert_same_span(a, b):
 
 
 def _assert_full_corner_path(monkeypatch, space):
-    closures = []
-    monkeypatch.setattr(tro, "close_span", lambda *a, **k: closures.append(1))
+    read, commutant_calls = tro._commutant_tro, []
+    monkeypatch.setattr(tro, "_commutant_tro", lambda *a, **k: commutant_calls.append(1))
     w = generate_tro(space)
     bs = block_decompose(w)
-    assert w.full_corner and closures == [] and "linking" not in vars(w)
+    assert w.full_corner and commutant_calls == [] and w.center is None
     link, closed = _closure_path(space)
     _assert_same_span(w.space, closed)
-    _assert_same_span(w.linking.space, link)
-    # the center path on the closure's TRO finds the same block
-    columns = []
-    for stack in (closed.stack, closed.stack.conj().transpose(0, 2, 1)):
-        u, rank = tro._range_columns(stack, linalg.DEFAULT_TOL)
-        columns.append(u[:, :rank])
-    closure_tro = TROSpace(closed, 0.0, link, space, tuple(columns))
+    _assert_same_span(linking_algebra(space).space, link)
+    # the commutant path, called directly, finds the same TRO and block
+    commuted = read(space, w.supports, linalg.DEFAULT_TOL)
+    _assert_same_span(commuted.space, w.space)
     monkeypatch.setattr(TROSpace, "full_corner", False)
-    centered = block_decompose(closure_tro)
-    assert "linking" in vars(closure_tro)
+    centered = block_decompose(commuted)
     assert (bs.blocks, bs.multiplicities) == (centered.blocks, centered.multiplicities)
 
 
@@ -190,8 +187,9 @@ CENTER_PATH = ("diagonal-2", "diagonal-3", "split-pair", "m2-twice")
 @pytest.mark.parametrize("name", [name for name, _ in ex.corpus()] + ["m2-twice"])
 def test_full_corner_path_matches_the_closure_path(monkeypatch, name):
     # a full corner p M q is read off the supports by one rank count; its
-    # TRO, linking algebra and block are those of the closure.  The other
-    # inputs still close the linking algebra and read its center
+    # TRO, linking algebra and block are those of the closure and of the
+    # commutant.  The other inputs are read off the commutant, and their
+    # TRO is still that of the closure
     space = orthonormalize(ENVELOPE_CASES[name][0]) if name == "m2-twice" else dict(ex.corpus())[name].space
     for given in _presentations(name, space):
         if name not in CENTER_PATH:
@@ -200,7 +198,8 @@ def test_full_corner_path_matches_the_closure_path(monkeypatch, name):
             continue
         w = generate_tro(given)
         block_decompose(w)
-        assert not w.full_corner and "linking" in vars(w)
+        assert not w.full_corner and w.center is not None
+        _assert_same_span(w.space, _closure_path(given)[1])
 
 
 def test_search_spans_take_the_full_corner_path(monkeypatch):
@@ -242,13 +241,14 @@ def test_generate_tro_matches_triple_product_oracle(name):
     assert max_projection_residual(expected, w.space.stack) <= 1e-9
     assert max_projection_residual(w.space, expected.stack) <= 1e-9
     assert w.closure_residual <= 1e-9
-    # the kept linking algebra is span(W W*) of the oracle's TRO
+    # the linking algebra is span(W W*) of the oracle's TRO
     pairs = orthonormalize(
         np.einsum("aij,bkj->abik", expected.stack, expected.stack.conj()).reshape(-1, space.shape[0], space.shape[0])
     )
-    assert w.linking.dim == pairs.dim
-    assert max_projection_residual(pairs, w.linking.space.stack) <= 1e-9
-    assert max_projection_residual(w.linking.space, pairs.stack) <= 1e-9
+    link = linking_algebra(space)
+    assert link.dim == pairs.dim
+    assert max_projection_residual(pairs, link.space.stack) <= 1e-9
+    assert max_projection_residual(link.space, pairs.stack) <= 1e-9
 
 
 def _beside_corner(space):
@@ -276,16 +276,16 @@ def test_single_block_path_matches_spectral_split(name):
         )
 
 
-def test_single_block_needs_a_scalar_center(monkeypatch):
-    # a one-dimensional center that is not a multiple of the left support
-    # is a wrong state, not one block; {diag(t, t)} = M_2 tensor 1_2 is no
-    # full corner, so its block form reads the center
+def test_single_block_needs_a_scalar_center():
+    # a one-dimensional center that is not a multiple of the identity on
+    # the supports is a wrong state, not one block; {diag(t, t)} =
+    # M_2 tensor 1_2 is no full corner, so its block form reads the center
     w = generate_tro(orthonormalize(ENVELOPE_CASES["m2-twice"][0]))
-    assert not w.full_corner
-    e11 = w.linking.space.coeffs(unit(4, 1, 1))
-    monkeypatch.setattr(tro, "null_space", lambda *a, **k: e11[None, :])
-    with pytest.raises(tro.DegenerateDecompositionError):
-        block_decompose(w)
+    assert not w.full_corner and len(w.center) == 1
+    e11 = np.zeros_like(w.center)
+    e11[0, 0, 0] = 1.0
+    with pytest.raises(tro.DegenerateDecompositionError, match="no center element splits"):
+        block_decompose(dataclasses.replace(w, center=e11))
 
 
 def _count_svds(monkeypatch):
@@ -297,7 +297,7 @@ def _count_svds(monkeypatch):
 def test_envelope_svd_count_on_a_search_trial(monkeypatch):
     # the first trial of `opalg search --ambient 3 --seed 1` is a full
     # corner: its envelope factorizes X X* and the two supports, never the
-    # linking algebra's closure or center, nor the d_W^2 stack W W*
+    # commutant, nor the d_W^2 stack W W*
     A = ex.random_triangular_algebra(3, 4, 4720721261117928062)
     calls = _count_svds(monkeypatch)
     env = injective_envelope(A.space)
@@ -307,12 +307,29 @@ def test_envelope_svd_count_on_a_search_trial(monkeypatch):
 
 def test_envelope_svd_count_on_a_trial_that_is_no_full_corner(monkeypatch):
     # the first trial of `opalg search --ambient 4 --seed 1` that is no full
-    # corner takes the closure, the center and the eigen-split to find its
-    # blocks: 13 factorizations, as many as before full corners skipped them
+    # corner: the rank count and the two supports, one null space each for
+    # the commutant, the TRO and the center, and two singular value lists per
+    # block, 10 factorizations (the linking algebra's closure took 13)
     A = ex.random_triangular_algebra(4, 4, 7634208958675629713)
     calls = _count_svds(monkeypatch)
     assert block_decompose(generate_tro(A.space)).blocks == ((1, 1), (1, 1))
-    assert len(calls) == 13
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("name", ["wide-45", "wide-49", "diagonal-3~conj"])
+def test_block_order_does_not_depend_on_the_seed(name):
+    # blocks of equal shape and invariants are ordered by their left row
+    # masses, not by the random central element: WIDE_SAMPLE[45] has a block
+    # with row masses (0, 1/2, 1/2) beside one on row 0
+    space = TRO_INPUTS[name] if name in TRO_INPUTS else WIDE_SAMPLE[int(name[5:])]
+    w = generate_tro(space)
+    first = block_decompose(w, seed=0)
+    for seed in range(1, 10):
+        other = block_decompose(w, seed=seed)
+        assert other.blocks == first.blocks and other.multiplicities == first.multiplicities
+        for mine, theirs in zip(first.left_projections + first.right_projections,
+                                other.left_projections + other.right_projections):
+            assert np.allclose(mine, theirs, atol=1e-9)
 
 
 def test_support_projections(car_pair, pq):
@@ -561,6 +578,45 @@ def test_block_shapes_match_rank_oracle(name):
     assert sum(a * b for a, b in bs.blocks) == w.dim
 
 
+MIXED_SCALE_SEED = 3736375586967159258
+COMMUTANT_CASES = (
+    list(TRO_INPUTS)
+    + [f"{name}{mark}" for name in ENVELOPE_CASES for mark in ("", "~conj")]
+    + [f"wide-{i}" for i in WIDE_DELETING]
+    + ["mixed-scale"]
+)
+
+
+@pytest.mark.parametrize("case", COMMUTANT_CASES)
+def test_commutant_and_center_match_the_dense_oracle(case):
+    # W = sum of M_(a,b) tensor 1_m has commutant sum of 1 tensor M_m, with
+    # one central summand per block; in the whole ambient the kernels of
+    # the supports p and q add one full summand each
+    if case in TRO_INPUTS:
+        space = TRO_INPUTS[case]
+    elif case.startswith("wide-"):
+        space = WIDE_SAMPLE[int(case[5:])]
+    elif case == "mixed-scale":
+        space = ex.random_triangular_algebra(4, 4, MIXED_SCALE_SEED).space
+    else:
+        space = _envelope_case(case.removesuffix("~conj"), case.endswith("~conj"))
+    bs = block_decompose(generate_tro(space))
+    m, n = space.shape
+    kernels = [m - np.linalg.matrix_rank(np.hstack(space.basis), 1e-9),
+               n - np.linalg.matrix_rank(np.vstack(space.basis), 1e-9)]
+    dim_c, dim_z = commutant_and_center_dims(space.stack)
+    assert dim_c == sum(mult**2 for mult in bs.multiplicities) + sum(k**2 for k in kernels)
+    assert dim_z == len(bs.blocks) + sum(k > 0 for k in kernels)
+
+
+def test_commutant_tro_raises_when_the_space_is_not_in_its_tro():
+    # supports that miss e22 compress X to span{e11}, whose TRO lacks e22
+    space = orthonormalize([unit(3, 1, 1), unit(3, 2, 2)])
+    e1 = np.eye(3, 1, dtype=complex)
+    with pytest.raises(ArithmeticError, match="does not lie in the TRO"):
+        tro._commutant_tro(space, (e1, e1), linalg.DEFAULT_TOL)
+
+
 def test_degenerate_block_counts_raise():
     # supports of ranks 2 and 2 cannot hold a block of dimension 3
     with pytest.raises(tro.DegenerateDecompositionError):
@@ -653,14 +709,17 @@ def test_multiplicative_embed_rejects_a_space_that_is_not_a_tro(z, failure):
         multiplicative_embed(TROSpace(space, 0.0, None, space), z)
 
 
-@pytest.mark.xfail(strict=True, raises=ArithmeticError, reason="known generate_tro abort on mixed-scale spans")
 def test_generate_tro_closes_a_mixed_scale_span():
     # a 3-dimensional span in M_4 whose basis mixes O(1) entries with
-    # entries near 2e-3: span(X X*) has dimension 8 and its closure under
-    # left multiplication reaches dimension 12, which no *-subalgebra of M_4
-    # has, so the adjoint check aborts.  Decided alone or in a search's
-    # stack, the span takes the same closure
-    A = ex.random_triangular_algebra(4, 4, 3736375586967159258)
+    # entries near 2e-3: span(X X*) has singular values down to 3.9e-11,
+    # below its rank cutoff, so the rank count misses the full corner.  The
+    # commutant of the dilations, whose conditions are linear in X, is the
+    # scalars behind a gap from 2e-3 to 1e-16, so W is all of p M q
+    A = ex.random_triangular_algebra(4, 4, MIXED_SCALE_SEED)
     w = generate_tro(A.space)
+    assert w.dim == 9 and w.full_corner and len(w.center) == 1
     assert w.closure_residual <= linalg.DEFAULT_TOL.eq_tol
     assert max_projection_residual(w.space, A.space.stack) <= linalg.DEFAULT_TOL.eq_tol
+    assert block_decompose(w).blocks == ((3, 3),)
+    assert injective_envelope(A.space).blocks.blocks == ((3, 3),)
+
