@@ -113,14 +113,17 @@ class MatrixAlgebra:
         return {}
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x over its Hilbert-Schmidt norm, taken after its largest entry so that
-    the norm neither overflows nor underflows; a zero x as it is."""
-    peak = np.abs(x).max(initial=0.0)
-    if peak == 0.0:
-        return x
-    x = x / peak
-    return x / np.linalg.norm(x)
+def _unit_scaled(mats: list) -> list:
+    """Each matrix over its Hilbert-Schmidt norm, taken after its largest
+    entry so that the norm neither overflows nor underflows.  A matrix whose
+    norm is at most n eps times the largest input's, n the larger side, is
+    within the rounding error of a product of such matrices and becomes
+    zero."""
+    peaks = [np.abs(x).max(initial=0.0) for x in mats]
+    units = [x / peak if peak else x for x, peak in zip(mats, peaks)]
+    norms = [peak * np.linalg.norm(x) for x, peak in zip(units, peaks)]
+    floor = max(mats[0].shape) * np.finfo(float).eps * max(norms) if mats else 0.0
+    return [x / np.linalg.norm(x) if norm > floor else 0.0 * x for x, norm in zip(units, norms)]
 
 
 def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
@@ -130,14 +133,15 @@ def verify_algebra(space_or_mats, tol: ToleranceConfig | None = None) -> MatrixA
     coefficients of the projections are kept as the structure tensor.  Input
     matrices are each scaled to unit Hilbert-Schmidt norm before their span
     is taken, so the rank cutoff does not depend on how their scales spread;
-    a zero matrix stays zero.  The span is certified by
-    :func:`verify_algebras` as a batch of one.
+    one whose norm is within rounding error of the largest input's counts
+    as zero, so rounding noise does not become structure.  The span is
+    certified by :func:`verify_algebras` as a batch of one.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(space_or_mats, Subspace):
         space = space_or_mats
     else:
-        space = orthonormalize([_unit_scaled(as_matrix(x)) for x in space_or_mats], tol)
+        space = orthonormalize(_unit_scaled([as_matrix(x) for x in space_or_mats]), tol)
     return verify_algebras([space], tol)[0]
 
 

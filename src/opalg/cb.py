@@ -13,7 +13,12 @@ and each envelope block deletion are one such decision
 
 The conjugation fit works on the stacked domain basis and images, one
 matrix product per alternating step, and drops a start once its misfit
-stalls.  The violation search polishes each run of starts (one
+stalls.  Before the unitary starts, a product-Gram gate compares the HS Gram
+matrices of the products t_i t_j* and s_i s_j*, which a unitary pair keeps;
+a gap above eq_tol scale^4, more than the loop's own acceptance rule
+allows, rules out every pair without a start.  An accepted pair's Choi
+matrix is tested for positivity by Weyl's bound from ||u|| and ||v||, not
+by an eigensolve.  The violation search polishes each run of starts (one
 amplification level's random starts, the unit starts, or the transpose
 pattern) together.  Each step takes one batched Hermitian eigensolve for
 the top singular pairs of the images and one for the norms of the amplified
@@ -44,8 +49,10 @@ from .linalg import (
     LinearMapOnSubspace,
     Subspace,
     ToleranceConfig,
+    adjoints,
     op_norm,
     orthonormalize,
+    product_stack,
     row_basis,
 )
 
@@ -189,6 +196,23 @@ def _side_by_side(stack: np.ndarray) -> np.ndarray:
     return stack.transpose(1, 0, 2).reshape(r, d * c)
 
 
+def _product_gram_gap(s: np.ndarray, t: np.ndarray) -> float:
+    """Largest entry of |G(T) - G(S)|, where G(T) is the HS Gram matrix of
+    the d^2 products T_i T_j*: entry (ij, kl) is tr(T_j T_i* T_k T_l*).
+
+    The two are compared one row block (i, .) of shape (d, d^2) at a time,
+    so no array of d^4 entries is held.
+    """
+    d = len(s)
+    ps = product_stack(s, adjoints(s)).reshape(d * d, -1)
+    pt = product_stack(t, adjoints(t)).reshape(d * d, -1)
+    gap = 0.0
+    for rows in range(0, d * d, d):
+        block = pt[rows : rows + d].conj() @ pt.T - ps[rows : rows + d].conj() @ ps.T
+        gap = max(gap, float(np.abs(block).max()))
+    return gap
+
+
 def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int):
     """Search for contractions u, v with phi(x) = u x v on the domain basis.
 
@@ -202,6 +226,18 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
     u [S_k v]_k = [T_k]_k side by side, v solves [u S_k]_k v = [T_k]_k
     stacked.  Both steps are exact minimizations, so the misfit never grows:
     a start is dropped once a step takes off less than a thousandth of it.
+
+    Before any polar start, a product-Gram gate: T_k = u S_k v with u, v
+    unitary gives T_i T_j* = u S_i S_j* u*, so the HS Gram matrices of the
+    products (`_product_gram_gap`) agree too.  The loop accepts a pair when
+    ||u S v - T|| <= delta = 1e-11 scale, scale = max(1, ||T||).  Then
+    T' = u S v has the Gram matrix of S exactly, and each entry is the
+    trace of four factors of HS norm at most M + delta, M = max_k ||S_k|| =
+    max_k ||T'_k|| <= scale (the domain basis is orthonormal).  As
+    |tr(ABCD)| <= ||A|| ||B|| ||C|| ||D||, each entry moves from T' to T by
+    at most (M + delta)^4 - M^4, about 4e-11 scale^4.  So a gap above
+    eq_tol scale^4 rules out every pair the loop could accept, and the fit
+    returns None at once.
     """
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
@@ -220,6 +256,8 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
         draws = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(6)]
         flat_s, flat_t = s.reshape(len(s), -1), t.reshape(len(t), -1)
         if np.abs(flat_t.conj() @ flat_t.T - flat_s.conj() @ flat_s.T).max() <= tol.eq_tol * scale:
+            if _product_gram_gap(s, t) > tol.eq_tol * scale**4:
+                return None
             for v in [np.eye(n, dtype=complex)] + [_polar_unitary(g) for g in draws]:
                 last = np.inf
                 for _ in range(120):
@@ -278,6 +316,23 @@ def _conjugation_choi(phi: LinearMapOnSubspace, u, v) -> np.ndarray:
     diagonal = np.arange(ni)
     out[diagonal, :, diagonal, :] += pad
     return out.reshape(ni * no, ni * no)
+
+
+def _conjugation_choi_floor(u, v) -> float:
+    """Weyl's lower bound on the least eigenvalue of `_conjugation_choi`.
+
+    That matrix is the PSD rank-one vec(r) vec(r)* plus block-diagonal pads
+    (1 - u u*)/m and (1 - v* v)/n and zeros, so its least eigenvalue is at
+    least min(0, (1 - ||u||^2)/m, (1 - ||v||^2)/n); an empty factor adds no
+    pad.
+    """
+    (_, m), (n, _) = u.shape, v.shape
+    floor = 0.0
+    if u.size:
+        floor = min(floor, (1.0 - op_norm(u) ** 2) / m)
+    if v.size:
+        floor = min(floor, (1.0 - op_norm(v) ** 2) / n)
+    return floor
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +462,12 @@ def is_completely_contractive(
     amplified elements, then the Dykstra feasibility program.  UNDECIDED is
     returned when neither a certificate nor a violation appears within the
     iteration budget.
+
+    The certificate is the Choi matrix of the fitted pair's completion.  It
+    is accepted when its pinned residual is at most sdp_tol and Weyl's
+    bound on its least eigenvalue, read off the operator norms of u and v
+    (`_conjugation_choi_floor`), is at least -eq_tol; no eigensolve of the
+    Choi matrix is taken.
     """
     tol = tol or DEFAULT_TOL
     gs, targets = _paulsen_constraints(phi)
@@ -419,8 +480,7 @@ def is_completely_contractive(
         witness = _conjugation_choi(phi, *pair)
         w4 = witness.reshape(ni, no, ni, no)
         res = float(np.linalg.norm(_pinned_values(w4, gs) - targets))
-        eigs = np.linalg.eigvalsh((witness + witness.conj().T) / 2.0)
-        if res <= tol.sdp_tol and (eigs.size == 0 or eigs.min() >= -tol.eq_tol):
+        if res <= tol.sdp_tol and _conjugation_choi_floor(*pair) >= -tol.eq_tol:
             return FeasibilityOutcome(FEASIBLE, witness, res, "conjugation certificate")
 
     found = _violation_search(phi, tol, seed)

@@ -443,6 +443,37 @@ def fit_and_status_against_both_loops(monkeypatch, phi, tol=DEFAULT_TOL, seed=0)
     return (found, status), (want, want_status)
 
 
+def conjugation_choi_by_units(u, v):
+    """Choi matrix sum_ij e_ij (x) Phi(e_ij), unit by unit, of the unital
+    2x2 completion of x -> u x v:  Phi([[a, x], [y, b]]) is
+    [[u a u* + tr(a) (1 - u u*)/m, u x v], [v* y u*, v* b v + tr(b) (1 - v* v)/n]]."""
+    (kr, m), (n, kc) = u.shape, v.shape
+    ni, no = m + n, kr + kc
+
+    def completion(z):
+        out = np.zeros((no, no), complex)
+        a, x, y, b = z[:m, :m], z[:m, m:], z[m:, :m], z[m:, m:]
+        out[:kr, :kr] = u @ a @ u.conj().T + np.trace(a) * (np.eye(kr) - u @ u.conj().T) / m
+        out[:kr, kr:] = u @ x @ v
+        out[kr:, :kr] = v.conj().T @ y @ u.conj().T
+        out[kr:, kr:] = v.conj().T @ b @ v + np.trace(b) * (np.eye(kc) - v.conj().T @ v) / n
+        return out
+
+    choi = np.zeros((ni * no, ni * no), complex)
+    for i in range(ni):
+        for j in range(ni):
+            e = np.zeros((ni, ni), complex)
+            e[i, j] = 1.0
+            choi[i * no : (i + 1) * no, j * no : (j + 1) * no] = completion(e)
+    return choi
+
+
+def choi_min_eigenvalue_dense(choi):
+    """Least eigenvalue of the Hermitian part of a Choi matrix, by a dense
+    eigensolve; +inf for an empty one."""
+    return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min(initial=np.inf))
+
+
 def pinned_values_by_einsum(c4, gs):
     """Block combination sum_ij g_ij C_ij of a 4-index (i, u, j, v) Choi
     array per pinned direction g, by einsum."""

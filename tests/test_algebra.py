@@ -21,7 +21,8 @@ from opalg.algebra import (
     verify_algebra,
     wedderburn_split,
 )
-from opalg.linalg import contains, hs_norm, orthonormalize, random_unitary
+from opalg.linalg import adjoints, contains, hs_norm, orthonormalize, product_stack, random_unitary
+from opalg.tro import generate_tro
 
 from .oracles import is_nilpotent_by_powers, predicates_by_products, radical_by_composition_series
 
@@ -40,6 +41,24 @@ def test_verify_algebra_rejects_open_span():
         verify_algebra([unit(2, 1, 2) + unit(2, 2, 1)])
     assert err.value.worst_pair == (0, 0)
     assert err.value.residual > 0.5
+
+
+def test_verify_algebra_reads_rounding_noise_as_zero():
+    # an input within rounding error of the largest input's norm is noise,
+    # not structure; a spread of scales well above that keeps its dimension
+    # (tests/test_invariance.py spreads a basis over 12 orders)
+    eye = np.eye(2, dtype=complex)
+    assert verify_algebra([eye, 1e-17 * unit(2, 1, 2)]).dim == 1
+    assert verify_algebra([eye, 1e-6 * unit(2, 1, 2)]).dim == 2
+    assert verify_algebra([eye, 1e-13 * unit(2, 1, 2)]).dim == 2
+    # span(W W*) of a conjugated car pair's TRO is 9-dimensional; 54 of
+    # its 81 products are rounding noise, which unit scaling read as 16
+    u = random_unitary(4, np.random.default_rng(0))
+    space = orthonormalize([u @ b @ u.conj().T for b in ex.car_pair().basis])
+    w = generate_tro(space).space.stack
+    products = product_stack(w, adjoints(w))
+    assert (np.linalg.norm(products, axis=(1, 2)) < 1e-12).sum() == 54
+    assert verify_algebra(list(products)).dim == 9
 
 
 def test_verify_algebra_needs_square_ambient():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.linalg._linalg as numpy_linalg_impl
@@ -34,6 +35,9 @@ from opalg.linalg import (
 from .oracles import (
     amplify,
     choi,
+    choi_min_eigenvalue_dense,
+    conjugation_choi_by_units,
+    conjugation_fit_both_loops,
     fit_and_status_against_both_loops,
     min_opnorm_grid,
     pinned_adjoint_by_einsum,
@@ -551,14 +555,17 @@ def test_violation_note_names_the_witness_level():
         assert float(ratio) == pytest.approx(1.0 + out.residual, rel=1e-5)
 
 
-def test_rectangular_conjugation_certified(rng):
-    # x -> u x v from M_{2,3} to M_{3,2} with isometric u and v: the pinned
-    # identity corners of the two sides have different sizes
+def rectangular_conjugation(rng):
+    """x -> u x v from M_{2,3} to M_{3,2} with isometric u and v."""
     full = orthonormalize([unit(2, i, j, 3) for i in (1, 2) for j in (1, 2, 3)])
     u = random_unitary(3, rng)[:, :2]
     v = random_unitary(3, rng)[:, :2]
-    phi = LinearMapOnSubspace(full, tuple(u @ b @ v for b in full.basis), (3, 2))
-    out = is_completely_contractive(phi)
+    return LinearMapOnSubspace(full, tuple(u @ b @ v for b in full.basis), (3, 2))
+
+
+def test_rectangular_conjugation_certified(rng):
+    # the pinned identity corners of the two sides have different sizes
+    out = is_completely_contractive(rectangular_conjugation(rng))
     assert out.status == FEASIBLE and out.notes == "conjugation certificate"
     assert np.linalg.eigvalsh(out.witness).min() >= -1e-9
 
@@ -578,10 +585,12 @@ def test_batched_polish_matches_block_loop(rng, level):
 
 
 def test_conjugation_fit_stops_once_the_misfit_stalls(monkeypatch):
-    # the transpose of M_2 is no map x -> u x v: every polar start stalls
-    # within a few steps, where running each to its cap of 120 steps would
-    # take 1686 polar factors.  The transpose keeps the HS Gram matrix, so
-    # no least-squares trial runs (the fit that ran both took up to 60)
+    # the transpose of M_2 is no map x -> u x v: every polar start stalled
+    # within a few steps (at most 76 polar factors), where running each to
+    # its cap of 120 steps would take 1686.  Now the product-Gram gate rules
+    # the map out before the starts are built, so it takes no polar factor.
+    # The transpose keeps the HS Gram matrix, so no least-squares trial runs
+    # (the fit that ran both took up to 60)
     calls = {"polar": 0, "lstsq": 0}
     polar, lstsq = cb._polar_unitary, np.linalg.lstsq
 
@@ -596,10 +605,121 @@ def test_conjugation_fit_stops_once_the_misfit_stalls(monkeypatch):
     monkeypatch.setattr(cb, "_polar_unitary", counting_polar)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     assert _fit_conjugation_pair(transpose_map(full_matrix_space(2)), DEFAULT_TOL, 0) is None
-    # 6 random starts, then at most 5 steps of 2 factors for each of 7
-    # polar starts
-    assert calls["polar"] <= 6 + 7 * 2 * 5
+    assert calls["polar"] == 0
     assert calls["lstsq"] == 0
+
+
+def haar_conjugation_maps(count, seed):
+    """Maps x -> u x v with Haar unitaries u, v on random subspaces of
+    M_{m,n}, m, n <= 4."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    for _ in range(count):
+        m, n = (int(k) for k in rng.integers(1, 5, 2))
+        d = int(rng.integers(1, m * n + 1))
+        space = orthonormalize([rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(d)])
+        u, v = random_unitary(m, rng), random_unitary(n, rng)
+        maps.append(LinearMapOnSubspace(space, tuple(u @ b @ v for b in space.basis), (m, n)))
+    return maps
+
+
+def gate_cases(kind):
+    if kind == "search":
+        return [phi for _, phi in SEARCH_CASES]
+    if kind == "wide":
+        from .test_tro import WIDE_SAMPLE
+
+        return [transpose_map(space) for space in WIDE_SAMPLE]
+    return haar_conjugation_maps(50, 11)
+
+
+def scaled_product_gram_gap(phi):
+    """The product-Gram gap over scale^4, or None where the gate does not
+    apply: other shapes, or HS Gram matrices that differ."""
+    s, t = phi.domain.stack, phi.image_stack
+    if phi.domain.shape != phi.codomain_shape or not len(s):
+        return None
+    scale = max(1.0, float(np.linalg.norm(t)))
+    flat_s, flat_t = s.reshape(len(s), -1), t.reshape(len(t), -1)
+    if np.abs(flat_t.conj() @ flat_t.T - flat_s.conj() @ flat_s.T).max() > DEFAULT_TOL.eq_tol * scale:
+        return None
+    return cb._product_gram_gap(s, t) / scale**4
+
+
+# (maps, gate rejections) of each case set
+GATE_COUNTS = {"search": (61, 15), "wide": (362, 204), "haar": (50, 0)}
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_COUNTS))
+def test_product_gram_gate_never_skips_a_fittable_map(kind):
+    # wherever the fit that runs both loops finds a pair, the gated fit
+    # returns the same pair; wherever the gate rejects, that fit finds none.
+    # The gaps of fitted maps and rejected maps lie far apart on each side
+    # of the bound eq_tol
+    rejected, cases = 0, gate_cases(kind)
+    for phi in cases:
+        want = conjugation_fit_both_loops(phi, DEFAULT_TOL, 0)
+        got = _fit_conjugation_pair(phi, DEFAULT_TOL, 0)
+        gap = scaled_product_gram_gap(phi)
+        if want is not None:
+            assert got is not None
+            assert max(np.abs(a - b).max(initial=0.0) for a, b in zip(got, want)) <= 1e-12
+            assert gap is None or gap <= 1e-14
+        elif gap is not None and gap > DEFAULT_TOL.eq_tol:
+            rejected += 1
+            assert got is None and gap >= 1e-3
+        else:
+            assert got is None
+    assert (len(cases), rejected) == GATE_COUNTS[kind]
+
+
+def test_product_gram_gap_holds_no_quartic_array():
+    # the transpose of M_4 has d = 16: the full product Gram matrix would
+    # take d^4 complex entries, 1 MiB, more than the gap allocates at its peak
+    phi = transpose_map(full_matrix_space(4))
+    tracemalloc.start()
+    try:
+        gap = cb._product_gram_gap(phi.domain.stack, phi.image_stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap > 0.5
+    assert peak < 16**4 * 16 / 2
+
+
+def test_weyl_floor_bounds_the_certificate_spectrum():
+    # on every conjugation certificate of the search cases (the corpus
+    # transposes, their conjugates and the cb-exits maps), the identity on
+    # the car pair and the rectangular case, the factor bound never exceeds
+    # the dense least eigenvalue of the Choi matrix, built unit by unit, and
+    # that matrix is the witness the decision returns
+    car = ex.car_pair().space
+    maps = [phi for _, phi in SEARCH_CASES] + [map_of(car, lambda b: b), transpose_map(car)]
+    maps.append(rectangular_conjugation(np.random.default_rng(5)))
+    certified = 0
+    for phi in maps:
+        out = is_completely_contractive(phi)
+        if out.notes != "conjugation certificate":
+            continue
+        certified += 1
+        u, v = _fit_conjugation_pair(phi, DEFAULT_TOL, 0)
+        choi_matrix = conjugation_choi_by_units(u, v)
+        dense = choi_min_eigenvalue_dense(choi_matrix)
+        floor = cb._conjugation_choi_floor(u, v)
+        assert floor <= dense + 1e-12
+        assert min(floor, dense) >= -DEFAULT_TOL.eq_tol
+        assert np.abs(out.witness - choi_matrix).max() <= 1e-12
+    assert certified == 39
+
+
+def test_weyl_floor_and_dense_test_reject_a_long_factor(rng):
+    # u of norm 1 + 1e-6 pads the Choi matrix with -2e-6 / m on an
+    # m kr-dimensional block that the rank-one term cannot fill
+    u = (1.0 + 1e-6) * random_unitary(2, rng)
+    v = random_unitary(2, rng)
+    assert op_norm(u) == pytest.approx(1.0 + 1e-6, abs=1e-12)
+    assert cb._conjugation_choi_floor(u, v) < -DEFAULT_TOL.eq_tol
+    assert choi_min_eigenvalue_dense(conjugation_choi_by_units(u, v)) < -DEFAULT_TOL.eq_tol
 
 
 @pytest.mark.parametrize("name,phi", SEARCH_CASES, ids=[name for name, _ in SEARCH_CASES])
