@@ -11,6 +11,18 @@ norm-expanding amplified elements are fast exits on either side.  Symmetry
 and each envelope block deletion are one such decision
 (`is_symmetric_space`, `tro.injective_envelope`).
 
+Every such problem has a parity grading (Paulsen, Completely bounded maps
+and operator algebras, 2002, ch. 8).  Replacing Phi by
+D Phi(D x D) D, with D = diag(1, -1) on each side, keeps both identity
+corners, each pinned [[0, s], [0, 0]] and complete positivity, so Dykstra's
+iterates stay block diagonal in the sign sigma_i sigma_u of a Choi row
+(i, u).  Each PSD projection takes one eigensolve per parity block, of
+m kr + n kc and m kc + n kr rows, in place of one of the whole
+(m + n)(kr + kc); for M_n that is two of 2n^2 in place of one of 4n^2.
+The exact PSD test of an iterate is skipped while a Courant-Fischer bound,
+the Rayleigh quotient of the last projection's bottom eigenvectors, shows
+that it cannot pass.
+
 The conjugation fit works on the stacked domain basis and images, one
 matrix product per alternating step, and drops a start once its misfit
 stalls.  Before the unitary starts, a product-Gram gate compares the HS Gram
@@ -20,9 +32,10 @@ allows, rules out every pair without a start.  An accepted pair's Choi
 matrix is tested for positivity by Weyl's bound from ||u|| and ||v||, not
 by an eigensolve.  The violation search polishes each run of starts (one
 amplification level's random starts, the unit starts, or the transpose
-pattern) together.  Each step takes one batched Hermitian eigensolve for
-the top singular pairs of the images and one for the norms of the amplified
-elements, both on the Gram matrices of the shorter side; it takes no SVD.
+pattern, padded with zero blocks to level max(m, n)) together.  Each step
+takes one batched Hermitian eigensolve for the top singular pairs of the
+images and one for the norms of the amplified elements, both on the Gram
+matrices of the shorter side; it takes no SVD.
 For a map into M_{kr, kc} it goes up to level max(kr, kc): by Smith's lemma
 (R. R. Smith, J. London Math. Soc. 1983) the cb norm of such a map is the
 norm of that amplification, so no violation is missed for want of a higher
@@ -81,13 +94,15 @@ class FeasibilityOutcome:
 
     FEASIBLE carries a PSD Choi witness and its constraint residual.
     INFEASIBLE carries an amplified element whose image norm exceeds its own;
-    residual then records the excess ratio minus one.
+    residual then records the excess ratio minus one.  iterations counts the
+    Dykstra iterations taken, 0 when a fast exit settled the decision.
     """
 
     status: str
     witness: np.ndarray | None
     residual: float
     notes: str = ""
+    iterations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -133,52 +148,98 @@ def _pinned_adjoint(gs_conj, vals) -> np.ndarray:
     return flat.reshape(ni, ni, no, no).transpose(0, 2, 1, 3)
 
 
-def _psd_project(c: np.ndarray) -> np.ndarray:
-    h = (c + c.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+def _parity_blocks(domain_shape, codomain_shape) -> list:
+    """Row indices of the two parity blocks of a Choi matrix in (i, u) order.
 
-
-def _dykstra_feasibility(gs, targets, ni, no, tol, max_iter):
-    """Dykstra between the PSD cone and the pinned affine set.
-
-    Returns (status, point, residual) with status FEASIBLE, or UNDECIDED on
-    stall / iteration cap.
+    Row (i, u) has the sign sigma_i sigma_u, where sigma is +1 on the first
+    corner of each side (m of the m + n inputs, kr of the kr + kc outputs)
+    and -1 on the second.  The even block has m kr + n kc rows and the odd
+    block m kc + n kr.
     """
-    shape4 = (ni, no, ni, no)
+    (m, n), (kr, kc) = domain_shape, codomain_shape
+    sign = np.outer(np.repeat([1, -1], [m, n]), np.repeat([1, -1], [kr, kc])).ravel()
+    return [np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)]
+
+
+def _dykstra_feasibility(gs, targets, domain_shape, codomain_shape, tol, max_iter):
+    """Dykstra between the PSD cone and the pinned affine set, one parity
+    block of the Choi matrix at a time.
+
+    With D_in = diag(1_m, -1_n) and D_out = diag(1_kr, -1_kc), the map
+    x -> D_out Phi(D_in x D_in) D_out fixes both identity corners, sends
+    each pinned [[0, s], [0, 0]] to itself and keeps complete positivity.
+    So it preserves both sets, and on the Choi matrix it is conjugation by
+    the sign of `_parity_blocks`.  The start is invariant under it, and both
+    projections commute with it, so every iterate is block diagonal in that
+    grading: the affine step multiplies by exact zeros off the blocks, and
+    the PSD step takes one eigensolve per block.
+
+    Each iterate y meets the constraints, and it certifies feasibility once
+    it is (almost) positive semidefinite.  That test takes an eigensolve of
+    each block.  By Courant-Fischer, the Rayleigh quotient of any unit vector
+    bounds the least eigenvalue above, so the test is skipped while the
+    bottom eigenvector of a block at the previous projection has a quotient
+    on y below -eq_tol: the test could not pass.
+
+    Returns (status, point, residual, iterations) with status FEASIBLE, or
+    UNDECIDED on stall / iteration cap.  The point is the full Choi matrix,
+    zero off the blocks.
+    """
+    ni, no = sum(domain_shape), sum(codomain_shape)
+    size = ni * no
+    parity = _parity_blocks(domain_shape, codomain_shape)
+    blocks = [np.ix_(rows, rows) for rows in parity]
     gs_conj = gs.conj()
     psd_floor = -tol.eq_tol
+
+    def split(c4):
+        flat = c4.reshape(size, size)
+        return [flat[b] for b in blocks]
+
+    def join(parts):
+        out = np.zeros((size, size), complex)
+        for b, part in zip(blocks, parts):
+            out[b] = part
+        return out
+
+    def psd_project(parts):
+        # each block's PSD part, and its bottom eigenvector for the next skip test
+        out, bottom = [], []
+        for part in parts:
+            w, v = np.linalg.eigh((part + part.conj().T) / 2.0)
+            z = (v * np.maximum(w, 0.0)) @ v.conj().T
+            out.append((z + z.conj().T) / 2.0)
+            bottom.append(v[:, 0])
+        return out, bottom
+
     c4 = _pinned_adjoint(gs_conj, targets)  # least-norm affine point
     viol = _pinned_values(c4, gs) - targets
-    q = np.zeros(shape4, complex)
+    q = [np.zeros((len(rows), len(rows)), complex) for rows in parity]
+    probes = None
     best = np.inf
     best_point = None
     window = 250
     last_improvement = 0
     for it in range(max_iter):
         # affine projection; viol is the constraint violation of c4
-        y4 = c4 - _pinned_adjoint(gs_conj, viol)
-        y = y4.reshape(ni * no, ni * no)
-        # the affine iterate satisfies the constraints exactly; it certifies
-        # feasibility as soon as it is (almost) positive semidefinite
-        ymin = float(np.linalg.eigvalsh((y + y.conj().T) / 2.0).min())
-        if ymin >= psd_floor:
-            return FEASIBLE, _psd_project(y), max(0.0, -ymin)
-        z = _psd_project((y4 + q).reshape(ni * no, ni * no))
-        z4 = z.reshape(shape4)
-        q = y4 + q - z4
-        viol = _pinned_values(z4, gs) - targets
+        y = split(c4 - _pinned_adjoint(gs_conj, viol))
+        if probes is None or min(np.vdot(x, part @ x).real for x, part in zip(probes, y)) >= psd_floor:
+            ymin = min(float(np.linalg.eigvalsh((part + part.conj().T) / 2.0)[0]) for part in y)
+            if ymin >= psd_floor:
+                return FEASIBLE, join(psd_project(y)[0]), max(0.0, -ymin), it + 1
+        zs, probes = psd_project([part + r for part, r in zip(y, q)])
+        q = [part + r - z for part, r, z in zip(y, q, zs)]
+        z = join(zs)
+        c4 = z.reshape(ni, no, ni, no)
+        viol = _pinned_values(c4, gs) - targets
         res = float(np.linalg.norm(viol))
         if res < best * (1.0 - 1e-4):
             best, best_point, last_improvement = res, z, it
         if res <= tol.sdp_tol:
-            return FEASIBLE, z, res
+            return FEASIBLE, z, res, it + 1
         if it - last_improvement > window and best > 10.0 * tol.sdp_tol:
-            return UNDECIDED, best_point, best
-        c4 = z4
-    return UNDECIDED, best_point, best
+            return UNDECIDED, best_point, best, it + 1
+    return UNDECIDED, best_point, best, max_iter
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +478,8 @@ def _violation_search(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int)
     exceeds one by more than sdp_tol, with its X; None when no run does.
 
     The runs are the unit starts, twelve random starts at each level L up to
-    max(kr, kc), and for a domain in M_n the transpose pattern at level n.
+    max(kr, kc), and for a domain in M_{m,n} the transpose pattern at level
+    max(m, n).
     By Smith's lemma the cb norm of a map into M_{kr, kc} is reached at
     level max(kr, kc), so the pattern and that level are polished first,
     then the unit starts and the levels from 1 up.  The random starts are
@@ -438,9 +500,13 @@ def _violation_search(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int)
     drawn = [random_starts(level) for level in range(1, top + 1)]
     runs = [(drawn[-1], 6), (np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0), (drawn[0], 4)]
     runs += [(starts, 6) for starts in drawn[1:-1]]
-    if m == n and 2 <= n <= top:
+    level = max(m, n)
+    if 2 <= level <= top:
         # blockwise projection of the transpose pattern: e_vu at block (u, v)
-        runs.insert(0, (phi.domain.stack.conj().transpose(2, 1, 0)[None], 6))
+        # for u < n and v < m, padded with zero blocks to a square level
+        pattern = np.zeros((1, level, level, d), complex)
+        pattern[0, :n, :m] = phi.domain.stack.conj().transpose(2, 1, 0)
+        runs.insert(0, (pattern, 6))
     for starts, steps in runs:
         ratios, coeffs = _polish(phi, starts, steps)
         i = int(np.argmax(ratios))
@@ -489,10 +555,11 @@ def is_completely_contractive(
         note = f"amplified norm ratio {ratio:.6g} at level {x.shape[0] // m}"
         return FeasibilityOutcome(INFEASIBLE, x, ratio - 1.0, note)
 
-    status, point, res = _dykstra_feasibility(gs, targets, ni, no, tol, tol.max_iter)
-    if status == FEASIBLE:
-        return FeasibilityOutcome(FEASIBLE, point, res, "alternating projections")
-    return FeasibilityOutcome(UNDECIDED, point, res, "feasibility iteration stalled or hit its cap")
+    status, point, res, iterations = _dykstra_feasibility(
+        gs, targets, phi.domain.shape, phi.codomain_shape, tol, tol.max_iter
+    )
+    note = "alternating projections" if status == FEASIBLE else "feasibility iteration stalled or hit its cap"
+    return FeasibilityOutcome(status, point, res, note, iterations)
 
 
 def inverse_map(phi: LinearMapOnSubspace, tol: ToleranceConfig | None = None) -> LinearMapOnSubspace:
@@ -518,11 +585,13 @@ def is_complete_isometry(
     if fwd.status == INFEASIBLE:
         return FeasibilityOutcome(INFEASIBLE, fwd.witness, fwd.residual, "forward: " + fwd.notes)
     bwd = is_completely_contractive(inv, tol, seed + 1)
+    iterations = fwd.iterations + bwd.iterations
     if bwd.status == INFEASIBLE:
-        return FeasibilityOutcome(INFEASIBLE, bwd.witness, bwd.residual, "inverse: " + bwd.notes)
+        return FeasibilityOutcome(INFEASIBLE, bwd.witness, bwd.residual, "inverse: " + bwd.notes, iterations)
+    residual = max(fwd.residual, bwd.residual)
     if FEASIBLE == fwd.status == bwd.status:
-        return FeasibilityOutcome(FEASIBLE, fwd.witness, max(fwd.residual, bwd.residual), "both directions")
-    return FeasibilityOutcome(UNDECIDED, None, max(fwd.residual, bwd.residual), "one direction undecided")
+        return FeasibilityOutcome(FEASIBLE, fwd.witness, residual, "both directions", iterations)
+    return FeasibilityOutcome(UNDECIDED, None, residual, "one direction undecided", iterations)
 
 
 def is_symmetric_space(

@@ -189,6 +189,7 @@ def analyze_algebra(
         sym = cb.is_symmetric_space(A.space, tol, seed)
         report.verdicts["symmetric"] = sym.status
         report.certificates["symmetry_residual"] = float(sym.residual)
+        report.certificates["symmetry_iterations"] = sym.iterations
         report.timings_ms["symmetry"] = 1000 * (timer() - t0)
     else:
         report.verdicts["symmetric"] = "SKIPPED"

@@ -18,11 +18,13 @@ search that stops at its first violating run is checked against the search
 that polishes every level and keeps the best ratio, and the conjugation
 fit chosen by the Gram matrices against the fit that runs both its loops.
 The factored pairing solve is checked against one SVD of the materialized
-system.  The commutant that a TRO is read from is checked through its
-dimension and its center's, from dense Kronecker null spaces in the whole
-ambient, with no support compression.  Random triangular algebras are
-sampled one seed at a time, each closed by its own `close_span` and
-certified by `verify_algebra`, rather than in batches.
+system.  Dykstra on the two parity blocks of the Choi matrix is checked
+against Dykstra on the whole matrix, with an exact PSD test every step.
+The commutant that a TRO is read from is checked through its dimension and
+its center's, from dense Kronecker null spaces in the whole ambient, with
+no support compression.  Random triangular algebras are sampled one seed
+at a time, each closed by its own `close_span` and certified by
+`verify_algebra`, rather than in batches.
 """
 
 import itertools
@@ -342,10 +344,10 @@ def polish_by_blocks(domain_basis, images, block_coeffs, steps):
 def violation_search_all_levels(phi, tol, seed):
     """The violation search as it climbed every level: polish the unit
     starts, level 1 and the random starts of levels 2 to max(kr, kc), with
-    the transpose pattern among the starts of level n for a domain in M_n,
-    then keep the best ratio over all of them.  Returns that ratio and its
-    coefficients, or (0.0, None) for a zero domain; the search exits with a
-    violation exactly when the ratio exceeds 1 + sdp_tol."""
+    the transpose pattern among the starts of level max(m, n) for a domain
+    in M_{m,n}, then keep the best ratio over all of them.  Returns that
+    ratio and its coefficients, or (0.0, None) for a zero domain; the search
+    exits with a violation exactly when the ratio exceeds 1 + sdp_tol."""
     d = phi.domain.dim
     if d == 0:
         return 0.0, None
@@ -363,9 +365,13 @@ def violation_search_all_levels(phi, tol, seed):
     ]
     for level in range(2, max(kr, kc, 2) + 1):
         starts = random_starts(level)
-        if m == n == level:
-            pattern = phi.domain.stack.conj().transpose(2, 1, 0)
-            starts = np.concatenate([pattern[None], starts])
+        if level == max(m, n):
+            # block (u, v) is the projection of e_vu, zero outside u < n, v < m
+            pattern = np.zeros((1, level, level, d), complex)
+            for u in range(n):
+                for v in range(m):
+                    pattern[0, u, v] = [np.conj(b[v, u]) for b in phi.domain.basis]
+            starts = np.concatenate([pattern, starts])
         runs.append(cb._polish(phi, starts, 6))
     best_ratio, best = 0.0, None
     for ratios, coeffs in runs:
@@ -472,6 +478,53 @@ def choi_min_eigenvalue_dense(choi):
     """Least eigenvalue of the Hermitian part of a Choi matrix, by a dense
     eigensolve; +inf for an empty one."""
     return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min(initial=np.inf))
+
+
+def _psd_project(c):
+    h = (c + c.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    w = np.maximum(w, 0.0)
+    out = (v * w) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def dykstra_dense(gs, targets, ni, no, tol, max_iter):
+    """Dykstra between the PSD cone and the pinned affine set on the whole
+    Choi matrix, one dense eigensolve per projection and an exact PSD test
+    of every affine iterate.  Returns (status, point, residual, iterations)
+    with status FEASIBLE, or UNDECIDED on stall / iteration cap."""
+    shape4 = (ni, no, ni, no)
+    gs_conj = gs.conj()
+    psd_floor = -tol.eq_tol
+    c4 = cb._pinned_adjoint(gs_conj, targets)  # least-norm affine point
+    viol = cb._pinned_values(c4, gs) - targets
+    q = np.zeros(shape4, complex)
+    best = np.inf
+    best_point = None
+    window = 250
+    last_improvement = 0
+    for it in range(max_iter):
+        # affine projection; viol is the constraint violation of c4
+        y4 = c4 - cb._pinned_adjoint(gs_conj, viol)
+        y = y4.reshape(ni * no, ni * no)
+        # the affine iterate satisfies the constraints exactly; it certifies
+        # feasibility as soon as it is (almost) positive semidefinite
+        ymin = float(np.linalg.eigvalsh((y + y.conj().T) / 2.0).min())
+        if ymin >= psd_floor:
+            return "FEASIBLE", _psd_project(y), max(0.0, -ymin), it + 1
+        z = _psd_project((y4 + q).reshape(ni * no, ni * no))
+        z4 = z.reshape(shape4)
+        q = y4 + q - z4
+        viol = cb._pinned_values(z4, gs) - targets
+        res = float(np.linalg.norm(viol))
+        if res < best * (1.0 - 1e-4):
+            best, best_point, last_improvement = res, z, it
+        if res <= tol.sdp_tol:
+            return "FEASIBLE", z, res, it + 1
+        if it - last_improvement > window and best > 10.0 * tol.sdp_tol:
+            return "UNDECIDED", best_point, best, it + 1
+        c4 = z4
+    return "UNDECIDED", best_point, best, max_iter
 
 
 def pinned_values_by_einsum(c4, gs):

@@ -26,6 +26,7 @@ from opalg.cb import (
 from opalg.linalg import (
     DEFAULT_TOL,
     LinearMapOnSubspace,
+    ToleranceConfig,
     hs_norm,
     op_norm,
     orthonormalize,
@@ -33,11 +34,13 @@ from opalg.linalg import (
 )
 
 from .oracles import (
+    amplified_norm_ratio,
     amplify,
     choi,
     choi_min_eigenvalue_dense,
     conjugation_choi_by_units,
     conjugation_fit_both_loops,
+    dykstra_dense,
     fit_and_status_against_both_loops,
     min_opnorm_grid,
     pinned_adjoint_by_einsum,
@@ -461,8 +464,8 @@ def test_symmetry_residual_is_conjugation_invariant(rng):
 
 
 def search_cases():
-    """The cb-exits maps, the transpose on M_{2,3}, whose search has no
-    transpose pattern, and the transpose on each corpus space and on a
+    """The cb-exits maps, the transpose on M_{2,3}, whose transpose pattern
+    is padded to level 3, and the transpose on each corpus space and on a
     seeded unitary conjugate of it."""
     rng = np.random.default_rng(0)
     cases = [(f"transpose-M{k}", transpose_map(full_matrix_space(k))) for k in (2, 3, 4)]
@@ -498,23 +501,84 @@ def test_violation_search_matches_the_all_levels_climb(name, phi):
         assert numpy_ratio(phi, x) == pytest.approx(ratio, abs=1e-9)
 
 
-def count_solvers(monkeypatch):
-    """Count numpy's svd, eigh and eigvalsh calls, np.linalg.norm(x, 2) included."""
-    calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
+def wide_transpose(c):
+    """x -> c x^T from M_{2,3} to M_{3,2}, of cb norm sqrt(6) c."""
+    wide = orthonormalize([unit(2, i, j, 3) for i in (1, 2) for j in (1, 2, 3)])
+    return LinearMapOnSubspace(wide, tuple(c * b.T for b in wide.basis), (3, 2))
 
-    def counting(name):
+
+def row_block_transpose(c):
+    """The transpose on {diag(a, b) (+) c [a b]} in M_4: the row block is
+    Shilov-deletable and the transpose fixes the kept diagonal, so it is
+    completely isometric, but no pair u, v fits it and no violation exists."""
+    mats = []
+    for k in range(2):
+        x = np.zeros((4, 4), complex)
+        x[k, k], x[2, 2 + k] = 1.0, c
+        mats.append(x)
+    return transpose_map(orthonormalize(mats))
+
+
+DYKSTRA_NAMES = ["schur-0.98-M2", "schur-0.98-M3", "schur-0.98-M4", "diagonal-M3", "diagonal-M4"]
+DYKSTRA_CASES = [(name, dict(SEARCH_CASES)[name]) for name in DYKSTRA_NAMES]
+DYKSTRA_CASES += [("transpose-0.40-M2x3", wide_transpose(0.40)), ("row-block-0.5", row_block_transpose(0.5))]
+
+
+# with eq_tol = sdp_tol = 1e-6 every case but the M_{2,3} transpose ends
+# through the PSD test of a late iterate (16 to 661 iterations), so the
+# Courant-Fischer skip decides every step before it
+LOOSE_TOL = ToleranceConfig(eq_tol=1e-6, sdp_tol=1e-6)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LOOSE_TOL], ids=["default", "loose"])
+@pytest.mark.parametrize("name,phi", DYKSTRA_CASES, ids=[name for name, _ in DYKSTRA_CASES])
+def test_blocked_dykstra_matches_the_dense_iteration(name, phi, tol):
+    # Dykstra on the two parity blocks takes the steps of the dense
+    # iteration, which tests every iterate for PSD: the same status and
+    # iteration count, and residual and witness within rounding.  The
+    # M_{2,3} transpose has blocks of 12 and 13 rows and exits through the
+    # PSD test of its first iterate
+    out = is_completely_contractive(phi, tol)
+    assert out.notes == "alternating projections"
+    gs, targets = cb._paulsen_constraints(phi)
+    ni, no = sum(phi.domain.shape), sum(phi.codomain_shape)
+    status, point, residual, iterations = dykstra_dense(gs, targets, ni, no, tol, tol.max_iter)
+    assert (out.status, out.iterations) == (status, iterations) and status == FEASIBLE
+    assert out.residual == pytest.approx(residual, abs=1e-12)
+    assert np.abs(out.witness - point).max() <= 1e-12
+    assert choi_min_eigenvalue_dense(out.witness) >= -1e-9
+    pinned = pinned_values_by_einsum(out.witness.reshape(ni, no, ni, no), gs)
+    assert np.linalg.norm(pinned - targets) <= 10.0 * tol.sdp_tol
+
+
+def test_fast_exits_report_no_dykstra_iterations(car_pair):
+    assert is_completely_contractive(transpose_map(full_matrix_space(2))).iterations == 0
+    assert is_symmetric_space(car_pair.space).iterations == 0
+
+
+def record_solvers(monkeypatch):
+    """Count numpy's svd, eigh and eigvalsh calls, np.linalg.norm(x, 2)
+    included, and record the name and matrix size of each."""
+    calls, sizes = {"svd": 0, "eigh": 0, "eigvalsh": 0}, []
+
+    def recording(name):
         solver = getattr(np.linalg, name)
 
-        def counted(*args, **kwargs):
+        def recorded(a, *args, **kwargs):
             calls[name] += 1
-            return solver(*args, **kwargs)
+            sizes.append((name, np.shape(a)[-1]))
+            return solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-        monkeypatch.setattr(numpy_linalg_impl, name, counted)
+        monkeypatch.setattr(np.linalg, name, recorded)
+        monkeypatch.setattr(numpy_linalg_impl, name, recorded)
 
     for name in calls:
-        counting(name)
-    return calls
+        recording(name)
+    return calls, sizes
+
+
+def count_solvers(monkeypatch):
+    return record_solvers(monkeypatch)[0]
 
 
 def test_violation_search_batches_its_eigensolves(monkeypatch):
@@ -540,6 +604,36 @@ def test_violation_search_without_a_violation_polishes_every_run(monkeypatch):
     assert _violation_search(phi, DEFAULT_TOL, 0) is None
     assert calls["svd"] == 0
     assert calls["eigh"] + calls["eigvalsh"] == 2 + 2 * 5 + 3 * 2 * 7
+
+
+def test_dykstra_eigensolves_are_parity_block_sized(monkeypatch):
+    # the Schur map on M_4 has a Choi matrix of size 64 and two parity
+    # blocks of 32; no Hermitian eigensolve of its decision is larger.  Each
+    # of its 36 iterations projects both blocks, and only the first iterate
+    # is tested for PSD: the Courant-Fischer bound rules out every later one
+    phi = dict(DYKSTRA_CASES)["schur-0.98-M4"]
+    sizes = record_solvers(monkeypatch)[1]
+    out = is_completely_contractive(phi)
+    assert out.notes == "alternating projections" and out.iterations == 36
+    assert [len(rows) for rows in cb._parity_blocks((4, 4), (4, 4))] == [32, 32]
+    assert max(size for _, size in sizes) == 32
+    assert sizes.count(("eigh", 32)) == 2 * out.iterations
+    assert sizes.count(("eigvalsh", 32)) == 2
+
+
+@pytest.mark.parametrize("c", [0.45, 0.55])
+def test_violation_search_pads_the_transpose_pattern_of_a_rectangular_domain(c):
+    # x -> c x^T on M_{2,3} has cb norm sqrt(6) c, read at level 3 by the
+    # transpose pattern padded with zero blocks
+    phi = wide_transpose(c)
+    out = is_completely_contractive(phi)
+    assert out.status == INFEASIBLE and out.witness.shape == (6, 9)
+    assert out.residual == pytest.approx(np.sqrt(6) * c - 1.0, abs=1e-9)
+    blocks = out.witness.reshape(3, 2, 3, 3).transpose(0, 2, 1, 3)
+    coeffs = np.einsum("kij,uvij->uvk", phi.domain.stack.conj(), blocks)
+    ratio, x = amplified_norm_ratio(list(phi.domain.basis), list(phi.image_stack), coeffs)
+    assert ratio == pytest.approx(np.sqrt(6) * c, abs=1e-9)
+    assert np.allclose(x, out.witness, atol=1e-12)
 
 
 def test_violation_note_names_the_witness_level():
