@@ -23,14 +23,14 @@ The exact PSD test of an iterate is skipped while a Courant-Fischer bound,
 the Rayleigh quotient of the last projection's bottom eigenvectors, shows
 that it cannot pass.
 
-The conjugation fit works on the stacked domain basis and images, one
-matrix product per alternating step, and drops a start once its misfit
-stalls.  Before the unitary starts, a product-Gram gate compares the HS Gram
-matrices of the products t_i t_j* and s_i s_j*, which a unitary pair keeps;
-a gap above eq_tol scale^4, more than the loop's own acceptance rule
-allows, rules out every pair without a start.  An accepted pair's Choi
-matrix is tested for positivity by Weyl's bound from ||u|| and ||v||, not
-by an eigensolve.  The violation search polishes each run of starts (one
+The conjugation fit reads a unitary pair t_k = u s_k v off one null space:
+X = diag(u, v*) intertwines the Hermitian dilations [[0, s_k], [s_k*, 0]]
+and [[0, t_k], [t_k*, 0]], a condition linear in X.  X* X commutes with
+every dilation, so the polar part of an invertible solution is a pair, and
+a random solution is invertible if any is (det X is a polynomial).  Other
+maps take an alternating least-squares fit.  An accepted pair's Choi matrix
+is tested for positivity by Weyl's bound from ||u|| and ||v||, not by an
+eigensolve.  The violation search polishes each run of starts (one
 amplification level's random starts, the unit starts, or the transpose
 pattern, padded with zero blocks to level max(m, n)) together.  Each step
 takes one batched Hermitian eigensolve for the top singular pairs of the
@@ -62,10 +62,8 @@ from .linalg import (
     LinearMapOnSubspace,
     Subspace,
     ToleranceConfig,
-    adjoints,
     op_norm,
     orthonormalize,
-    product_stack,
     row_basis,
 )
 
@@ -257,48 +255,56 @@ def _side_by_side(stack: np.ndarray) -> np.ndarray:
     return stack.transpose(1, 0, 2).reshape(r, d * c)
 
 
-def _product_gram_gap(s: np.ndarray, t: np.ndarray) -> float:
-    """Largest entry of |G(T) - G(S)|, where G(T) is the HS Gram matrix of
-    the d^2 products T_i T_j*: entry (ij, kl) is tr(T_j T_i* T_k T_l*).
+def _intertwiner_gram(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gram matrix E* E of a s_k = t_k b and b s_k* = t_k* a in
+    x = (vec a, vec b), row-major vec, for (d, m, n) stacks s and t.  The
+    rows of E are [1 (x) s^T, -t (x) 1] and [-t* (x) 1, 1 (x) conj(s)], so
+    its blocks are 1 (x) (sum s s*)^T + (sum t t*) (x) 1,
+    (sum t* t) (x) 1 + 1 (x) (sum s* s)^T and -2 sum t (x) conj(s): the
+    2dmn rows of E are never formed."""
+    d, m, n = s.shape
 
-    The two are compared one row block (i, .) of shape (d, d^2) at a time,
-    so no array of d^4 entries is held.
-    """
-    d = len(s)
-    ps = product_stack(s, adjoints(s)).reshape(d * d, -1)
-    pt = product_stack(t, adjoints(t)).reshape(d * d, -1)
-    gap = 0.0
-    for rows in range(0, d * d, d):
-        block = pt[rows : rows + d].conj() @ pt.T - ps[rows : rows + d].conj() @ ps.T
-        gap = max(gap, float(np.abs(block).max()))
-    return gap
+    def kron_sum(left, right):  # left (x) 1 + 1 (x) right, without np.kron
+        p, q = len(left), len(right)
+        out = left[:, None, :, None] * np.eye(q)[:, None] + np.eye(p)[:, None, :, None] * right[:, None]
+        return out.reshape(p * q, p * q)
+
+    ss, tt = (w @ w.conj().T for w in (_side_by_side(s), _side_by_side(t)))
+    s_s, t_t = (h.conj().T @ h for h in (s.reshape(-1, n), t.reshape(-1, n)))
+    cross = (t.reshape(d, m * n).T @ s.reshape(d, m * n).conj()).reshape(m, n, m, n)
+    gram = np.empty((m * m + n * n,) * 2, complex)
+    gram[: m * m, : m * m] = kron_sum(tt, ss.T)
+    gram[m * m :, m * m :] = kron_sum(t_t, s_s.T)
+    gram[: m * m, m * m :] = -2.0 * cross.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    gram[m * m :, : m * m] = gram[: m * m, m * m :].conj().T
+    return gram
 
 
 def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int):
-    """Search for contractions u, v with phi(x) = u x v on the domain basis.
+    """Contractions u, v with phi(x) = u x v on the domain basis, returned
+    only when ||u S v - T|| <= 1e-11 scale, scale = max(1, ||T||).
 
     A unitary pair fits only a map that keeps the HS Gram matrix of the
     domain basis, and a contraction pair fitting such a map can be made
-    unitary.  So square shapes with equal Gram matrices try unitary pairs
-    alone (alternating polar factors, which solves the Procrustes step
-    exactly), and every other map an unconstrained alternating
-    least-squares whose factors happen to balance into contractions.  Each
-    step works on the whole domain and image stacks S and T: u solves
+    unitary, so square shapes with equal Gram matrices look for a unitary
+    pair alone.  With h(s) = [[0, s], [s*, 0]] (Paulsen 2002), T_k = u S_k v
+    exactly when X = diag(u, v*) has X h(S_k) = h(T_k) X, which is linear in
+    X = diag(a, b): a S_k = T_k b and b S_k* = T_k* a.  The adjoint
+    h(S_k) X* = X* h(T_k) makes X* X, hence |X|, commute with every h(S_k),
+    so an invertible X = W |X| has W h(S_k) = h(T_k) W: W = diag(u, v*) is a
+    pair.  det X is a polynomial on the solutions, so a random one is
+    invertible if any is.  They are the kernel of one eigh of the equations'
+    Gram matrix (`_intertwiner_gram`), cut at eq_tol max(1, lambda_max); an
+    empty kernel rules out every pair.  Squaring the equations squares their
+    conditioning, which is safe only because the pair is checked: a bad cut
+    costs a fall-through, never a wrong certificate (`tro._commuting`, whose
+    rank decides a TRO, keeps an SVD null space).
+
+    Every other map runs an alternating least-squares on the whole stacks,
+    whose factors happen to balance into contractions: u solves
     u [S_k v]_k = [T_k]_k side by side, v solves [u S_k]_k v = [T_k]_k
     stacked.  Both steps are exact minimizations, so the misfit never grows:
     a start is dropped once a step takes off less than a thousandth of it.
-
-    Before any polar start, a product-Gram gate: T_k = u S_k v with u, v
-    unitary gives T_i T_j* = u S_i S_j* u*, so the HS Gram matrices of the
-    products (`_product_gram_gap`) agree too.  The loop accepts a pair when
-    ||u S v - T|| <= delta = 1e-11 scale, scale = max(1, ||T||).  Then
-    T' = u S v has the Gram matrix of S exactly, and each entry is the
-    trace of four factors of HS norm at most M + delta, M = max_k ||S_k|| =
-    max_k ||T'_k|| <= scale (the domain basis is orthonormal).  As
-    |tr(ABCD)| <= ||A|| ||B|| ||C|| ||D||, each entry moves from T' to T by
-    at most (M + delta)^4 - M^4, about 4e-11 scale^4.  So a gap above
-    eq_tol scale^4 rules out every pair the loop could accept, and the fit
-    returns None at once.
     """
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
@@ -313,24 +319,15 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
         return np.linalg.norm(u @ s @ v - t)
 
     if m == kr and n == kc:
-        # drawn whichever fit runs, so the least-squares starts stay the same
-        draws = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(6)]
         flat_s, flat_t = s.reshape(len(s), -1), t.reshape(len(t), -1)
         if np.abs(flat_t.conj() @ flat_t.T - flat_s.conj() @ flat_s.T).max() <= tol.eq_tol * scale:
-            if _product_gram_gap(s, t) > tol.eq_tol * scale**4:
+            lam, vecs = np.linalg.eigh(_intertwiner_gram(s, t))
+            kernel = vecs[:, lam <= tol.eq_tol * max(1.0, lam[-1])]
+            if not kernel.size:
                 return None
-            for v in [np.eye(n, dtype=complex)] + [_polar_unitary(g) for g in draws]:
-                last = np.inf
-                for _ in range(120):
-                    u = _polar_unitary(t_wide @ _side_by_side(s @ v).conj().T)
-                    v = _polar_unitary((u @ s).reshape(-1, n).conj().T @ t_tall)
-                    fit = fit_of(u, v)
-                    if fit <= 1e-11 * scale:
-                        return u, v
-                    if fit > 0.999 * last:
-                        break
-                    last = fit
-            return None
+            x = kernel @ (rng.standard_normal(kernel.shape[1]) + 1j * rng.standard_normal(kernel.shape[1]))
+            u, v = _polar_unitary(x[: m * m].reshape(m, m)), _polar_unitary(x[m * m :].reshape(n, n)).conj().T
+            return (u, v) if fit_of(u, v) <= 1e-11 * scale else None
 
     for trial in range(6):
         v = (

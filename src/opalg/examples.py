@@ -198,18 +198,17 @@ def diagonal_algebra(n: int, tol: ToleranceConfig | None = None) -> MatrixAlgebr
     return verify_algebra([matrix_unit(n, i, i) for i in range(1, n + 1)], tol)
 
 
-def _draws(seed: int, n: int, dim: int, tol: ToleranceConfig):
+def _draws(seed: int, upper: np.ndarray, dim: int, tol: ToleranceConfig):
     """The nonempty draws of one seed's generator, at most 200 draws in all:
-    1 to dim random strictly upper matrices each, half of them sparsified,
-    with the ones that vanish dropped."""
+    1 to dim random matrices on the strictly upper mask ``upper`` each, half
+    of them sparsified, with the ones that vanish dropped."""
     rng = np.random.default_rng(seed)
-    upper = np.triu(np.ones((n, n), bool), 1)
     for _ in range(200):
         mats = []
         for _ in range(int(rng.integers(1, dim + 1))):
-            m = np.where(upper, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0.0)
+            m = np.where(upper, rng.standard_normal(upper.shape) + 1j * rng.standard_normal(upper.shape), 0.0)
             if rng.random() < 0.5:
-                m = m * (rng.random((n, n)) < 0.45)
+                m = m * (rng.random(upper.shape) < 0.45)
             if hs_norm(m) > tol.eq_tol:
                 mats.append(m)
         if mats:
@@ -227,7 +226,8 @@ def random_triangular_spans(n: int, dim: int, seeds, tol: ToleranceConfig | None
     confirming round, with the rule of :func:`verify_algebra`.
     """
     tol = tol or DEFAULT_TOL
-    streams = [_draws(s, n, dim, tol) for s in seeds]
+    upper = np.triu(np.ones((n, n), bool), 1)
+    streams = [_draws(s, upper, dim, tol) for s in seeds]
     spans = [None] * len(streams)
     pending = list(range(len(streams)))
     while pending:

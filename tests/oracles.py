@@ -437,6 +437,18 @@ def conjugation_fit_both_loops(phi, tol, seed):
     return None
 
 
+def intertwiner_rows_by_units(s, t):
+    """The matrix of (a, b) -> (a s_k - t_k b, b s_k* - t_k* a)_k on
+    x = (vec a, vec b), row-major vec, applied to one unit vector at a time."""
+    _, m, n = s.shape
+    cols = []
+    for x in np.eye(m * m + n * n):
+        a, b = x[: m * m].reshape(m, m), x[m * m :].reshape(n, n)
+        parts = [(a @ sk - tk @ b, b @ sk.conj().T - tk.conj().T @ a) for sk, tk in zip(s, t)]
+        cols.append(np.concatenate([p.ravel() for pair in parts for p in pair]))
+    return np.array(cols).T
+
+
 def fit_and_status_against_both_loops(monkeypatch, phi, tol=DEFAULT_TOL, seed=0):
     """Whether the library's fit and the two-loop fit find a pair, and the
     is_completely_contractive status with each fit in place."""

@@ -42,6 +42,7 @@ from .oracles import (
     conjugation_fit_both_loops,
     dykstra_dense,
     fit_and_status_against_both_loops,
+    intertwiner_rows_by_units,
     min_opnorm_grid,
     pinned_adjoint_by_einsum,
     pinned_values_by_einsum,
@@ -557,9 +558,9 @@ def test_fast_exits_report_no_dykstra_iterations(car_pair):
 
 
 def record_solvers(monkeypatch):
-    """Count numpy's svd, eigh and eigvalsh calls, np.linalg.norm(x, 2)
+    """Count numpy's svd, eigh, eigvalsh and lstsq calls, np.linalg.norm(x, 2)
     included, and record the name and matrix size of each."""
-    calls, sizes = {"svd": 0, "eigh": 0, "eigvalsh": 0}, []
+    calls, sizes = {"svd": 0, "eigh": 0, "eigvalsh": 0, "lstsq": 0}, []
 
     def recording(name):
         solver = getattr(np.linalg, name)
@@ -678,38 +679,56 @@ def test_batched_polish_matches_block_loop(rng, level):
         assert np.allclose(c, want_c, atol=1e-9)
 
 
-def test_conjugation_fit_stops_once_the_misfit_stalls(monkeypatch):
-    # the transpose of M_2 is no map x -> u x v: every polar start stalled
-    # within a few steps (at most 76 polar factors), where running each to
-    # its cap of 120 steps would take 1686.  Now the product-Gram gate rules
-    # the map out before the starts are built, so it takes no polar factor.
-    # The transpose keeps the HS Gram matrix, so no least-squares trial runs
-    # (the fit that ran both took up to 60)
-    calls = {"polar": 0, "lstsq": 0}
-    polar, lstsq = cb._polar_unitary, np.linalg.lstsq
+def test_conjugation_fit_rules_out_the_m2_transpose_in_one_eigensolve(monkeypatch):
+    # the transpose of M_2 is no map x -> u x v: the intertwiner equations
+    # a e_ij = e_ji b force a = b = 0, so the Gram matrix has no kernel and
+    # the fit returns after one Hermitian eigensolve of size 4 + 4, with no
+    # polar factor (an SVD).  The transpose keeps the HS Gram matrix, so no
+    # least-squares trial runs
+    phi = transpose_map(full_matrix_space(2))
+    calls, sizes = record_solvers(monkeypatch)
+    assert _fit_conjugation_pair(phi, DEFAULT_TOL, 0) is None
+    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0, "lstsq": 0} and sizes == [("eigh", 8)]
 
-    def counting_polar(m):
-        calls["polar"] += 1
-        return polar(m)
 
-    def counting_lstsq(*args, **kwargs):
-        calls["lstsq"] += 1
-        return lstsq(*args, **kwargs)
+def test_conjugation_fit_of_the_m8_transpose_holds_no_quartic_array(monkeypatch):
+    # the transpose of M_8 (d = 64) is ruled out by one eigh of size
+    # m^2 + n^2 = 128, with no least-squares and no polar factor of a random
+    # kernel element.  A d^4 array would take 268 MB
+    phi = transpose_map(full_matrix_space(8))
+    calls, sizes = record_solvers(monkeypatch)
+    tracemalloc.start()
+    try:
+        pair = _fit_conjugation_pair(phi, DEFAULT_TOL, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair is None
+    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0, "lstsq": 0} and sizes == [("eigh", 128)]
+    assert peak < 4 * 2**20
 
-    monkeypatch.setattr(cb, "_polar_unitary", counting_polar)
-    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-    assert _fit_conjugation_pair(transpose_map(full_matrix_space(2)), DEFAULT_TOL, 0) is None
-    assert calls["polar"] == 0
-    assert calls["lstsq"] == 0
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (5, 4, 2), (1, 1, 1)])
+def test_intertwiner_gram_matches_the_equations(rng, shape):
+    # the Kronecker-form Gram matrix is E* E for the equations applied to
+    # unit vectors, and on a conjugation t_k = u s_k v it vanishes at
+    # (vec u, vec v*)
+    _, m, n = shape
+    s, t = _complex(rng, shape), _complex(rng, shape)
+    rows = intertwiner_rows_by_units(s, t)
+    assert np.allclose(cb._intertwiner_gram(s, t), rows.conj().T @ rows, rtol=0.0, atol=1e-12)
+    u, v = random_unitary(m, rng), random_unitary(n, rng)
+    x = np.concatenate([u.ravel(), v.conj().T.ravel()])
+    assert np.abs(cb._intertwiner_gram(s, u @ s @ v) @ x).max() <= 1e-12
 
 
 def haar_conjugation_maps(count, seed):
     """Maps x -> u x v with Haar unitaries u, v on random subspaces of
-    M_{m,n}, m, n <= 4."""
+    M_{m,n}, m, n <= 6."""
     rng = np.random.default_rng(seed)
     maps = []
     for _ in range(count):
-        m, n = (int(k) for k in rng.integers(1, 5, 2))
+        m, n = (int(k) for k in rng.integers(1, 7, 2))
         d = int(rng.integers(1, m * n + 1))
         space = orthonormalize([rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(d)])
         u, v = random_unitary(m, rng), random_unitary(n, rng)
@@ -717,68 +736,89 @@ def haar_conjugation_maps(count, seed):
     return maps
 
 
-def gate_cases(kind):
+def wide_conjugates():
+    """A Haar conjugate q x q* of each span of the wide sample, q drawn from
+    default_rng(1) in sample order."""
+    from .test_tro import WIDE_SAMPLE
+
+    rng = np.random.default_rng(1)
+    out = []
+    for space in WIDE_SAMPLE:
+        q = random_unitary(space.shape[0], rng)
+        out.append(orthonormalize([q @ b @ q.conj().T for b in space.basis]))
+    return out
+
+
+def fit_cases(kind):
     if kind == "search":
         return [phi for _, phi in SEARCH_CASES]
     if kind == "wide":
         from .test_tro import WIDE_SAMPLE
 
-        return [transpose_map(space) for space in WIDE_SAMPLE]
+        return [transpose_map(space) for space in list(WIDE_SAMPLE) + wide_conjugates()]
     return haar_conjugation_maps(50, 11)
 
 
-def scaled_product_gram_gap(phi):
-    """The product-Gram gap over scale^4, or None where the gate does not
-    apply: other shapes, or HS Gram matrices that differ."""
-    s, t = phi.domain.stack, phi.image_stack
-    if phi.domain.shape != phi.codomain_shape or not len(s):
-        return None
-    scale = max(1.0, float(np.linalg.norm(t)))
-    flat_s, flat_t = s.reshape(len(s), -1), t.reshape(len(t), -1)
-    if np.abs(flat_t.conj() @ flat_t.T - flat_s.conj() @ flat_s.T).max() > DEFAULT_TOL.eq_tol * scale:
-        return None
-    return cb._product_gram_gap(s, t) / scale**4
+def assert_conjugation_witness(phi, choi_matrix):
+    """A conjugation certificate's Choi matrix is PSD by a dense eigensolve
+    and meets phi's pinned values, both computed outside cb."""
+    gs, targets = cb._paulsen_constraints(phi)
+    ni, no = sum(phi.domain.shape), sum(phi.codomain_shape)
+    assert choi_min_eigenvalue_dense(choi_matrix) >= -DEFAULT_TOL.eq_tol
+    pinned = pinned_values_by_einsum(choi_matrix.reshape(ni, no, ni, no), gs)
+    assert np.linalg.norm(pinned - targets) <= DEFAULT_TOL.sdp_tol
 
 
-# (maps, gate rejections) of each case set
-GATE_COUNTS = {"search": (61, 15), "wide": (362, 204), "haar": (50, 0)}
+# (maps, pairs the two-loop fit finds, pairs the intertwiner fit finds) of
+# each case set: the wide sample's transposes, then those of its conjugates
+FIT_COUNTS = {"search": (61, 36, 36), "wide": (724, 300, 316), "haar": (50, 49, 50)}
 
 
-@pytest.mark.parametrize("kind", sorted(GATE_COUNTS))
-def test_product_gram_gate_never_skips_a_fittable_map(kind):
-    # wherever the fit that runs both loops finds a pair, the gated fit
-    # returns the same pair; wherever the gate rejects, that fit finds none.
-    # The gaps of fitted maps and rejected maps lie far apart on each side
-    # of the bound eq_tol
-    rejected, cases = 0, gate_cases(kind)
+@pytest.mark.parametrize("kind", sorted(FIT_COUNTS))
+def test_conjugation_fit_certifies_every_map_the_loops_fit(kind):
+    # wherever the fit that runs both loops (alternating polar starts, then
+    # least squares) finds a pair, the intertwiner fit finds one too.  The
+    # pairs may differ, so each is re-checked by its Choi matrix, built unit
+    # by unit
+    cases = fit_cases(kind)
+    by_loops = fitted = 0
     for phi in cases:
         want = conjugation_fit_both_loops(phi, DEFAULT_TOL, 0)
         got = _fit_conjugation_pair(phi, DEFAULT_TOL, 0)
-        gap = scaled_product_gram_gap(phi)
-        if want is not None:
-            assert got is not None
-            assert max(np.abs(a - b).max(initial=0.0) for a, b in zip(got, want)) <= 1e-12
-            assert gap is None or gap <= 1e-14
-        elif gap is not None and gap > DEFAULT_TOL.eq_tol:
-            rejected += 1
-            assert got is None and gap >= 1e-3
-        else:
-            assert got is None
-    assert (len(cases), rejected) == GATE_COUNTS[kind]
+        assert got is not None or want is None
+        by_loops += want is not None
+        if got is not None:
+            fitted += 1
+            assert_conjugation_witness(phi, conjugation_choi_by_units(*got))
+    assert (len(cases), by_loops, fitted) == FIT_COUNTS[kind]
 
 
-def test_product_gram_gap_holds_no_quartic_array():
-    # the transpose of M_4 has d = 16: the full product Gram matrix would
-    # take d^4 complex entries, 1 MiB, more than the gap allocates at its peak
-    phi = transpose_map(full_matrix_space(4))
-    tracemalloc.start()
-    try:
-        gap = cb._product_gram_gap(phi.domain.stack, phi.image_stack)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert gap > 0.5
-    assert peak < 16**4 * 16 / 2
+# the wide-sample conjugates whose transposes the polar loop missed
+LOOP_MISSED_WIDE = (28, 48, 87, 121, 131, 133, 166, 185, 186, 193, 221, 235, 304, 322, 343, 350)
+
+
+def loop_missed_maps(case):
+    kind, _, index = case.partition("-")
+    if kind == "wide":
+        return [transpose_map(wide_conjugates()[int(index)])]
+    if kind == "triangular":
+        n, dim, seed = (int(k) for k in index.split("-"))
+        return [transpose_map(ex.random_triangular_spans(n, dim, [seed])[0])]
+    return haar_conjugation_maps(50, 11)
+
+
+@pytest.mark.parametrize(
+    "case", [f"wide-{i}" for i in LOOP_MISSED_WIDE] + ["triangular-5-6-24", "triangular-6-4-29", "haar"]
+)
+def test_conjugation_certifies_the_pairs_the_loop_missed(case):
+    # conjugations the polar loop missed, which then took 0.9 s to minutes of
+    # Dykstra or ended UNDECIDED: the wide-sample conjugates, two
+    # dimension-1 spans (a pair exists from the SVDs of x and x^T) and Haar
+    # maps x -> u x v.  Each is now a conjugation certificate, no Dykstra
+    for phi in loop_missed_maps(case):
+        out = is_completely_contractive(phi)
+        assert (out.status, out.notes, out.iterations) == (FEASIBLE, "conjugation certificate", 0)
+        assert_conjugation_witness(phi, out.witness)
 
 
 def test_weyl_floor_bounds_the_certificate_spectrum():
