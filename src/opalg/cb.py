@@ -8,8 +8,8 @@ linear constraints pinning its action on the corners and on S.  The solver
 is alternating projections (Dykstra) between the PSD cone and the affine
 constraint set; a ``u x v`` conjugation certificate and a search for
 norm-expanding amplified elements are fast exits on either side.  Symmetry
-and each envelope block deletion are one such decision
-(`is_symmetric_space`, `tro.injective_envelope`).
+and each envelope block deletion into blocks not all 1 x 1 are one such
+decision (`is_symmetric_space`, `tro.injective_envelope`).
 
 Every such problem has a parity grading (Paulsen, Completely bounded maps
 and operator algebras, 2002, ch. 8).  Replacing Phi by
@@ -27,15 +27,15 @@ The conjugation fit reads a unitary pair t_k = u s_k v off one null space:
 X = diag(u, v*) intertwines the Hermitian dilations [[0, s_k], [s_k*, 0]]
 and [[0, t_k], [t_k*, 0]], a condition linear in X.  X* X commutes with
 every dilation, so the polar part of an invertible solution is a pair, and
-a random solution is invertible if any is (det X is a polynomial).  Other
-maps take an alternating least-squares fit.  An accepted pair's Choi matrix
-is tested for positivity by Weyl's bound from ||u|| and ||v||, not by an
-eigensolve.  The violation search polishes each run of starts (one
-amplification level's random starts, the unit starts, or the transpose
-pattern, padded with zero blocks to level max(m, n)) together.  Each step
-takes one batched Hermitian eigensolve for the top singular pairs of the
-images and one for the norms of the amplified elements, both on the Gram
-matrices of the shorter side; it takes no SVD.
+a random solution is invertible if any is (det X is a polynomial).  A map
+that changes the shape or the HS Gram matrix has no such pair.  A pair's
+Choi matrix is tested for positivity by Weyl's bound from ||u|| and ||v||,
+not by an eigensolve.  The violation search polishes each run of starts
+(one amplification level's random starts, the unit starts, or the
+transpose pattern, padded with zero blocks to level max(m, n)) together.
+Each step takes one batched Hermitian eigensolve for the top singular
+pairs of the images and one for the norms of the amplified elements, both
+on the Gram matrices of the shorter side; it takes no SVD.
 For a map into M_{kr, kc} it goes up to level max(kr, kc): by Smith's lemma
 (R. R. Smith, J. London Math. Soc. 1983) the cb norm of such a map is the
 norm of that amplification, so no violation is missed for want of a higher
@@ -281,14 +281,13 @@ def _intertwiner_gram(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int):
-    """Contractions u, v with phi(x) = u x v on the domain basis, returned
-    only when ||u S v - T|| <= 1e-11 scale, scale = max(1, ||T||).
+    """Unitaries u, v with phi(x) = u x v on the domain basis, returned only
+    when ||u S v - T|| <= 1e-11 scale, scale = max(1, ||T||); None when the
+    shapes differ, the HS Gram matrices of the two bases differ (a unitary
+    pair keeps it), or no pair is found.  A zero domain takes zero factors.
 
-    A unitary pair fits only a map that keeps the HS Gram matrix of the
-    domain basis, and a contraction pair fitting such a map can be made
-    unitary, so square shapes with equal Gram matrices look for a unitary
-    pair alone.  With h(s) = [[0, s], [s*, 0]] (Paulsen 2002), T_k = u S_k v
-    exactly when X = diag(u, v*) has X h(S_k) = h(T_k) X, which is linear in
+    With h(s) = [[0, s], [s*, 0]] (Paulsen 2002), T_k = u S_k v exactly when
+    X = diag(u, v*) has X h(S_k) = h(T_k) X, which is linear in
     X = diag(a, b): a S_k = T_k b and b S_k* = T_k* a.  The adjoint
     h(S_k) X* = X* h(T_k) makes X* X, hence |X|, commute with every h(S_k),
     so an invertible X = W |X| has W h(S_k) = h(T_k) W: W = diag(u, v*) is a
@@ -299,59 +298,25 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
     conditioning, which is safe only because the pair is checked: a bad cut
     costs a fall-through, never a wrong certificate (`tro._commuting`, whose
     rank decides a TRO, keeps an SVD null space).
-
-    Every other map runs an alternating least-squares on the whole stacks,
-    whose factors happen to balance into contractions: u solves
-    u [S_k v]_k = [T_k]_k side by side, v solves [u S_k]_k v = [T_k]_k
-    stacked.  Both steps are exact minimizations, so the misfit never grows:
-    a start is dropped once a step takes off less than a thousandth of it.
     """
     m, n = phi.domain.shape
-    kr, kc = phi.codomain_shape
     s, t = phi.domain.stack, phi.image_stack
     if phi.domain.dim == 0:
-        return np.zeros((kr, m), complex), np.zeros((n, kc), complex)
-    t_wide, t_tall = _side_by_side(t), t.reshape(-1, kc)
+        return np.zeros((phi.codomain_shape[0], m), complex), np.zeros((n, phi.codomain_shape[1]), complex)
+    if (m, n) != phi.codomain_shape:
+        return None
     scale = max(1.0, float(np.linalg.norm(t)))
+    flat_s, flat_t = s.reshape(len(s), -1), t.reshape(len(t), -1)
+    if np.abs(flat_t.conj() @ flat_t.T - flat_s.conj() @ flat_s.T).max() > tol.eq_tol * scale:
+        return None
+    lam, vecs = np.linalg.eigh(_intertwiner_gram(s, t))
+    kernel = vecs[:, lam <= tol.eq_tol * max(1.0, lam[-1])]
+    if not kernel.size:
+        return None
     rng = np.random.default_rng(seed)
-
-    def fit_of(u, v):
-        return np.linalg.norm(u @ s @ v - t)
-
-    if m == kr and n == kc:
-        flat_s, flat_t = s.reshape(len(s), -1), t.reshape(len(t), -1)
-        if np.abs(flat_t.conj() @ flat_t.T - flat_s.conj() @ flat_s.T).max() <= tol.eq_tol * scale:
-            lam, vecs = np.linalg.eigh(_intertwiner_gram(s, t))
-            kernel = vecs[:, lam <= tol.eq_tol * max(1.0, lam[-1])]
-            if not kernel.size:
-                return None
-            x = kernel @ (rng.standard_normal(kernel.shape[1]) + 1j * rng.standard_normal(kernel.shape[1]))
-            u, v = _polar_unitary(x[: m * m].reshape(m, m)), _polar_unitary(x[m * m :].reshape(n, n)).conj().T
-            return (u, v) if fit_of(u, v) <= 1e-11 * scale else None
-
-    for trial in range(6):
-        v = (
-            np.eye(n, kc, dtype=complex)
-            if trial == 0
-            else rng.standard_normal((n, kc)) + 1j * rng.standard_normal((n, kc))
-        )
-        last = np.inf
-        for _ in range(60):
-            u = np.linalg.lstsq(_side_by_side(s @ v).T, t_wide.T, rcond=None)[0].T
-            v = np.linalg.lstsq((u @ s).reshape(-1, n), t_tall, rcond=None)[0]
-            fit = fit_of(u, v)
-            if fit <= 1e-11 * scale or fit > 0.999 * last:
-                break
-            last = fit
-        if fit > 1e-11 * scale:
-            continue
-        nu, nv = op_norm(u), op_norm(v)
-        if nu == 0 or nv == 0:
-            return u, v
-        if nu * nv <= 1.0 + tol.eq_tol:
-            r = np.sqrt(nv / nu)
-            return u * r, v / r
-    return None
+    x = kernel @ (rng.standard_normal(kernel.shape[1]) + 1j * rng.standard_normal(kernel.shape[1]))
+    u, v = _polar_unitary(x[: m * m].reshape(m, m)), _polar_unitary(x[m * m :].reshape(n, n)).conj().T
+    return (u, v) if np.linalg.norm(u @ s @ v - t) <= 1e-11 * scale else None
 
 
 def _conjugation_choi(phi: LinearMapOnSubspace, u, v) -> np.ndarray:

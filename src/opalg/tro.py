@@ -14,7 +14,8 @@ its eigenspaces give the blocks' supports, and m is read from ranks and
 dimensions.  The injective envelope of a subspace X is W modulo its Shilov
 ideal, the largest ideal whose quotient map is completely isometric on X;
 it is the sum of the blocks whose deletion alone is completely isometric
-on X, which is one complete contractivity decision per block.
+on X, which is one complete contractivity decision per block, or one
+least operator norm per deleted block when each is 1 x 1.
 """
 
 from __future__ import annotations
@@ -355,6 +356,40 @@ def _deletion_map(space: Subspace, bs: BlockStructure, kept, deleted, tol: Toler
     return LinearMapOnSubspace(Subspace(*shape, vh.reshape(d, *shape)), images.reshape(d, *shape), shape)
 
 
+def _decide_deletion(space: Subspace, bs: BlockStructure, kept, deleted, tol: ToleranceConfig, seed: int):
+    """Whether deleting some blocks is completely isometric on X: None when the deletion kills
+    part of X, otherwise the status of `_deletion_map` psi's complete contractivity.
+
+    Into 1 x 1 blocks, the images p psi(b_k) q on the block with supports (p, q) span one line
+    f(b_k) V with ||V|| = 1, read off one SVD (a second direction raises), and
+    ||f|| = 1 / min{||x|| : f(x) = 1} is bracketed by `cb.min_opnorm_affine`: INFEASIBLE when an
+    upper bound gives ||f|| > 1 + sdp_tol (its argmin x has f(x) = 1 > ||x||), FEASIBLE when
+    every lower bound gives ||f|| <= 1 + sdp_tol, UNDECIDED otherwise.  f = 0 passes.
+    """
+    psi = _deletion_map(space, bs, kept, deleted, tol)
+    if psi is None or any(bs.blocks[k] != (1, 1) for k in deleted):
+        return None if psi is None else cb.is_completely_contractive(psi, tol, seed).status
+    stack, bound, status = psi.domain.stack, 1.0 / (1.0 + tol.sdp_tol), cb.FEASIBLE
+    for k in deleted:
+        images = bs.left_projections[k] @ psi.image_stack @ bs.right_projections[k]
+        u, s, vh = np.linalg.svd(images.reshape(space.dim, -1), full_matrices=False)
+        rank = numerical_rank(s, tol.eq_tol, 1.0)
+        if rank > 1:
+            raise DegenerateDecompositionError(f"1 x 1 block {k} holds images of rank {rank}")
+        if rank == 0:
+            continue
+        a = u[:, 0] * s[0] * op_norm(vh[0].reshape(space.shape))  # f(b_k)
+        # f(sum c_k b_k) = sum c_k a_k vanishes on c = conj(u_j), j >= 1, the complement of a
+        normals = np.einsum("kj,kab->jab", u[:, 1:].conj(), stack)
+        point = np.einsum("k,kab->ab", a.conj(), stack) / np.vdot(a, a).real
+        res = cb.min_opnorm_affine(cb.AffineMatrixSet(point, (*normals, *(1j * normals)), 0.0), tol)
+        if res.min_norm < bound:
+            return cb.INFEASIBLE
+        if res.lower < bound:
+            status = cb.UNDECIDED
+    return status
+
+
 def injective_envelope(
     space: Subspace, tol: ToleranceConfig | None = None, seed: int = 0
 ) -> EnvelopeResult:
@@ -372,9 +407,12 @@ def injective_envelopes(spaces, tol: ToleranceConfig | None = None, seed: int = 
     Compressing to some blocks is a ternary morphism, and a direct sum takes
     the largest block norm at every level, so deleting blocks is completely
     isometric on X exactly when `_deletion_map` exists and is completely
-    contractive.  J holds the blocks that pass alone; two or more get one
-    confirming decision together, which must not fail.  A TRO that fills
-    p M q is one block, so it is its own envelope.
+    contractive.  Into 1 x 1 blocks its values commute, so its cb norm is
+    its norm (Paulsen, Completely bounded maps and operator algebras, 2002,
+    ch. 3), the largest norm of its functionals on the blocks.  J holds the
+    blocks that pass alone; two or more get one confirming decision
+    together, which must not fail.  A TRO that fills p M q is one block, so
+    it is its own envelope.
     """
     tol = tol or DEFAULT_TOL
     return [_envelope(space, w, tol, seed) for space, w in zip(spaces, generate_tros(spaces, tol))]
@@ -384,19 +422,15 @@ def _envelope(space: Subspace, w: TROSpace, tol: ToleranceConfig, seed: int) -> 
     """The envelope of X from its generated TRO W."""
     bs = block_decompose(w, tol, seed)
     r = len(bs.blocks)
-
-    def decide(kept, deleted):
-        psi = _deletion_map(space, bs, kept, deleted, tol)  # None: the deletion kills part of X
-        return None if psi is None else cb.is_completely_contractive(psi, tol, seed).status
-
-    outcomes = [decide([j for j in range(r) if j != k], [k]) for k in range(r)] if r > 1 else []
+    others = [[j for j in range(r) if j != k] for k in range(r)] if r > 1 else []
+    outcomes = [_decide_deletion(space, bs, kept, [k], tol, seed) for k, kept in enumerate(others)]
     deleted = [k for k, outcome in enumerate(outcomes) if outcome == cb.FEASIBLE]
     status = "CANDIDATE" if cb.UNDECIDED in outcomes else "EXACT"
     if not deleted:
         return EnvelopeResult(w, status, (), identity_map(space), bs)
     kept = [k for k in range(r) if k not in deleted]
     if len(deleted) > 1:
-        outcome = decide(kept, deleted)
+        outcome = _decide_deletion(space, bs, kept, deleted, tol, seed)
         if outcome in (None, cb.INFEASIBLE):
             raise DegenerateDecompositionError(f"deleting blocks {deleted} together is not completely isometric")
         status = "CANDIDATE" if outcome == cb.UNDECIDED else status

@@ -836,8 +836,9 @@ def completely_isometric_kept_sets(space, left_projections, right_projections, t
 
     The sweep over all 2^r - 1 nonempty sets of blocks: the compression
     x -> p x q to a set's blocks must be injective on the space (a rank
-    count over the basis) and pass `cb.is_complete_isometry`.  The set of
-    all blocks, where the compression is the identity, is included unchecked.
+    count over the basis) and its inverse completely contractive.  The
+    compression itself is one, as p and q are contractions.  The set of all
+    blocks, where the compression is the identity, is included unchecked.
     """
     r = len(left_projections)
     found = [frozenset(range(r))]
@@ -849,7 +850,7 @@ def completely_isometric_kept_sets(space, left_projections, right_projections, t
             if _rank([im.ravel() for im in images], 1.0) < space.dim:
                 continue
             phi = LinearMapOnSubspace(space, images, space.shape)
-            if cb.is_complete_isometry(phi, tol, seed).status == cb.FEASIBLE:
+            if cb.is_completely_contractive(cb.inverse_map(phi, tol), tol, seed).status == cb.FEASIBLE:
                 found.append(frozenset(kept))
     return found
 

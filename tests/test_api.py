@@ -55,8 +55,8 @@ def test_tracer_reads_every_result_it_keeps():
     # Tracer.install looks each traced layer up in sys.modules, cli included
     importlib.import_module("opalg.cli")
     closed = cb.AffineMatrixSet(np.diag([2.0, 0.0]).astype(complex), (np.eye(2, dtype=complex) / np.sqrt(2),), 0.0)
-    # {diag(x, x_11)}: the envelope deletes the 1 x 1 block, one more cb
-    # decision that the exit counts below must cover
+    # {diag(x, x_11)}: the envelope deletes the 1 x 1 block, decided by one
+    # more min-norm solve; the exit counts below cover every cb decision
     unit = ex.matrix_unit
     space = opalg.linalg.orthonormalize([unit(3, 1, 1) + unit(3, 3, 3), unit(3, 1, 2), unit(3, 2, 1), unit(3, 2, 2)])
     tracer = spans.Tracer()
@@ -68,7 +68,7 @@ def test_tracer_reads_every_result_it_keeps():
     finally:
         tracer.uninstall()
     out = tracer.per_layer(1)
-    assert out["cb.min_opnorm_affine.calls"] == 1 and out["cb.min_opnorm_affine.uncertified"] == 0
+    assert out["cb.min_opnorm_affine.calls"] == 2 and out["cb.min_opnorm_affine.uncertified"] == 0
     assert out["cb.is_completely_contractive.calls"] >= 1
     assert sum(out[f"cb.exit.{e}.count"] for e in ("conjugation", "violation", "dykstra", "undecided")) \
         == out["cb.is_completely_contractive.calls"]

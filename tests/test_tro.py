@@ -21,8 +21,8 @@ from .oracles import (
     block_shape_by_ranks,
     commutant_and_center_dims,
     completely_isometric_kept_sets,
+    conjugation_fit_both_loops,
     embedding_residuals_by_loops,
-    fit_and_status_against_both_loops,
     star_closure_of_pairs,
     tro_by_triple_products,
 )
@@ -445,14 +445,15 @@ def _direct_sum(x, y):
 
 M2_UNITS = [unit(2, i, j) for i in (1, 2) for j in (1, 2)]
 # each input, with its envelope's blocks, multiplicities and deleted
-# blocks, and the number of is_completely_contractive calls that take them
+# blocks, and the numbers of is_completely_contractive and min_opnorm_affine
+# calls that take them
 ENVELOPE_CASES = {
-    "m2-beside-its-corner": ([_direct_sum(t, t[:1, :1]) for t in M2_UNITS], ((2, 2), (1, 1)), (1, 1), (1,), 1),
-    "m2-beside-its-transpose": ([_direct_sum(t, t.T) for t in M2_UNITS], ((2, 2), (2, 2)), (1, 1), (), 2),
-    "m2-twice": ([np.kron(np.eye(2), t) for t in M2_UNITS], ((2, 2),), (2,), (), 0),
-    "diag-1-2-3": ([np.diag([1.0, 2.0, 3.0])], ((1, 1),) * 3, (1, 1, 1), (0, 1), 4),
-    "split-pair": ([np.diag([1.0, 1.0, 0.0, 0.0]), unit(4, 3, 4)], ((1, 1),) * 2, (2, 1), (), 0),
-    "diagonal-3": ([unit(3, i, i) for i in (1, 2, 3)], ((1, 1),) * 3, (1, 1, 1), (), 0),
+    "m2-beside-its-corner": ([_direct_sum(t, t[:1, :1]) for t in M2_UNITS], ((2, 2), (1, 1)), (1, 1), (1,), (0, 1)),
+    "m2-beside-its-transpose": ([_direct_sum(t, t.T) for t in M2_UNITS], ((2, 2), (2, 2)), (1, 1), (), (2, 0)),
+    "m2-twice": ([np.kron(np.eye(2), t) for t in M2_UNITS], ((2, 2),), (2,), (), (0, 0)),
+    "diag-1-2-3": ([np.diag([1.0, 2.0, 3.0])], ((1, 1),) * 3, (1, 1, 1), (0, 1), (0, 5)),
+    "split-pair": ([np.diag([1.0, 1.0, 0.0, 0.0]), unit(4, 3, 4)], ((1, 1),) * 2, (2, 1), (), (0, 0)),
+    "diagonal-3": ([unit(3, i, i) for i in (1, 2, 3)], ((1, 1),) * 3, (1, 1, 1), (), (0, 0)),
 }
 
 
@@ -468,15 +469,18 @@ def _envelope_case(name, conjugate):
 def test_envelope_blocks_multiplicities_and_deletions(monkeypatch, name, conjugate):
     # the blocks come in a canonical order, so a unitary conjugate reports
     # the same blocks, multiplicities and deleted blocks; the Shilov rule
-    # takes one cb check per block that survives its rank test, plus one
-    # confirming check when two or more blocks go
+    # takes one decision per block that survives its rank test, plus one
+    # confirming decision when two or more blocks go.  A decision into 1 x 1
+    # blocks takes one min-norm solve per deleted block and no cb check
     _, blocks, multiplicities, deleted, checks = ENVELOPE_CASES[name]
-    original, calls = tro.cb.is_completely_contractive, []
-    monkeypatch.setattr(tro.cb, "is_completely_contractive", lambda *a, **k: calls.append(1) or original(*a, **k))
+    calls = {"is_completely_contractive": [], "min_opnorm_affine": []}
+    for solver, seen in calls.items():
+        original = getattr(tro.cb, solver)
+        monkeypatch.setattr(tro.cb, solver, lambda *a, f=original, seen=seen: seen.append(1) or f(*a))
     env = injective_envelope(_envelope_case(name, conjugate))
     assert env.status == "EXACT"
     assert env.blocks.blocks == blocks and env.blocks.multiplicities == multiplicities
-    assert env.deleted_blocks == deleted and len(calls) == checks
+    assert env.deleted_blocks == deleted and tuple(map(len, calls.values())) == checks
     kept = [k for k in range(len(blocks)) if k not in deleted]
     assert env.envelope.dim == sum(blocks[k][0] * blocks[k][1] for k in kept)
 
@@ -527,42 +531,82 @@ def test_shilov_rule_matches_the_subset_sweep(case):
     assert kept in found and all(kept <= other for other in found)
 
 
+def record_deletions(monkeypatch):
+    """Spy on every deletion decision: its arguments and its status."""
+    original, decisions = tro._decide_deletion, []
+
+    def spy(*args):
+        decisions.append((args, original(*args)))
+        return decisions[-1][1]
+
+    monkeypatch.setattr(tro, "_decide_deletion", spy)
+    return decisions
+
+
+def wide_deleting_pairs():
+    """Each deleting span of the wide sample and a Haar conjugate of it."""
+    for i in WIDE_DELETING:
+        q = random_unitary(3, np.random.default_rng(i))
+        yield WIDE_SAMPLE[i], orthonormalize([q @ b @ q.conj().T for b in WIDE_SAMPLE[i].basis])
+
+
 def test_every_deletion_decision_is_settled(monkeypatch):
     # each per-block and confirming map of the deleting spans, given and
     # conjugated, is decided completely contractive or not
-    original, statuses = tro.cb.is_completely_contractive, []
-
-    def spy(*args, **kwargs):
-        out = original(*args, **kwargs)
-        statuses.append(out.status)
-        return out
-
-    monkeypatch.setattr(tro.cb, "is_completely_contractive", spy)
-    for i in WIDE_DELETING:
-        q = random_unitary(3, np.random.default_rng(i))
-        given = injective_envelope(WIDE_SAMPLE[i])
-        conjugated = injective_envelope(orthonormalize([q @ b @ q.conj().T for b in WIDE_SAMPLE[i].basis]))
+    decisions = record_deletions(monkeypatch)
+    for given, conjugated in wide_deleting_pairs():
+        given, conjugated = injective_envelope(given), injective_envelope(conjugated)
         assert given.status == conjugated.status == "EXACT"
         assert given.deleted_blocks == conjugated.deleted_blocks != ()
-    assert statuses and set(statuses) <= {tro.cb.FEASIBLE, tro.cb.INFEASIBLE}
+    statuses = {status for _, status in decisions}
+    assert {tro.cb.FEASIBLE, tro.cb.INFEASIBLE} <= statuses <= {None, tro.cb.FEASIBLE, tro.cb.INFEASIBLE}
 
 
-def test_deletion_fits_match_the_fit_with_both_loops(monkeypatch):
-    # each deletion map of the deleting spans: running only the fit the Gram
-    # matrices admit finds a pair exactly when running both loops does, and
-    # the decision ends the same way
-    original, decisions = tro.cb.is_completely_contractive, []
+def test_scalar_deletions_match_the_cb_decision(monkeypatch):
+    # every deletion decision of the deleting spans, their conjugates and
+    # the envelope cases has the status of the cb decision with the two-loop
+    # fit, the reference.  A decision into 1 x 1 blocks, a min-norm solve per
+    # block, takes no least squares and no eigensolve of a Dykstra block
+    from .test_cb import record_solvers
+
     with monkeypatch.context() as patch:
-        patch.setattr(tro.cb, "is_completely_contractive", lambda *a: decisions.append(a) or original(*a))
-        for i in WIDE_DELETING:
-            injective_envelope(WIDE_SAMPLE[i])
-    assert len(decisions) >= len(WIDE_DELETING)
-    outcomes = []
-    for phi, tol, seed in decisions:
-        got, want = fit_and_status_against_both_loops(monkeypatch, phi, tol, seed)
-        assert got == want
-        outcomes.append(got)
-    assert {found for found, _ in outcomes} == {True, False}
+        decisions = record_deletions(patch)
+        for pair in wide_deleting_pairs():
+            for space in pair:
+                injective_envelope(space)
+        for name in ENVELOPE_CASES:
+            for conjugate in (False, True):
+                injective_envelope(_envelope_case(name, conjugate))
+    scalar = 0
+    for (space, bs, kept, deleted, tol, seed), status in decisions:
+        psi = tro._deletion_map(space, bs, kept, deleted, tol)
+        if psi is None:
+            assert status is None
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(tro.cb, "_fit_conjugation_pair", conjugation_fit_both_loops)
+            assert status == tro.cb.is_completely_contractive(psi, tol, seed).status
+        if all(bs.blocks[k] == (1, 1) for k in deleted):
+            scalar += 1
+            with monkeypatch.context() as patch:
+                calls, sizes = record_solvers(patch)
+                assert tro._decide_deletion(space, bs, kept, deleted, tol, seed) == status
+            smallest = min(map(len, tro.cb._parity_blocks(space.shape, space.shape)))
+            assert calls["lstsq"] == 0
+            assert all(size < smallest for name, size in sizes if name in ("eigh", "eigvalsh"))
+    assert (len(decisions), scalar) == (150, 106)
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["given", "conj"])
+@pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
+def test_deleting_a_scaled_copy_of_m2(c, conjugate):
+    # {diag(x, c x) : x in M_2}, c < 1: the deletion of the c x block, into
+    # M_2, is completely contractive, decided by the cb program
+    q = random_unitary(4, np.random.default_rng(int(10 * c))) if conjugate else np.eye(4)
+    env = injective_envelope(orthonormalize([q @ _direct_sum(t, c * t) @ q.conj().T for t in M2_UNITS]))
+    assert env.blocks.blocks == ((2, 2), (2, 2)) and env.blocks.multiplicities == (1, 1)
+    assert env.deleted_blocks == (0,) and env.status == "EXACT"
+    assert env.envelope.dim == 4
 
 
 @pytest.mark.parametrize("name", list(TRO_INPUTS) + list(ENVELOPE_CASES))
