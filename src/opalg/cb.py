@@ -4,44 +4,44 @@ A map phi defined on a subspace S of M_{m,n} is completely contractive
 exactly when it extends to a 2x2 block map on M_{m+n} that is completely
 positive and fixes the two identity corners.  That extension problem is a
 feasibility question for the Choi matrix: positive semidefinite, subject to
-linear constraints pinning its action on the corners and on S.  The solver
-is alternating projections (Dykstra) between the PSD cone and the affine
-constraint set; a ``u x v`` conjugation certificate and a search for
-norm-expanding amplified elements are fast exits on either side.  Symmetry
+linear constraints pinning its action on the corners and on S.  Symmetry
 and each envelope block deletion into blocks not all 1 x 1 are one such
 decision (`is_symmetric_space`, `tro.injective_envelope`).
 
-Every such problem has a parity grading (Paulsen, Completely bounded maps
-and operator algebras, 2002, ch. 8).  Replacing Phi by
-D Phi(D x D) D, with D = diag(1, -1) on each side, keeps both identity
-corners, each pinned [[0, s], [0, 0]] and complete positivity, so Dykstra's
-iterates stay block diagonal in the sign sigma_i sigma_u of a Choi row
-(i, u).  Each PSD projection takes one eigensolve per parity block, of
-m kr + n kc and m kc + n kr rows, in place of one of the whole
-(m + n)(kr + kc); for M_n that is two of 2n^2 in place of one of 4n^2.
-The exact PSD test of an iterate is skipped while a Courant-Fischer bound,
-the Rayleigh quotient of the last projection's bottom eigenvectors, shows
-that it cannot pass.
+The fast FEASIBLE exit reads a Kraus form phi(x) = A (1_r (x) x) B as
+factors a, b of the off-diagonal Choi block K = a b*.  The completion's Choi
+matrix is then a Gram matrix plus diagonal pads (`_kraus_choi`), PSD when
+Haagerup's bound h = ||sum A A*||^1/2 ||sum B* B||^1/2 is at most one
+(Paulsen, Completely bounded maps and operator algebras, 2002, Thm. 8.4),
+so Weyl's floor min(0, (1 - h)/m, (1 - h)/n) stands in for an eigensolve.
+The factors have two sources.  A unitary pair t_k = u s_k v, read off one
+intertwiner null space (`_fit_conjugation_pair`), gives (vec u, vec v).
+Otherwise one SVD of the Choi block of phi P_S, P_S the HS projection onto
+S, gives them; that is exact for CP maps (||phi||_cb = ||phi(1)||), every
+x -> a x b and scaled conjugations.  A map that needs a better extension
+than phi P_S goes on.
 
-The conjugation fit reads a unitary pair t_k = u s_k v off one null space:
-X = diag(u, v*) intertwines the Hermitian dilations [[0, s_k], [s_k*, 0]]
-and [[0, t_k], [t_k*, 0]], a condition linear in X.  X* X commutes with
-every dilation, so the polar part of an invertible solution is a pair, and
-a random solution is invertible if any is (det X is a polynomial).  A map
-that changes the shape or the HS Gram matrix has no such pair.  A pair's
-Choi matrix is tested for positivity by Weyl's bound from ||u|| and ||v||,
-not by an eigensolve.  The violation search polishes each run of starts
-(one amplification level's random starts, the unit starts, or the
-transpose pattern, padded with zero blocks to level max(m, n)) together.
-Each step takes one batched Hermitian eigensolve for the top singular
-pairs of the images and one for the norms of the amplified elements, both
-on the Gram matrices of the shorter side; it takes no SVD.
-For a map into M_{kr, kc} it goes up to level max(kr, kc): by Smith's lemma
-(R. R. Smith, J. London Math. Soc. 1983) the cb norm of such a map is the
-norm of that amplification, so no violation is missed for want of a higher
-level.  That level comes first, after the transpose pattern, and the search
-stops at the first run that finds a violation.  Dykstra's constraint map
-and its adjoint are single matrix products.
+The violation search polishes each run of starts (one amplification
+level's random starts, the unit starts, or the transpose pattern, padded
+with zero blocks to level max(m, n)) together.  Each step takes one
+batched Hermitian eigensolve for the top singular pairs of the images and
+one for the norms of the amplified elements, both on the Gram matrices of
+the shorter side; it takes no SVD.  For a map into M_{kr, kc} it goes up
+to level max(kr, kc): by Smith's lemma (R. R. Smith, J. London Math. Soc.
+1983) the cb norm of such a map is the norm of that amplification.  That
+level comes first, after the transpose pattern, and the search stops at
+the first run that finds a violation.
+
+Last comes Dykstra: alternating projections between the PSD cone and the
+pinned affine set.  Every such problem has a parity grading (Paulsen 2002,
+ch. 8): replacing Phi by D Phi(D x D) D, with D = diag(1, -1) on each side,
+keeps both identity corners, each pinned [[0, s], [0, 0]] and complete
+positivity, so the iterates stay block diagonal in the sign
+sigma_i sigma_u of a Choi row (i, u).  Each PSD projection takes one
+eigensolve per parity block, of m kr + n kc and m kc + n kr rows; for M_n
+two of 2n^2 in place of one of 4n^2.  The exact PSD test of an iterate is
+skipped while a Courant-Fischer bound, the Rayleigh quotient of the last
+projection's bottom eigenvectors, shows that it cannot pass.
 
 The least operator norm over an affine set, which settles reversibility,
 comes as a bracket: Newton's method on a smoothed top eigenvalue gives the
@@ -319,43 +319,48 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
     return (u, v) if np.linalg.norm(u @ s @ v - t) <= 1e-11 * scale else None
 
 
-def _conjugation_choi(phi: LinearMapOnSubspace, u, v) -> np.ndarray:
-    """Choi matrix of the unital 2x2 completion of x -> u x v.
+def _choi_block_factors(phi: LinearMapOnSubspace, tol: ToleranceConfig):
+    """Factors a (m, kr, r), b (n, kc, r) of the off-diagonal Choi block
+    K[(i, u), (j, v)] = sum_k conj(s_k[i, j]) t_k[u, v] of phi P_S, P_S the
+    HS projection onto the domain: from one SVD K = U S V*, a = U S^1/2 and
+    b = V S^1/2, cut at eq_tol max(1, s_1).  With A_l = a[..., l]^T and
+    B_l = conj(b[..., l]), phi P_S(x) = sum_l A_l x B_l, of multiplicity r."""
+    (d, m, n), (kr, kc) = phi.domain.stack.shape, phi.codomain_shape
+    block = phi.domain.stack.reshape(d, m * n).conj().T @ phi.image_stack.reshape(d, kr * kc)
+    block = block.reshape(m, n, kr, kc).transpose(0, 2, 1, 3).reshape(m * kr, n * kc)
+    left, sigma, right = np.linalg.svd(block, full_matrices=False)
+    r = int(np.count_nonzero(sigma > tol.eq_tol * max(1.0, sigma[0])))
+    root = np.sqrt(sigma[:r])
+    return (left[:, :r] * root).reshape(m, kr, r), (right[:r].conj().T * root).reshape(n, kc, r)
 
-    The completion is x -> r x r* plus (1 - u u*)/m and (1 - v* v)/n on
-    the diagonal units of the two corners, with r = u (+) v*; block (i, j)
-    of its Choi matrix is r e_i e_j* r* plus those pads for i = j.
+
+def _kraus_choi(a: np.ndarray, b: np.ndarray, eq_tol: float):
+    """Weyl's floor and the Choi witness of a completion of the map with
+    off-diagonal Choi block a b*, for a (m, kr, r) and b (n, kc, r); the
+    witness is None when the floor is below -eq_tol.
+
+    With P, Q the partial traces over the input index of a a*, b b* and
+    t = sqrt(||Q|| / ||P||), the witness is G G*, G = sqrt(t) a (+) b / sqrt(t)
+    on the corners' rows, plus (1 - t P)/m and (1 - Q/t)/n on their diagonal
+    units, which pin both identities.  So its least eigenvalue is at least
+    min(0, (1 - h)/m, (1 - h)/n), h = sqrt(||P|| ||Q||) Haagerup's bound.
     """
-    m, n = phi.domain.shape
-    kr, kc = phi.codomain_shape
+    (m, kr, r), (n, kc, _) = a.shape, b.shape
     ni, no = m + n, kr + kc
-    r = np.zeros((no, ni), complex)
-    r[:kr, :m] = u
-    r[kr:, m:] = v.conj().T
-    out = np.einsum("ai,bj->iajb", r, r.conj())
-    pad = np.zeros((ni, no, no), complex)
-    pad[:m, :kr, :kr] = (np.eye(kr) - u @ u.conj().T) / m
-    pad[m:, kr:, kr:] = (np.eye(kc) - v.conj().T @ v) / n
+    p, q = (w @ w.conj().T for w in (_side_by_side(a), _side_by_side(b)))
+    p_norm, q_norm = (float(np.linalg.eigvalsh(x)[-1]) for x in (p, q))
+    t = np.sqrt(q_norm / p_norm) if p_norm > 0.0 else 1.0
+    h = np.sqrt(p_norm * q_norm)
+    floor = min(0.0, (1.0 - h) / m, (1.0 - h) / n)
+    if floor < -eq_tol:
+        return floor, None
+    g = np.zeros((ni, no, r), complex)
+    g[:m, :kr], g[m:, kr:] = np.sqrt(t) * a, b / np.sqrt(t)
+    out = (g.reshape(-1, r) @ g.reshape(-1, r).conj().T).reshape(ni, no, ni, no)
     diagonal = np.arange(ni)
-    out[diagonal, :, diagonal, :] += pad
-    return out.reshape(ni * no, ni * no)
-
-
-def _conjugation_choi_floor(u, v) -> float:
-    """Weyl's lower bound on the least eigenvalue of `_conjugation_choi`.
-
-    That matrix is the PSD rank-one vec(r) vec(r)* plus block-diagonal pads
-    (1 - u u*)/m and (1 - v* v)/n and zeros, so its least eigenvalue is at
-    least min(0, (1 - ||u||^2)/m, (1 - ||v||^2)/n); an empty factor adds no
-    pad.
-    """
-    (_, m), (n, _) = u.shape, v.shape
-    floor = 0.0
-    if u.size:
-        floor = min(floor, (1.0 - op_norm(u) ** 2) / m)
-    if v.size:
-        floor = min(floor, (1.0 - op_norm(v) ** 2) / n)
-    return floor
+    out[diagonal[:m], :kr, diagonal[:m], :kr] += (np.eye(kr) - t * p) / m
+    out[diagonal[m:], kr:, diagonal[m:], kr:] += (np.eye(kc) - q / t) / n
+    return floor, out.reshape(ni * no, ni * no)
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +491,14 @@ def is_completely_contractive(
 ) -> FeasibilityOutcome:
     """Decide whether phi has completely bounded norm at most one.
 
-    Tries an explicit conjugation certificate, then a search for violating
-    amplified elements, then the Dykstra feasibility program.  UNDECIDED is
-    returned when neither a certificate nor a violation appears within the
-    iteration budget.
-
-    The certificate is the Choi matrix of the fitted pair's completion.  It
-    is accepted when its pinned residual is at most sdp_tol and Weyl's
-    bound on its least eigenvalue, read off the operator norms of u and v
-    (`_conjugation_choi_floor`), is at least -eq_tol; no eigensolve of the
-    Choi matrix is taken.
+    Tries the Choi witness (`_kraus_choi`) of a unitary pair, then that of
+    the factors of phi P_S's Choi block, then a search for violating
+    amplified elements, then Dykstra.  A witness is accepted when Weyl's
+    floor is at least -eq_tol and its pinned residual at most sdp_tol, with
+    no eigensolve of it and 0 iterations.  The note names the exit:
+    "conjugation certificate" (of multiplicity r for the Choi block),
+    "amplified norm ratio R at level L" or "alternating projections".
+    UNDECIDED is returned when Dykstra stalls or hits its cap.
     """
     tol = tol or DEFAULT_TOL
     gs, targets = _paulsen_constraints(phi)
@@ -503,13 +506,22 @@ def is_completely_contractive(
     kr, kc = phi.codomain_shape
     ni, no = m + n, kr + kc
 
+    def certificate(a, b):
+        witness = _kraus_choi(a, b, tol.eq_tol)[1]
+        if witness is None:
+            return None
+        res = float(np.linalg.norm(_pinned_values(witness.reshape(ni, no, ni, no), gs) - targets))
+        return (witness, res) if res <= tol.sdp_tol else None
+
+    # a unitary pair (zero factors on a zero domain), then the Choi block's factors
     pair = _fit_conjugation_pair(phi, tol, seed)
-    if pair is not None:
-        witness = _conjugation_choi(phi, *pair)
-        w4 = witness.reshape(ni, no, ni, no)
-        res = float(np.linalg.norm(_pinned_values(w4, gs) - targets))
-        if res <= tol.sdp_tol and _conjugation_choi_floor(*pair) >= -tol.eq_tol:
-            return FeasibilityOutcome(FEASIBLE, witness, res, "conjugation certificate")
+    found = certificate(pair[0].T[:, :, None], pair[1].conj()[:, :, None]) if pair else None
+    if found:
+        return FeasibilityOutcome(FEASIBLE, *found, "conjugation certificate")
+    a, b = _choi_block_factors(phi, tol)
+    found = certificate(a, b)
+    if found:
+        return FeasibilityOutcome(FEASIBLE, *found, f"conjugation certificate of multiplicity {a.shape[2]}")
 
     found = _violation_search(phi, tol, seed)
     if found is not None:

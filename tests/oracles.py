@@ -20,6 +20,9 @@ fit chosen by the Gram matrices against the fit that runs both its loops.
 The factored pairing solve is checked against one SVD of the materialized
 system.  Dykstra on the two parity blocks of the Choi matrix is checked
 against Dykstra on the whole matrix, with an exact PSD test every step.
+The Choi-block certificate's witness is checked against the Choi block of
+phi P_S built one unit at a time, a dense eigensolve, and its action on the
+pinned elements applied block by block.
 The commutant that a TRO is read from is checked through its dimension and
 its center's, from dense Kronecker null spaces in the whole ambient, with
 no support compression.  Random triangular algebras are sampled one seed
@@ -490,6 +493,50 @@ def choi_min_eigenvalue_dense(choi):
     """Least eigenvalue of the Hermitian part of a Choi matrix, by a dense
     eigensolve; +inf for an empty one."""
     return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min(initial=np.inf))
+
+
+def choi_block_by_units(phi):
+    """Off-diagonal Choi block of phi P_S, P_S the HS projection onto the
+    domain, one unit at a time: block (i, j) of the (m kr) x (n kc) matrix
+    is phi(P_S e_ij) = sum_k conj(s_k[i, j]) t_k."""
+    m, n = phi.domain.shape
+    kr, kc = phi.codomain_shape
+    out = np.zeros((m * kr, n * kc), complex)
+    for i in range(m):
+        for j in range(n):
+            image = sum(np.conj(s[i, j]) * t for s, t in zip(phi.domain.basis, phi.image_stack))
+            out[i * kr : (i + 1) * kr, j * kc : (j + 1) * kc] = image
+    return out
+
+
+def choi_block_witness_defects(phi, witness):
+    """(block defect, least eigenvalue, pinned defect) of a Choi witness of
+    phi's completion, rows (i, u) for m + n inputs i and kr + kc outputs u:
+    its block on rows (i < m, u < kr) and columns (m + j, kr + v) against
+    choi_block_by_units, its dense least eigenvalue, and the largest
+    deviation of the map it defines, applied block by block, from the two
+    identity corners and from [[0, s], [0, 0]] -> [[0, phi(s)], [0, 0]] on
+    the domain basis."""
+    m, n = phi.domain.shape
+    kr, kc = phi.codomain_shape
+    ni, no = m + n, kr + kc
+    rows = [i * no + u for i in range(m) for u in range(kr)]
+    cols = [(m + j) * no + kr + v for j in range(n) for v in range(kc)]
+    block = float(np.abs(witness[np.ix_(rows, cols)] - choi_block_by_units(phi)).max())
+
+    def apply(x):
+        return sum(x[i, j] * witness[i * no : (i + 1) * no, j * no : (j + 1) * no] for i in range(ni) for j in range(ni))
+
+    pairs = [
+        (np.diag([1.0] * m + [0.0] * n), np.diag([1.0] * kr + [0.0] * kc)),
+        (np.diag([0.0] * m + [1.0] * n), np.diag([0.0] * kr + [1.0] * kc)),
+    ]
+    for s, t in zip(phi.domain.basis, phi.image_stack):
+        x, want = np.zeros((ni, ni), complex), np.zeros((no, no), complex)
+        x[:m, m:], want[:kr, kr:] = s, t
+        pairs.append((x, want))
+    pinned = max(float(np.abs(apply(x) - want).max()) for x, want in pairs)
+    return block, choi_min_eigenvalue_dense(witness), pinned
 
 
 def _psd_project(c):

@@ -75,6 +75,26 @@ def test_tracer_reads_every_result_it_keeps():
     assert env.deleted_blocks == (1,)
 
 
+def test_tracer_counts_the_choi_block_certificate_as_a_conjugation():
+    # 0.98 S o x on M_3, S PSD with unit diagonal, is settled by the factors
+    # of its Choi block; the note "conjugation certificate of multiplicity 3"
+    # counts under the conjugation exit, not as undecided
+    from .test_cb import SEARCH_CASES
+
+    spans = load_spans()
+    cb = importlib.import_module("opalg.cb")
+    importlib.import_module("opalg.cli")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cb.is_completely_contractive(dict(SEARCH_CASES)["schur-0.98-M3"])
+    finally:
+        tracer.uninstall()
+    out = tracer.per_layer(1)
+    assert out["cb.exit.conjugation.count"] == 1
+    assert out["cb.exit.dykstra.count"] == out["cb.exit.undecided.count"] == 0
+
+
 # public names no module in src/opalg or bench/ uses: kept as library entry points
 UNUSED_ALLOWED = {"hs_inner", "random_unitary", "common_eigenvector"}
 

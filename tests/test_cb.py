@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import numpy.linalg._linalg as numpy_linalg_impl
@@ -37,6 +38,7 @@ from .oracles import (
     amplified_norm_ratio,
     amplify,
     choi,
+    choi_block_witness_defects,
     choi_min_eigenvalue_dense,
     conjugation_choi_by_units,
     conjugation_fit_both_loops,
@@ -397,6 +399,15 @@ def choi_action(witness, x, no):
     )
 
 
+def dykstra(phi, tol=DEFAULT_TOL):
+    """Dykstra on phi's Paulsen program, called directly: the Choi block's
+    factors settle these maps before the public decision reaches it."""
+    status, point, residual, iterations = cb._dykstra_feasibility(
+        *cb._paulsen_constraints(phi), phi.domain.shape, phi.codomain_shape, tol, tol.max_iter
+    )
+    return cb.FeasibilityOutcome(status, point, residual, iterations=iterations)
+
+
 def assert_paulsen_witness(phi, out, tol=1e-6):
     """A PSD Choi witness that fixes both identity corners and extends phi."""
     n = phi.domain.shape[0]
@@ -419,11 +430,17 @@ def assert_paulsen_witness(phi, out, tol=1e-6):
 @pytest.mark.parametrize("n", [2, 3])
 def test_schur_multiplier_inside_the_ball_feasible_by_dykstra(rng, n):
     # a PSD symbol with unit diagonal is a completely positive Schur
-    # multiplier of cb norm one (Paulsen 2002), so 0.98 S o x is contractive
+    # multiplier of cb norm one (Paulsen 2002), so 0.98 S o x is contractive.
+    # It is CP, so the factors of its Choi block certify it with no Dykstra
+    # iteration; Dykstra on the same program certifies it too
     s = psd_unit_diagonal(n, rng)
     phi = map_of(full_matrix_space(n), lambda b: 0.98 * s * b)
     out = is_completely_contractive(phi)
-    assert out.status == FEASIBLE and out.notes == "alternating projections"
+    assert (out.status, out.notes, out.iterations) == (FEASIBLE, f"conjugation certificate of multiplicity {n}", 0)
+    assert_paulsen_witness(phi, out)
+    assert_conjugation_witness(phi, out.witness)
+    out = dykstra(phi)
+    assert out.status == FEASIBLE and out.iterations > 0
     assert_paulsen_witness(phi, out)
 
 
@@ -439,9 +456,15 @@ def test_schur_multiplier_outside_the_ball_infeasible(rng, n):
 
 
 def test_diagonal_compression_feasible_by_dykstra():
+    # CP and unital: the Choi block's factors certify it, and Dykstra on the
+    # same program does too
     phi = map_of(full_matrix_space(3), lambda b: np.diag(np.diag(b)))
     out = is_completely_contractive(phi)
-    assert out.status == FEASIBLE and out.notes == "alternating projections"
+    assert (out.status, out.notes, out.iterations) == (FEASIBLE, "conjugation certificate of multiplicity 3", 0)
+    assert_paulsen_witness(phi, out)
+    assert_conjugation_witness(phi, out.witness)
+    out = dykstra(phi)
+    assert out.status == FEASIBLE and out.iterations > 0
     assert_paulsen_witness(phi, out)
 
 
@@ -538,9 +561,17 @@ def test_blocked_dykstra_matches_the_dense_iteration(name, phi, tol):
     # iteration, which tests every iterate for PSD: the same status and
     # iteration count, and residual and witness within rounding.  The
     # M_{2,3} transpose has blocks of 12 and 13 rows and exits through the
-    # PSD test of its first iterate
-    out = is_completely_contractive(phi, tol)
-    assert out.notes == "alternating projections"
+    # PSD test of its first iterate.  The Choi block's factors certify every
+    # case but the row-block span before Dykstra, so Dykstra is called on
+    # their programs directly; the row-block span reaches it through the
+    # public decision
+    if name == "row-block-0.5":
+        out = is_completely_contractive(phi, tol)
+        assert out.notes == "alternating projections"
+    else:
+        certified = is_completely_contractive(phi, tol)
+        assert certified.notes.startswith("conjugation certificate of multiplicity ")
+        out = dykstra(phi, tol)
     gs, targets = cb._paulsen_constraints(phi)
     ni, no = sum(phi.domain.shape), sum(phi.codomain_shape)
     status, point, residual, iterations = dykstra_dense(gs, targets, ni, no, tol, tol.max_iter)
@@ -614,8 +645,8 @@ def test_dykstra_eigensolves_are_parity_block_sized(monkeypatch):
     # is tested for PSD: the Courant-Fischer bound rules out every later one
     phi = dict(DYKSTRA_CASES)["schur-0.98-M4"]
     sizes = record_solvers(monkeypatch)[1]
-    out = is_completely_contractive(phi)
-    assert out.notes == "alternating projections" and out.iterations == 36
+    out = dykstra(phi)
+    assert out.status == FEASIBLE and out.iterations == 36
     assert [len(rows) for rows in cb._parity_blocks((4, 4), (4, 4))] == [32, 32]
     assert max(size for _, size in sizes) == 32
     assert sizes.count(("eigh", 32)) == 2 * out.iterations
@@ -660,10 +691,11 @@ def rectangular_conjugation(rng):
 
 def test_rectangular_conjugation_certified(rng):
     # the pinned identity corners of the two sides have different sizes; the
-    # shapes differ, so no unitary pair fits and Dykstra certifies the map
+    # shapes differ, so no unitary pair fits, and the Choi block, of rank
+    # one, certifies the map with no Dykstra iteration
     phi = rectangular_conjugation(rng)
     out = is_completely_contractive(phi)
-    assert out.status == FEASIBLE and out.notes == "alternating projections"
+    assert (out.status, out.notes, out.iterations) == (FEASIBLE, "conjugation certificate of multiplicity 1", 0)
     assert_conjugation_witness(phi, out.witness)
 
 
@@ -823,38 +855,116 @@ def test_conjugation_certifies_the_pairs_the_loop_missed(case):
         assert_conjugation_witness(phi, out.witness)
 
 
+def pair_factors(u, v):
+    """The Choi block of x -> u x v as a rank-one factor pair (vec u, vec v)."""
+    return u.T[:, :, None], v.conj()[:, :, None]
+
+
 def test_weyl_floor_bounds_the_certificate_spectrum():
     # on every conjugation certificate of the search cases (the corpus
     # transposes, their conjugates and the cb-exits maps) and the identity on
-    # the car pair, the factor bound never exceeds
-    # the dense least eigenvalue of the Choi matrix, built unit by unit, and
-    # that matrix is the witness the decision returns
+    # the car pair, the factor bound never exceeds the dense least eigenvalue
+    # of the witness.  A unitary pair's witness is the Choi matrix of its
+    # completion, built unit by unit; the Choi block's factors, which settle
+    # the CP maps (the Schur multipliers and diagonal compressions), give a
+    # witness with that map's Choi block
     car = ex.car_pair().space
     maps = [phi for _, phi in SEARCH_CASES] + [map_of(car, lambda b: b), transpose_map(car)]
-    certified = 0
+    certified = Counter()
     for phi in maps:
         out = is_completely_contractive(phi)
-        if out.notes != "conjugation certificate":
+        if out.notes == "conjugation certificate":
+            u, v = _fit_conjugation_pair(phi, DEFAULT_TOL, 0)
+            floor, witness = cb._kraus_choi(*pair_factors(u, v), DEFAULT_TOL.eq_tol)
+            assert np.abs(witness - conjugation_choi_by_units(u, v)).max() <= 1e-12
+        elif out.notes.startswith("conjugation certificate of multiplicity"):
+            floor, witness = cb._kraus_choi(*cb._choi_block_factors(phi, DEFAULT_TOL), DEFAULT_TOL.eq_tol)
+            assert choi_block_witness_defects(phi, witness)[0] <= 1e-9
+        else:
             continue
-        certified += 1
-        u, v = _fit_conjugation_pair(phi, DEFAULT_TOL, 0)
-        choi_matrix = conjugation_choi_by_units(u, v)
-        dense = choi_min_eigenvalue_dense(choi_matrix)
-        floor = cb._conjugation_choi_floor(u, v)
+        certified[out.notes] += 1
+        dense = choi_min_eigenvalue_dense(witness)
         assert floor <= dense + 1e-12
         assert min(floor, dense) >= -DEFAULT_TOL.eq_tol
-        assert np.abs(out.witness - choi_matrix).max() <= 1e-12
-    assert certified == 38
+        assert np.abs(out.witness - witness).max() <= 1e-12
+    assert certified == {
+        "conjugation certificate": 38,
+        "conjugation certificate of multiplicity 2": 1,
+        "conjugation certificate of multiplicity 3": 2,
+        "conjugation certificate of multiplicity 4": 2,
+    }
 
 
 def test_weyl_floor_and_dense_test_reject_a_long_factor(rng):
     # u of norm 1 + 1e-6 pads the Choi matrix with -2e-6 / m on an
-    # m kr-dimensional block that the rank-one term cannot fill
+    # m kr-dimensional block that the rank-one term cannot fill; the floor
+    # (1 - ||u|| ||v||) / m rules it out before any witness is built
     u = (1.0 + 1e-6) * random_unitary(2, rng)
     v = random_unitary(2, rng)
     assert op_norm(u) == pytest.approx(1.0 + 1e-6, abs=1e-12)
-    assert cb._conjugation_choi_floor(u, v) < -DEFAULT_TOL.eq_tol
+    floor, witness = cb._kraus_choi(*pair_factors(u, v), DEFAULT_TOL.eq_tol)
+    assert floor < -DEFAULT_TOL.eq_tol and witness is None
     assert choi_min_eigenvalue_dense(conjugation_choi_by_units(u, v)) < -DEFAULT_TOL.eq_tol
+
+
+def random_cp_map(rng, norm):
+    """x -> sum_l a_l x a_l* from M_m to M_k, m, k in {2, 3}, with one to
+    three Kraus operators, scaled so that ||phi(1)|| = norm."""
+    m, k, r = (int(x) for x in rng.integers((2, 2, 1), (4, 4, 4)))
+    kraus = _complex(rng, (r, k, m))
+    kraus *= np.sqrt(norm / op_norm(sum(a @ a.conj().T for a in kraus)))
+    full = full_matrix_space(m)
+    return LinearMapOnSubspace(full, tuple(sum(a @ b @ a.conj().T for a in kraus) for b in full.basis), (k, k))
+
+
+def random_two_sided_map(rng, norm):
+    """x -> a x b from M_{2,3} to M_{3,2} with ||a|| ||b|| = norm."""
+    full = orthonormalize([unit(2, i, j, 3) for i in (1, 2) for j in (1, 2, 3)])
+    a, b = _complex(rng, (3, 2)), _complex(rng, (3, 2))
+    a *= norm / (op_norm(a) * op_norm(b))
+    return LinearMapOnSubspace(full, tuple(a @ x @ b for x in full.basis), (3, 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_choi_block_certifies_cp_and_two_sided_maps(seed):
+    # Haagerup's bound is the cb norm of a CP map (||phi(1)||) and of
+    # x -> a x b (||a|| ||b||).  At norm 1 - 1e-3 the Choi block's factors
+    # certify each with no Dykstra iteration, by a witness whose off-diagonal
+    # block is the Choi block of phi P_S, built unit by unit, that is PSD by
+    # a dense eigensolve and meets the pinned values
+    rng = np.random.default_rng(seed)
+    for phi in (random_cp_map(rng, 1.0 - 1e-3), random_two_sided_map(rng, 1.0 - 1e-3)):
+        out = is_completely_contractive(phi)
+        assert (out.status, out.iterations) == (FEASIBLE, 0)
+        assert out.notes.startswith("conjugation certificate of multiplicity ")
+        block, least, pinned = choi_block_witness_defects(phi, out.witness)
+        assert block <= 1e-9 and least >= -DEFAULT_TOL.eq_tol and pinned <= DEFAULT_TOL.sdp_tol
+
+
+def refused_by_the_choi_block(phi):
+    floor, witness = cb._kraus_choi(*cb._choi_block_factors(phi, DEFAULT_TOL), DEFAULT_TOL.eq_tol)
+    return witness is None and floor < -DEFAULT_TOL.eq_tol
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_choi_block_refuses_maps_just_outside_the_ball(seed):
+    # the same maps at norm 1 + 1e-6 have cb norm 1 + 1e-6: Weyl's floor
+    # rules them out, so no witness is built
+    rng = np.random.default_rng(seed)
+    for phi in (random_cp_map(rng, 1.0 + 1e-6), random_two_sided_map(rng, 1.0 + 1e-6)):
+        assert refused_by_the_choi_block(phi)
+
+
+@pytest.mark.parametrize(
+    "name", ["schur-1.02-M2", "schur-1.02-M3", "schur-1.02-M4", "transpose-4.5-M5", "wide-0.45", "wide-0.55"]
+)
+def test_choi_block_refuses_the_infeasible_search_cases(name):
+    # maps of cb norm above one, x -> c x^T on M_{2,3} (sqrt(6) c) included:
+    # the Choi block's factors never certify them, and the violation search
+    # settles them
+    phi = wide_transpose(float(name[5:])) if name.startswith("wide") else dict(SEARCH_CASES)[name]
+    assert refused_by_the_choi_block(phi)
+    assert is_completely_contractive(phi).status == INFEASIBLE
 
 
 @pytest.mark.parametrize("name,phi", SEARCH_CASES, ids=[name for name, _ in SEARCH_CASES])

@@ -445,11 +445,13 @@ def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):
     # search, which reads no other structure-tensor predicate, takes no
     # einsum (9 when each distinct span took its own triple einsum) and
     # analyze two fewer (10 with the triple einsum in the predicates and
-    # in wedderburn_split)
+    # in wedderburn_split).  The conjugation certificate of the symmetry
+    # decision builds its Choi matrix by matrix products (8 when it was an
+    # einsum)
     original, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
     report.analyze_algebra(car_pair)
-    assert len(calls) == 8
+    assert len(calls) == 7
     calls.clear()
     run_search(ambient=3, trials=20, seed=1, max_dim=3, tol=ToleranceConfig())
     assert len(calls) == 0

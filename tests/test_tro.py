@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opalg import examples as ex
-from opalg import cli, linalg, tro
+from opalg import cb, cli, linalg, tro
 from opalg.linalg import contains, hs_norm, max_projection_residual, op_norm, orthonormalize, random_unitary
 from opalg.tro import (
     TROSpace,
@@ -599,9 +599,12 @@ def test_scalar_deletions_match_the_cb_decision(monkeypatch):
 
 @pytest.mark.parametrize("conjugate", [False, True], ids=["given", "conj"])
 @pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
-def test_deleting_a_scaled_copy_of_m2(c, conjugate):
+def test_deleting_a_scaled_copy_of_m2(monkeypatch, c, conjugate):
     # {diag(x, c x) : x in M_2}, c < 1: the deletion of the c x block, into
-    # M_2, is completely contractive, decided by the cb program
+    # M_2, is completely contractive, decided by the cb program.  The map is
+    # a scaled conjugation, whose Choi block has rank one: its factors
+    # certify it, and Dykstra is never called
+    monkeypatch.setattr(cb, "_dykstra_feasibility", lambda *args: pytest.fail("Dykstra was called"))
     q = random_unitary(4, np.random.default_rng(int(10 * c))) if conjugate else np.eye(4)
     env = injective_envelope(orthonormalize([q @ _direct_sum(t, c * t) @ q.conj().T for t in M2_UNITS]))
     assert env.blocks.blocks == ((2, 2), (2, 2)) and env.blocks.multiplicities == (1, 1)
