@@ -26,11 +26,16 @@ level's random starts, the unit starts, or the transpose pattern, padded
 with zero blocks to level max(m, n)) together.  Each step takes one
 batched Hermitian eigensolve for the top singular pairs of the images and
 one for the norms of the amplified elements, both on the Gram matrices of
-the shorter side; it takes no SVD.  For a map into M_{kr, kc} it goes up
+the shorter side; it takes no SVD.  A run ends early once every start is
+a fixed point of its ascent step up to phase and scale, since later steps
+would only repeat it.  For a map into M_{kr, kc} it goes up
 to level max(kr, kc): by Smith's lemma (R. R. Smith, J. London Math. Soc.
 1983) the cb norm of such a map is the norm of that amplification.  That
 level comes first, after the transpose pattern, and the search stops at
-the first run that finds a violation.
+the first run that finds a violation.  The random starts are drawn when
+the first random run is reached, and the pinned constraints only when a
+witness is checked or Dykstra runs, so a map that the transpose pattern
+settles pays for neither.
 
 Last comes Dykstra: alternating projections between the PSD cone and the
 pinned affine set.  Every such problem has a parity grading (Paulsen 2002,
@@ -53,6 +58,7 @@ contains 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -414,6 +420,12 @@ def _polish(phi: LinearMapOnSubspace, coeffs: np.ndarray, steps: int):
     start whose Y or step vanishes stays where it is.  Returns the best
     ratio of each start and the coefficients that reached it, which take
     less memory than the amplified elements.
+
+    The run ends before its steps are spent once every moving start is a
+    fixed point of the step up to phase and scale,
+    |<c_new, c_old>| >= (1 - 1e-12) ||c_new|| ||c_old||: the ratio does not
+    depend on either, so later steps would only repeat it.  That is no
+    stall rule; the ascent can pause and then climb again.
     """
     dstack, istack = phi.domain.stack, phi.image_stack
     level = coeffs.shape[1]
@@ -436,6 +448,10 @@ def _polish(phi: LinearMapOnSubspace, coeffs: np.ndarray, steps: int):
         norm = np.linalg.norm(w.reshape(len(w), -1), axis=1)
         moving &= (ny > 0.0) & (norm > 0.0)
         step_to = w.conj() / np.where(moving, norm, 1.0)[:, None, None, None]
+        flat_to, flat = step_to.reshape(len(w), -1), coeffs.reshape(len(w), -1)
+        overlap = np.abs(np.einsum("bi,bi->b", flat_to.conj(), flat))
+        if np.all(~moving | (overlap >= (1.0 - 1e-12) * np.linalg.norm(flat, axis=1))):
+            break  # every moving start is a fixed point up to phase and scale
         coeffs = np.where(moving[:, None, None, None], step_to, coeffs)
     return best_ratio, best
 
@@ -449,8 +465,10 @@ def _violation_search(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int)
     max(m, n).
     By Smith's lemma the cb norm of a map into M_{kr, kc} is reached at
     level max(kr, kc), so the pattern and that level are polished first,
-    then the unit starts and the levels from 1 up.  The random starts are
-    drawn from level 1 up, so each run's starts do not depend on that order.
+    then the unit starts and the levels from 1 up.  The random starts of
+    every level are drawn from level 1 up when the first random run (level
+    max(kr, kc)) is reached, so each run's starts do not depend on that
+    order, and a map that the pattern settles draws none.
     """
     d = phi.domain.dim
     if d == 0:
@@ -458,23 +476,24 @@ def _violation_search(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int)
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
     top = max(kr, kc, 2)
-    rng = np.random.default_rng(seed)
 
-    def random_starts(level):
-        shape = (level, level, d)
-        return np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(12)])
+    def runs():
+        level = max(m, n)
+        if 2 <= level <= top:
+            # blockwise projection of the transpose pattern: e_vu at block (u, v)
+            # for u < n and v < m, padded with zero blocks to a square level
+            pattern = np.zeros((1, level, level, d), complex)
+            pattern[0, :n, :m] = phi.domain.stack.conj().transpose(2, 1, 0)
+            yield pattern, 6
+        rng = np.random.default_rng(seed)  # drawn at the first random run, from level 1 up
+        shapes = [(level, level, d) for level in range(1, top + 1)]
+        drawn = [np.stack([rng.standard_normal(s) + 1j * rng.standard_normal(s) for _ in range(12)]) for s in shapes]
+        yield drawn[-1], 6
+        yield np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0
+        yield drawn[0], 4
+        yield from ((starts, 6) for starts in drawn[1:-1])
 
-    drawn = [random_starts(level) for level in range(1, top + 1)]
-    runs = [(drawn[-1], 6), (np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0), (drawn[0], 4)]
-    runs += [(starts, 6) for starts in drawn[1:-1]]
-    level = max(m, n)
-    if 2 <= level <= top:
-        # blockwise projection of the transpose pattern: e_vu at block (u, v)
-        # for u < n and v < m, padded with zero blocks to a square level
-        pattern = np.zeros((1, level, level, d), complex)
-        pattern[0, :n, :m] = phi.domain.stack.conj().transpose(2, 1, 0)
-        runs.insert(0, (pattern, 6))
-    for starts, steps in runs:
+    for starts, steps in runs():
         ratios, coeffs = _polish(phi, starts, steps)
         i = int(np.argmax(ratios))
         if ratios[i] > 1.0 + tol.sdp_tol:
@@ -501,7 +520,7 @@ def is_completely_contractive(
     UNDECIDED is returned when Dykstra stalls or hits its cap.
     """
     tol = tol or DEFAULT_TOL
-    gs, targets = _paulsen_constraints(phi)
+    constraints = cache(lambda: _paulsen_constraints(phi))  # none on the way to a violation
     m, n = phi.domain.shape
     kr, kc = phi.codomain_shape
     ni, no = m + n, kr + kc
@@ -510,6 +529,7 @@ def is_completely_contractive(
         witness = _kraus_choi(a, b, tol.eq_tol)[1]
         if witness is None:
             return None
+        gs, targets = constraints()
         res = float(np.linalg.norm(_pinned_values(witness.reshape(ni, no, ni, no), gs) - targets))
         return (witness, res) if res <= tol.sdp_tol else None
 
@@ -530,7 +550,7 @@ def is_completely_contractive(
         return FeasibilityOutcome(INFEASIBLE, x, ratio - 1.0, note)
 
     status, point, res, iterations = _dykstra_feasibility(
-        gs, targets, phi.domain.shape, phi.codomain_shape, tol, tol.max_iter
+        *constraints(), phi.domain.shape, phi.codomain_shape, tol, tol.max_iter
     )
     note = "alternating projections" if status == FEASIBLE else "feasibility iteration stalled or hit its cap"
     return FeasibilityOutcome(status, point, res, note, iterations)

@@ -344,6 +344,34 @@ def polish_by_blocks(domain_basis, images, block_coeffs, steps):
     return best
 
 
+def polish_every_step(phi, coeffs, steps):
+    """`cb._polish` as it ran every step, with no stop at a fixed point of
+    the ascent: the same batched ascent and the same returns."""
+    dstack, istack = phi.domain.stack, phi.image_stack
+    level = coeffs.shape[1]
+    kr, kc = phi.codomain_shape
+    moving = np.ones(len(coeffs), bool)
+    best_ratio, best = np.full(len(coeffs), -np.inf), coeffs
+    for step in range(steps + 1):
+        lam = np.linalg.eigvalsh(cb._short_gram(cb._block_matrices(coeffs, dstack))[1])
+        nx = np.sqrt(np.maximum(lam[:, -1], 0.0))
+        ny, left, right = cb._top_singular(cb._block_matrices(coeffs, istack))
+        ratio = np.divide(ny, nx, out=np.zeros_like(nx), where=nx > 0.0)
+        better = moving & (ratio > best_ratio)
+        best_ratio = np.where(better, ratio, best_ratio)
+        best = np.where(better[:, None, None, None], coeffs, best)
+        if step == steps:
+            break
+        left = left.reshape(-1, level, kr)
+        right = right.conj().reshape(-1, level, kc)
+        w = np.einsum("bukj,bvj->buvk", np.einsum("bui,kij->bukj", left, istack.conj()), right)
+        norm = np.linalg.norm(w.reshape(len(w), -1), axis=1)
+        moving &= (ny > 0.0) & (norm > 0.0)
+        step_to = w.conj() / np.where(moving, norm, 1.0)[:, None, None, None]
+        coeffs = np.where(moving[:, None, None, None], step_to, coeffs)
+    return best_ratio, best
+
+
 def violation_search_all_levels(phi, tol, seed):
     """The violation search as it climbed every level: polish the unit
     starts, level 1 and the random starts of levels 2 to max(kr, kc), with
@@ -363,8 +391,8 @@ def violation_search_all_levels(phi, tol, seed):
         return np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(12)])
 
     runs = [
-        cb._polish(phi, np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0),
-        cb._polish(phi, random_starts(1), 4),
+        polish_every_step(phi, np.eye(d, dtype=complex).reshape(d, 1, 1, d), 0),
+        polish_every_step(phi, random_starts(1), 4),
     ]
     for level in range(2, max(kr, kc, 2) + 1):
         starts = random_starts(level)
@@ -375,7 +403,7 @@ def violation_search_all_levels(phi, tol, seed):
                 for v in range(m):
                     pattern[0, u, v] = [np.conj(b[v, u]) for b in phi.domain.basis]
             starts = np.concatenate([pattern, starts])
-        runs.append(cb._polish(phi, starts, 6))
+        runs.append(polish_every_step(phi, starts, 6))
     best_ratio, best = 0.0, None
     for ratios, coeffs in runs:
         i = int(np.argmax(ratios))

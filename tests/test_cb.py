@@ -49,6 +49,7 @@ from .oracles import (
     pinned_adjoint_by_einsum,
     pinned_values_by_einsum,
     polish_by_blocks,
+    polish_every_step,
     violation_search_all_levels,
 )
 
@@ -616,26 +617,92 @@ def count_solvers(monkeypatch):
 def test_violation_search_batches_its_eigensolves(monkeypatch):
     # one batched Hermitian eigensolve of the images' Gram matrices and one of
     # the amplified elements' per polish step, for a run's starts together.
-    # The transpose pattern at level 3, polished first, finds the violation:
-    # 7 + 7 for its six steps.  No SVD is taken.  Polishing one start at a
-    # time took 1082 SVDs here.
+    # The transpose pattern at level 3, polished first, finds the violation,
+    # and its first ascent step leads back to it up to phase and scale, so
+    # the run stops there: 1 + 1.  No SVD is taken.  Polishing one start at
+    # a time took 1082 SVDs here.
     phi = transpose_map(full_matrix_space(3))
     calls = count_solvers(monkeypatch)
     found = _violation_search(phi, DEFAULT_TOL, 0)
     assert found is not None and found[0] == pytest.approx(3.0)
     assert calls["svd"] == 0
-    assert calls["eigh"] + calls["eigvalsh"] == 7 + 7
+    assert calls["eigh"] + calls["eigvalsh"] == 1 + 1
 
 
 def test_violation_search_without_a_violation_polishes_every_run(monkeypatch):
     # the diagonal compression of M_3 is completely contractive, so every run
-    # is polished: 2 for the unit starts, 2 * 5 at level 1, and 2 * 7 each for
-    # level 2, the transpose pattern and level 3
+    # is polished, each until its starts are fixed points of the ascent step
+    # or its steps run out: 2 * 2 for the transpose pattern, 2 * 7 for
+    # level 3, 2 for the unit starts, 2 * 2 at level 1 and 2 * 7 at level 2
     phi = map_of(full_matrix_space(3), lambda b: np.diag(np.diag(b)))
     calls = count_solvers(monkeypatch)
     assert _violation_search(phi, DEFAULT_TOL, 0) is None
     assert calls["svd"] == 0
-    assert calls["eigh"] + calls["eigvalsh"] == 2 + 2 * 5 + 3 * 2 * 7
+    assert calls["eigh"] + calls["eigvalsh"] == 2 * 2 + 2 * 7 + 2 + 2 * 2 + 2 * 7
+
+
+def record_random_draws(monkeypatch):
+    """Every array drawn from a generator of np.random.default_rng, in order,
+    while the test runs."""
+    draws, real = [], np.random.default_rng
+
+    class Recorded:
+        def __init__(self, seed=None):
+            self.rng = real(seed)
+
+        def standard_normal(self, shape):
+            draws.append(self.rng.standard_normal(shape))
+            return draws[-1]
+
+    monkeypatch.setattr(cb.np.random, "default_rng", Recorded)
+    return draws
+
+
+def test_pattern_settled_violation_draws_no_random_start(monkeypatch):
+    # the transpose pattern settles the M_3 transpose before any random run
+    draws = record_random_draws(monkeypatch)
+    found = _violation_search(transpose_map(full_matrix_space(3)), DEFAULT_TOL, 0)
+    assert found is not None and found[0] == pytest.approx(3.0)
+    assert draws == []
+
+
+def test_random_starts_are_drawn_late_and_equal_an_eager_draw(monkeypatch):
+    # the diagonal compression of M_3 reaches every run: the transpose
+    # pattern, level 3, the unit starts, level 1 and level 2.  The random
+    # starts are drawn at the level-3 run, from level 1 up, and equal an
+    # eager draw of the same seed element for element
+    rng = np.random.default_rng(0)
+    eager = [
+        np.stack([rng.standard_normal((k, k, 9)) + 1j * rng.standard_normal((k, k, 9)) for _ in range(12)])
+        for k in (1, 2, 3)
+    ]
+    draws = record_random_draws(monkeypatch)
+    runs, polish = [], cb._polish
+
+    def recorded(phi, coeffs, steps):
+        runs.append((coeffs, len(draws)))
+        return polish(phi, coeffs, steps)
+
+    monkeypatch.setattr(cb, "_polish", recorded)
+    phi = map_of(full_matrix_space(3), lambda b: np.diag(np.diag(b)))
+    assert _violation_search(phi, DEFAULT_TOL, 0) is None
+    assert [drawn for _, drawn in runs] == [0, 72, 72, 72, 72]
+    for (coeffs, _), want in zip([runs[3], runs[4], runs[1]], eager):
+        assert np.array_equal(coeffs, want)
+
+
+@pytest.mark.parametrize("kind", ["search", "wide"])
+def test_polish_stop_matches_polishing_every_step(monkeypatch, kind):
+    # stopping a run once its starts are fixed points of the ascent step, up
+    # to phase and scale, keeps the search's outcome and its ratio
+    cases = fit_cases(kind)
+    stopped = [_violation_search(phi, DEFAULT_TOL, 0) for phi in cases]
+    monkeypatch.setattr(cb, "_polish", polish_every_step)
+    for phi, got in zip(cases, stopped):
+        want = _violation_search(phi, DEFAULT_TOL, 0)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
 
 
 def test_dykstra_eigensolves_are_parity_block_sized(monkeypatch):
