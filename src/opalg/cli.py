@@ -482,9 +482,13 @@ def _decide(spaces, tol: ToleranceConfig, seed: int) -> list:
 
 
 # trials sampled, keyed and decided together: a chunk's closures share
-# batched SVDs, its cache misses are decided as stacks, and the working
-# arrays do not grow with the trial count
-_CHUNK = 64
+# batched SVDs, its spans are keyed by one product, its cache misses are
+# decided as stacks, and the working arrays do not grow with the trial
+# count.  It is 128 for memory: on 1000-trial searches in M_3 (2 cores,
+# BLAS at 1 thread), 256 ran about 5 % faster than 128 but raised the
+# process's peak RSS from 41.3 MB (chunk 64) to 43.6 MB, where 128 reads
+# 41.6 MB
+_CHUNK = 128
 
 
 def run_search(ambient: int, trials: int, seed: int, max_dim: int, tol: ToleranceConfig) -> dict:
@@ -492,10 +496,12 @@ def run_search(ambient: int, trials: int, seed: int, max_dim: int, tol: Toleranc
     noncommutative reversible hits.  Each span is decided and classified
     once: the cache key is a digest of its rounded projector, which depends
     on the span and not the basis.  The trials' spans are sampled _CHUNK at
-    a time, each certified closed under the product; the spans of a chunk
-    that the cache has not seen are decided together, one stack per
-    dimension.  The summary counts the spans
-    decided (`distinct_spans`) and the trials whose verdict is UNDECIDED."""
+    a time, each certified closed under the product and keyed together
+    (`_subspace_keys`); the spans of a chunk that the cache has not seen
+    are decided together, one stack per dimension.  Each trial draws from
+    its own generator, so the chunk size changes no span and no summary.
+    The summary counts the spans decided (`distinct_spans`) and the trials
+    whose verdict is UNDECIDED."""
     trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
     signatures: dict = {}
     hits = []
@@ -504,7 +510,7 @@ def run_search(ambient: int, trials: int, seed: int, max_dim: int, tol: Toleranc
     outcomes: dict = {}
     undecided = 0
     for chunk in _chunks(ambient, max_dim, trial_seeds, tol):
-        keys = [_subspace_key(space) for _, space in chunk]
+        keys = _subspace_keys([space for _, space in chunk])
         misses = {}
         for key, (_, space) in zip(keys, chunk):
             if key not in cache:
@@ -537,17 +543,23 @@ def _chunks(ambient, max_dim, trial_seeds, tol):
         yield list(zip(chunk, examples.random_triangular_spans(ambient, max_dim, chunk, tol)))
 
 
-def _subspace_key(space) -> bytes:
-    # the rounded projector onto the span, with the -0.0 that rounding leaves
-    # for -1e-17 cleared, depends on the span and not on the basis; a 16-byte
-    # digest of it keeps the cache small.  hashlib loads OpenSSL, which
-    # numpy's generators have loaded by the time a search keys a span, so
-    # it is imported here and not with the module
+def _subspace_keys(spaces) -> list:
+    """A 16-byte digest of the rounded projector of each span, all in one
+    ambient; it depends on the span and not on its basis.  The flattened
+    bases, zero-padded to the largest dimension, form one stack, so one
+    batched product gives every projector and one rounding rounds them all;
+    the padding rows add only zeros to each projector."""
+    # the rounding leaves -0.0 for -1e-17, which adding 0.0 clears.
+    # hashlib loads OpenSSL, which numpy's generators have loaded by the
+    # time a search keys a span, so it is imported here and not with the
+    # module
     import hashlib
 
-    stack = space.stack.reshape(space.dim, -1)
-    proj = stack.conj().T @ stack
-    return hashlib.blake2b((np.round(proj, 8) + 0.0).tobytes(), digest_size=16).digest()
+    flat = np.zeros((len(spaces), max(s.dim for s in spaces), spaces[0].stack[0].size), complex)
+    for row, space in zip(flat, spaces):
+        row[: space.dim] = space.stack.reshape(space.dim, -1)
+    proj = np.round(flat.conj().transpose(0, 2, 1) @ flat, 8) + 0.0
+    return [hashlib.blake2b(p.tobytes(), digest_size=16).digest() for p in proj]
 
 
 def cmd_search(args) -> int:

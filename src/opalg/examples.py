@@ -201,12 +201,15 @@ def diagonal_algebra(n: int, tol: ToleranceConfig | None = None) -> MatrixAlgebr
 def _draws(seed: int, upper: np.ndarray, dim: int, tol: ToleranceConfig):
     """The nonempty draws of one seed's generator, at most 200 draws in all:
     1 to dim random matrices on the strictly upper mask ``upper`` each, half
-    of them sparsified, with the ones that vanish dropped."""
+    of them sparsified, with the ones that vanish dropped.  A matrix's real
+    and imaginary parts come from one call that reads the generator in the
+    order two calls would, real part first."""
     rng = np.random.default_rng(seed)
     for _ in range(200):
         mats = []
         for _ in range(int(rng.integers(1, dim + 1))):
-            m = np.where(upper, rng.standard_normal(upper.shape) + 1j * rng.standard_normal(upper.shape), 0.0)
+            re, im = rng.standard_normal((2, *upper.shape))
+            m = np.where(upper, re + 1j * im, 0.0)
             if rng.random() < 0.5:
                 m = m * (rng.random(upper.shape) < 0.45)
             if hs_norm(m) > tol.eq_tol:

@@ -27,7 +27,10 @@ The commutant that a TRO is read from is checked through its dimension and
 its center's, from dense Kronecker null spaces in the whole ambient, with
 no support compression.  Random triangular algebras are sampled one seed
 at a time, each closed by its own `close_span` and certified by
-`verify_algebra`, rather than in batches.
+`verify_algebra`, rather than in batches; each seed's draws take the real
+and imaginary parts of a matrix from two generator calls rather than one.
+A search's subspace key is the digest of one span's own projector rather
+than a row of a padded, batched product.
 """
 
 import itertools
@@ -35,7 +38,7 @@ import math
 
 import numpy as np
 
-from opalg import cb, cli, reversibility
+from opalg import cb, reversibility
 from opalg.algebra import verify_algebra
 from opalg.linalg import DEFAULT_TOL, LinearMapOnSubspace, Subspace, close_span, hs_norm, product_stack
 from opalg.tro import injective_envelope
@@ -952,6 +955,38 @@ def random_triangular_algebra(n, dim, seed, tol=DEFAULT_TOL):
     raise ArithmeticError("could not sample an algebra within the dimension bound")
 
 
+def draws_two_calls(seed, upper, dim, tol):
+    """The draws of `examples._draws` for one seed, each matrix's real and
+    imaginary parts taken by two generator calls."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        mats = []
+        for _ in range(int(rng.integers(1, dim + 1))):
+            m = np.where(upper, rng.standard_normal(upper.shape) + 1j * rng.standard_normal(upper.shape), 0.0)
+            if rng.random() < 0.5:
+                m = m * (rng.random(upper.shape) < 0.45)
+            if hs_norm(m) > tol.eq_tol:
+                mats.append(m)
+        if mats:
+            yield mats
+    raise ArithmeticError("could not sample an algebra within the dimension bound")
+
+
+def subspace_key_by_span(space):
+    """The key of `cli._subspace_keys` for one span, from that span's own
+    projector."""
+    # the rounded projector onto the span, with the -0.0 that rounding leaves
+    # for -1e-17 cleared, depends on the span and not on the basis; a 16-byte
+    # digest of it keeps the cache small.  hashlib loads OpenSSL, which
+    # numpy's generators have loaded by the time a search keys a span, so
+    # it is imported here and not with the module
+    import hashlib
+
+    stack = space.stack.reshape(space.dim, -1)
+    proj = stack.conj().T @ stack
+    return hashlib.blake2b((np.round(proj, 8) + 0.0).tobytes(), digest_size=16).digest()
+
+
 def product_table_by_products(A, env, tol=DEFAULT_TOL):
     """Entry (i, j): b_i b_j carried into the envelope by the embedding,
     not read from the structure tensor."""
@@ -978,7 +1013,7 @@ def search_signatures(ambient, trials, seed, max_dim, tol=DEFAULT_TOL):
     counts, cache = {}, {}
     for trial_seed in np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials):
         A = random_triangular_algebra(ambient, max_dim, int(trial_seed), tol)
-        key = cli._subspace_key(A.space)
+        key = subspace_key_by_span(A.space)
         if key not in cache:
             pred = predicates_by_products(A.basis, tol.eq_tol)
             verdict, _ = verdict_by_dense_system(A, injective_envelope(A.space, tol, seed), tol)

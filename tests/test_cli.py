@@ -9,7 +9,7 @@ from opalg import examples as ex
 from opalg import report, reversibility
 from opalg.algebra import verify_algebra
 from opalg.cli import main, run_search
-from opalg.linalg import Subspace, ToleranceConfig, orthonormalize
+from opalg.linalg import Subspace, ToleranceConfig, orthonormalize, random_unitary
 from opalg.report import matrix_from_wire, matrix_to_wire, parse_input
 from opalg.reversibility import solve_pairing
 from opalg.tro import injective_envelope
@@ -18,6 +18,17 @@ from . import oracles
 from .oracles import predicates_by_products
 
 unit = ex.matrix_unit
+
+
+def span_key(space):
+    return cli._subspace_keys([space])[0]
+
+
+def record_keys(monkeypatch):
+    """The keys a search takes, in order, through its batched key seam."""
+    keys, batch = [], cli._subspace_keys
+    monkeypatch.setattr(cli, "_subspace_keys", lambda spaces: keys.extend(batch(spaces)) or keys[-len(spaces) :])
+    return keys
 
 
 def write_input(path, mats, ambient):
@@ -195,13 +206,13 @@ def test_reproduce_analyzes_only_the_inputs_its_rows_read(monkeypatch, capsys):
     analyze = cli.analyze_algebra
     monkeypatch.setattr(
         cli, "analyze_algebra",
-        lambda A, tol, skip, seed: seen.append((cli._subspace_key(A.space), skip)) or analyze(A, tol, skip, seed),
+        lambda A, tol, skip, seed: seen.append((span_key(A.space), skip)) or analyze(A, tol, skip, seed),
     )
     assert main(["reproduce", "--only", "strict-upper"]) == 0
-    assert seen == [(cli._subspace_key(ex.strict_upper(n).space), {"sdp"}) for n in (3, 4)]
+    assert seen == [(span_key(ex.strict_upper(n).space), {"sdp"}) for n in (3, 4)]
     seen.clear()
     assert main(["reproduce", "--only", "car-pair"]) == 0
-    assert seen == [(cli._subspace_key(ex.car_pair().space), set())]
+    assert seen == [(span_key(ex.car_pair().space), set())]
 
 
 def test_reproduce_fails_a_row_that_does_not_hold(monkeypatch, capsys):
@@ -264,19 +275,18 @@ def test_search_cache_keeps_the_summary_and_runs_predicates_once(monkeypatch):
     include = [A, ex.strict_upper(4), again, verify_algebra(rebased), ex.strict_upper(4)]
     _inject(monkeypatch, include)
     kwargs = dict(ambient=4, trials=len(include) + 6, seed=5, max_dim=3, tol=ToleranceConfig())
-    classified, keys = [], []
+    classified = []
     original = cli.alg.commutation_predicates
     monkeypatch.setattr(
         cli.alg, "commutation_predicates", lambda algebras, tol: classified.extend(algebras) or original(algebras, tol)
     )
-    key = cli._subspace_key
-    monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
+    keys = record_keys(monkeypatch)
     cached = run_search(**kwargs)
     assert len(keys) == len(include) + 6 and len(set(keys)) < len(keys)
     assert len(classified) == len(set(keys)) == cached["distinct_spans"]
-    assert len({key(A.space) for A in classified}) == len(classified)
+    assert len({oracles.subspace_key_by_span(A.space) for A in classified}) == len(classified)
     fresh = iter(range(10**6))
-    monkeypatch.setattr(cli, "_subspace_key", lambda B: next(fresh))
+    monkeypatch.setattr(cli, "_subspace_keys", lambda spaces: [next(fresh) for _ in spaces])
     uncached = run_search(**kwargs)
     assert uncached.pop("distinct_spans") == len(keys)
     assert uncached == {k: v for k, v in cached.items() if k != "distinct_spans"}
@@ -289,11 +299,10 @@ def test_search_takes_pair_deviations_once_per_subspace(monkeypatch):
     # at a time.  The summary is the one whose three predicates come from
     # explicit products of the basis.
     kwargs = dict(ambient=3, trials=60, seed=1, max_dim=3, tol=ToleranceConfig())
-    members, keys = [], []
+    members = []
     deviations = cli.alg._pair_deviations
     monkeypatch.setattr(cli.alg, "_pair_deviations", lambda c: members.append(len(c)) or deviations(c))
-    key = cli._subspace_key
-    monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
+    keys = record_keys(monkeypatch)
     summary = run_search(**kwargs)
     assert 0 < sum(members) == len(set(keys)) and len(members) < sum(members)
     monkeypatch.undo()
@@ -316,12 +325,12 @@ def test_subspace_key_ignores_the_basis(tol):
     # orthonormal basis
     rng = np.random.default_rng(7)
     for name, A in ex.corpus(tol):
-        key = cli._subspace_key(A.space)
+        want = span_key(A.space)
         for _ in range(20):
             z = rng.standard_normal((2, A.dim, A.dim))
             u, _ = np.linalg.qr(z[0] + 1j * z[1])
             mixed = Subspace(*A.space.shape, tuple(np.tensordot(u, A.space.stack, 1)))
-            assert cli._subspace_key(verify_algebra(mixed, tol).space) == key, name
+            assert span_key(verify_algebra(mixed, tol).space) == want, name
 
 
 def test_subspace_key_of_draws_that_close_onto_strict_upper_3(tol):
@@ -333,22 +342,51 @@ def test_subspace_key_of_draws_that_close_onto_strict_upper_3(tol):
     assert not np.allclose(draws[0].space.stack, draws[1].space.stack)
     assert np.signbit(np.round(_projector(draws[0]), 8).view(float)).any()
     assert not np.signbit(np.round(_projector(standard), 8).view(float)).any()
-    assert {cli._subspace_key(A.space) for A in [*draws, standard]} == {cli._subspace_key(standard.space)}
+    assert {span_key(A.space) for A in [*draws, standard]} == {span_key(standard.space)}
 
 
 def test_subspace_key_separates_spans(tol):
     spans = [[unit(3, 1, 2)], [unit(3, 1, 3)], [unit(3, 1, 2), unit(3, 1, 3)]]
-    assert len({cli._subspace_key(verify_algebra(s, tol).space) for s in spans}) == 3
+    assert len({span_key(verify_algebra(s, tol).space) for s in spans}) == 3
+
+
+@pytest.mark.parametrize("n, dim", [(3, 3), (4, 4), (4, 6)])
+def test_subspace_keys_are_the_per_span_keys(tol, n, dim):
+    # the zero-padded batched product gives each span the digest of its own
+    # projector, whatever the other spans' dimensions
+    spaces = ex.random_triangular_spans(n, dim, range(512), tol)
+    assert cli._subspace_keys(spaces) == [oracles.subspace_key_by_span(s) for s in spaces]
+
+
+def test_subspace_keys_of_the_corpus_and_its_conjugates(tol):
+    # each corpus span and one Haar conjugate of it, keyed one ambient at a time
+    rng = np.random.default_rng(11)
+    by_shape = {}
+    for _, A in ex.corpus(tol):
+        u = random_unitary(A.space.ambient_rows, rng)
+        conjugate = orthonormalize([u @ b @ u.conj().T for b in A.basis], tol)
+        by_shape.setdefault(A.space.shape, []).extend([A.space, conjugate])
+    for spaces in by_shape.values():
+        assert cli._subspace_keys(spaces) == [oracles.subspace_key_by_span(s) for s in spaces]
+
+
+def test_subspace_keys_clear_the_negative_zero(tol):
+    # the draw of seed 0 has a projector that rounds to -0.0 where strict
+    # upper M_3 has 0.0; batched with it, both read the per-span key
+    spaces = [ex.random_triangular_algebra(3, 3, 0, tol).space, ex.strict_upper(3, tol).space]
+    stack = spaces[0].stack.reshape(3, -1)
+    assert np.signbit(np.round(stack.conj().T @ stack, 8).view(float)).any()
+    keys = cli._subspace_keys(spaces)
+    assert keys == [oracles.subspace_key_by_span(s) for s in spaces] and keys[0] == keys[1]
 
 
 def test_search_decides_each_distinct_subspace_once(monkeypatch):
     # strict-upper-3 is the one 3-dimensional subspace in reach, and no two
     # decided algebras share a span
-    decided, keys = [], []
+    decided = []
     decide = reversibility.decide_reversibles
     monkeypatch.setattr(reversibility, "decide_reversibles", lambda As, *a: decided.extend(As) or decide(As, *a))
-    key = cli._subspace_key
-    monkeypatch.setattr(cli, "_subspace_key", lambda B: keys.append(key(B)) or keys[-1])
+    keys = record_keys(monkeypatch)
     summary = run_search(ambient=3, trials=200, seed=1, max_dim=3, tol=ToleranceConfig())
     assert len(keys) == 200 and len(decided) == len(set(keys)) == summary["distinct_spans"]
     assert sum(A.dim == 3 for A in decided) == 1
@@ -360,12 +398,11 @@ def test_search_decides_each_distinct_subspace_once(monkeypatch):
 def test_search_spans_are_the_single_seed_spans(monkeypatch, ambient, trials):
     # each trial's span, closed in a batch, has the key of its seed's span
     # closed on its own
-    keys = []
-    key = cli._subspace_key
-    monkeypatch.setattr(cli, "_subspace_key", lambda space: keys.append(key(space)) or keys[-1])
+    keys = record_keys(monkeypatch)
     run_search(ambient=ambient, trials=trials, seed=4, max_dim=ambient, tol=ToleranceConfig())
     seeds = np.random.default_rng(4).integers(0, 2**63 - 1, size=trials)
-    assert keys == [key(oracles.random_triangular_algebra(ambient, ambient, int(s)).space) for s in seeds]
+    singles = [oracles.random_triangular_algebra(ambient, ambient, int(s)) for s in seeds]
+    assert keys == [oracles.subspace_key_by_span(A.space) for A in singles]
 
 
 def assert_summary_does_not_depend_on_the_chunk(monkeypatch, **kwargs):
@@ -375,7 +412,7 @@ def assert_summary_does_not_depend_on_the_chunk(monkeypatch, **kwargs):
     classified by explicit products."""
     want = oracles.search_signatures(**kwargs)
     summaries = []
-    for chunk in (7, 64):
+    for chunk in (7, cli._CHUNK):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         summaries.append(run_search(**kwargs))
     assert summaries[0] == summaries[1]
@@ -420,6 +457,20 @@ def test_search_memory_does_not_grow_with_the_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_search_chunk_keeps_the_peak_small():
+    # a chunk of spans up to dimension 6 in M_4, with its padded key stack
+    # and decision stacks, peaks at about 6 MB for chunks of 128 (about 3
+    # for 64 and 11 for 256)
+    run_search(ambient=4, trials=20, seed=0, max_dim=6, tol=ToleranceConfig())
+    tracemalloc.start()
+    try:
+        run_search(ambient=4, trials=300, seed=1, max_dim=6, tol=ToleranceConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_pairwise_products_take_no_einsum(monkeypatch, car_pair):

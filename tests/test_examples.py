@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,18 @@ def test_random_triangular_matches_the_single_seed_oracle(n, dim, seeds):
     for seed in seeds:
         got, want = ex.random_triangular_algebra(n, dim, seed), oracles.random_triangular_algebra(n, dim, seed)
         assert np.array_equal(got.space.stack, want.space.stack), seed
+
+
+@pytest.mark.parametrize("n, dim", [(3, 3), (4, 2), (4, 4), (4, 6), (5, 3), (5, 6)])
+def test_draws_read_the_generator_as_two_calls_do(tol, n, dim):
+    # one call for a matrix's real and imaginary parts gives the draws of two
+    # calls bit for bit, the redraws after the first included
+    upper = np.triu(np.ones((n, n), bool), 1)
+    for seed in range(300):
+        got = list(itertools.islice(ex._draws(seed, upper, dim, tol), 5))
+        want = list(itertools.islice(oracles.draws_two_calls(seed, upper, dim, tol), 5))
+        assert len(got) == 5 and [len(m) for m in got] == [len(m) for m in want]
+        assert [a.tobytes() for m in got for a in m] == [b.tobytes() for m in want for b in m]
 
 
 def test_random_triangular_spans_raise_on_an_uncertified_member(monkeypatch):
