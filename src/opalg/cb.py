@@ -14,8 +14,8 @@ matrix is then a Gram matrix plus diagonal pads (`_kraus_choi`), PSD when
 Haagerup's bound h = ||sum A A*||^1/2 ||sum B* B||^1/2 is at most one
 (Paulsen, Completely bounded maps and operator algebras, 2002, Thm. 8.4),
 so Weyl's floor min(0, (1 - h)/m, (1 - h)/n) stands in for an eigensolve.
-The factors have two sources.  A unitary pair t_k = u s_k v, read off one
-intertwiner null space (`_fit_conjugation_pair`), gives (vec u, vec v).
+The factors have two sources.  A unitary pair t_k = u s_k v, read off the
+intertwiners of s and t (`_fit_conjugation_pair`), gives (vec u, vec v).
 Otherwise one SVD of the Choi block of phi P_S, P_S the HS projection onto
 S, gives them; that is exact for CP maps (||phi||_cb = ||phi(1)||), every
 x -> a x b and scaled conjugations.  A map that needs a better extension
@@ -68,6 +68,7 @@ from .linalg import (
     LinearMapOnSubspace,
     Subspace,
     ToleranceConfig,
+    intertwiners,
     op_norm,
     orthonormalize,
     row_basis,
@@ -255,37 +256,6 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _side_by_side(stack: np.ndarray) -> np.ndarray:
-    """The matrices of a (d, r, c) stack placed side by side: r x (d c)."""
-    d, r, c = stack.shape
-    return stack.transpose(1, 0, 2).reshape(r, d * c)
-
-
-def _intertwiner_gram(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gram matrix E* E of a s_k = t_k b and b s_k* = t_k* a in
-    x = (vec a, vec b), row-major vec, for (d, m, n) stacks s and t.  The
-    rows of E are [1 (x) s^T, -t (x) 1] and [-t* (x) 1, 1 (x) conj(s)], so
-    its blocks are 1 (x) (sum s s*)^T + (sum t t*) (x) 1,
-    (sum t* t) (x) 1 + 1 (x) (sum s* s)^T and -2 sum t (x) conj(s): the
-    2dmn rows of E are never formed."""
-    d, m, n = s.shape
-
-    def kron_sum(left, right):  # left (x) 1 + 1 (x) right, without np.kron
-        p, q = len(left), len(right)
-        out = left[:, None, :, None] * np.eye(q)[:, None] + np.eye(p)[:, None, :, None] * right[:, None]
-        return out.reshape(p * q, p * q)
-
-    ss, tt = (w @ w.conj().T for w in (_side_by_side(s), _side_by_side(t)))
-    s_s, t_t = (h.conj().T @ h for h in (s.reshape(-1, n), t.reshape(-1, n)))
-    cross = (t.reshape(d, m * n).T @ s.reshape(d, m * n).conj()).reshape(m, n, m, n)
-    gram = np.empty((m * m + n * n,) * 2, complex)
-    gram[: m * m, : m * m] = kron_sum(tt, ss.T)
-    gram[m * m :, m * m :] = kron_sum(t_t, s_s.T)
-    gram[: m * m, m * m :] = -2.0 * cross.transpose(0, 2, 1, 3).reshape(m * m, n * n)
-    gram[m * m :, : m * m] = gram[: m * m, m * m :].conj().T
-    return gram
-
-
 def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: int):
     """Unitaries u, v with phi(x) = u x v on the domain basis, returned only
     when ||u S v - T|| <= 1e-11 scale, scale = max(1, ||T||); None when the
@@ -297,13 +267,8 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
     X = diag(a, b): a S_k = T_k b and b S_k* = T_k* a.  The adjoint
     h(S_k) X* = X* h(T_k) makes X* X, hence |X|, commute with every h(S_k),
     so an invertible X = W |X| has W h(S_k) = h(T_k) W: W = diag(u, v*) is a
-    pair.  det X is a polynomial on the solutions, so a random one is
-    invertible if any is.  They are the kernel of one eigh of the equations'
-    Gram matrix (`_intertwiner_gram`), cut at eq_tol max(1, lambda_max); an
-    empty kernel rules out every pair.  Squaring the equations squares their
-    conditioning, which is safe only because the pair is checked: a bad cut
-    costs a fall-through, never a wrong certificate (`tro._commuting`, whose
-    rank decides a TRO, keeps an SVD null space).
+    pair.  det X is a polynomial on the solutions (`linalg.intertwiners`),
+    so a random one is invertible if any is; none rules out every pair.
     """
     m, n = phi.domain.shape
     s, t = phi.domain.stack, phi.image_stack
@@ -315,13 +280,12 @@ def _fit_conjugation_pair(phi: LinearMapOnSubspace, tol: ToleranceConfig, seed: 
     flat_s, flat_t = s.reshape(len(s), -1), t.reshape(len(t), -1)
     if np.abs(flat_t.conj() @ flat_t.T - flat_s.conj() @ flat_s.T).max() > tol.eq_tol * scale:
         return None
-    lam, vecs = np.linalg.eigh(_intertwiner_gram(s, t))
-    kernel = vecs[:, lam <= tol.eq_tol * max(1.0, lam[-1])]
-    if not kernel.size:
+    a, b = intertwiners(s, t, tol, seed)
+    if not len(a):
         return None
-    rng = np.random.default_rng(seed)
-    x = kernel @ (rng.standard_normal(kernel.shape[1]) + 1j * rng.standard_normal(kernel.shape[1]))
-    u, v = _polar_unitary(x[: m * m].reshape(m, m)), _polar_unitary(x[m * m :].reshape(n, n)).conj().T
+    x = np.array([1.0, 1j]) @ np.random.default_rng(seed).standard_normal((2, len(a)))
+    u, v = ((x @ z.reshape(len(z), -1)).reshape(z.shape[1:]) for z in (a, b))
+    u, v = _polar_unitary(u), _polar_unitary(v).conj().T
     return (u, v) if np.linalg.norm(u @ s @ v - t) <= 1e-11 * scale else None
 
 
@@ -353,7 +317,7 @@ def _kraus_choi(a: np.ndarray, b: np.ndarray, eq_tol: float):
     """
     (m, kr, r), (n, kc, _) = a.shape, b.shape
     ni, no = m + n, kr + kc
-    p, q = (w @ w.conj().T for w in (_side_by_side(a), _side_by_side(b)))
+    p, q = (w @ w.conj().T for w in (a.transpose(1, 0, 2).reshape(kr, -1), b.transpose(1, 0, 2).reshape(kc, -1)))
     p_norm, q_norm = (float(np.linalg.eigvalsh(x)[-1]) for x in (p, q))
     t = np.sqrt(q_norm / p_norm) if p_norm > 0.0 else 1.0
     h = np.sqrt(p_norm * q_norm)

@@ -31,6 +31,7 @@ __all__ = [
     "contains",
     "projection_residual",
     "null_space",
+    "intertwiners",
     "sqrt_psd",
     "identity_map",
     "product_stack",
@@ -329,15 +330,59 @@ def identity_map(space: Subspace) -> LinearMapOnSubspace:
 
 
 def null_space(a: np.ndarray, rel_tol: float, min_scale: float = 0.0) -> np.ndarray:
-    """Rows spanning the kernel {c : a @ c = 0}.
-
-    Rank follows :func:`numerical_rank`.
-    """
+    """Rows spanning the kernel {c : a @ c = 0}, rank by :func:`numerical_rank`."""
     a = np.asarray(a)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=a.dtype)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[numerical_rank(s, rel_tol, min_scale):].conj()
+
+
+_MATCH_CUT = 1e-6  # eigenvalues closer than this times max(1, |lambda|max) match in `intertwiners`
+
+
+def intertwiners(s: np.ndarray, t: np.ndarray, tol: ToleranceConfig, seed: int = 0):
+    """Stacks a (k, p, m) and b (k, q, n) spanning the solutions of
+    a s_j = t_j b and b s_j* = t_j* a, for stacks s (d, m, n) and t (d, p, q).
+
+    A solution has a s_j s_l* = t_j t_l* a, so a G(s) = G(t) a for
+    G(x) = sum_k w_k x_k x_k* + x_c x_e* + x_e x_c*, w in U(1, 2) and c, e
+    complex Gaussian from default_rng(seed); likewise b G(s*) = G(t*) b.  So
+    in the eigenbases of G(s) and G(t), a vanishes off the entries whose two
+    eigenvalues match within _MATCH_CUT, and so does b; a wide cut only
+    merges eigenvalues.  The equations on the kept entries take one SVD null
+    space (min_scale 1), rotated back to HS-orthonormal pairs (a_i, b_i).
+    """
+    (d, m, n), (p, q) = s.shape, t.shape[1:]
+    rng = np.random.default_rng(seed)
+    w, ce = rng.uniform(1.0, 2.0, d), rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    mix = np.diag(w) + ce.T @ ce[::-1].conj()  # diag(w) + c e* + e c*
+
+    def even(x):  # G(x) = sum_kl mix_kl x_k x_l*, one product of side-by-side stacks
+        y = (mix.T @ x.reshape(d, -1)).reshape(x.shape)
+        wide, mixed = (z.transpose(1, 0, 2).reshape(x.shape[1], -1) for z in (x, y))
+        return wide @ mixed.conj().T
+
+    spectra = [np.linalg.eigh(even(x)) for x in (s, adjoints(s), t, adjoints(t))]
+    (lam_l, pl), (lam_r, pr), (mu_l, ql), (mu_r, qr) = spectra
+    cut = _MATCH_CUT * max(1.0, np.abs(np.concatenate([lam for lam, _ in spectra])).max())
+    (ia, ja), (ib, jb) = (np.nonzero(np.abs(mu[:, None] - lam) <= cut) for mu, lam in ((mu_l, lam_l), (mu_r, lam_r)))
+    na, nb = len(ia), len(ib)
+    if na + nb == 0:  # spectra that share no eigenvalue rule out every solution
+        return np.zeros((0, p, m), complex), np.zeros((0, q, n), complex)
+    # one column per kept entry of A = Q_L* a P_L and B = Q_R* b P_R, with
+    # rows A s'_j - t'_j B and B s'_j* - t'_j* A for s' = P_L* s P_R, t' = Q_L* t Q_R
+    s_rot, t_rot = adjoints(pl) @ s @ pr, adjoints(ql) @ t @ qr
+    cols = np.zeros((na + nb, d, p * n + q * m), complex)
+    first, second = cols[..., : p * n].reshape(-1, d, p, n), cols[..., p * n :].reshape(-1, d, q, m)  # views of cols
+    first[np.arange(na), :, ia, :] = s_rot[:, ja, :].transpose(1, 0, 2)
+    first[na + np.arange(nb), :, :, jb] = -t_rot[:, :, ib].transpose(2, 0, 1)
+    second[na + np.arange(nb), :, ib, :] = s_rot[:, :, jb].conj().transpose(2, 0, 1)
+    second[np.arange(na), :, :, ja] = -t_rot[:, ia, :].conj().transpose(1, 0, 2)
+    kernel = null_space(cols.reshape(na + nb, -1).T, tol.eq_tol, min_scale=1.0)
+    a, b = np.zeros((len(kernel), p, m), complex), np.zeros((len(kernel), q, n), complex)
+    a[:, ia, ja], b[:, ib, jb] = kernel[:, :na], kernel[:, na:]
+    return ql @ a @ adjoints(pl), qr @ b @ adjoints(pr)
 
 
 def product_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:

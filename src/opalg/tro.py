@@ -6,7 +6,8 @@ one rank count shows W = p M q.  Otherwise W is read off the commutant C
 of the Hermitian dilations [[0, y], [y*, 0]] of X compressed to its
 supports, with the grading: by the bicommutant theorem C' is the algebra
 they generate, and its off-diagonal corner, the span of the odd words
-x1 x2* x3 ..., is W.  These conditions are linear in X.  Finite
+x1 x2* x3 ..., is W.  These conditions are linear in X: C and W are each
+one intertwiner null space (`linalg.intertwiners`).  Finite
 dimensional TROs are unitarily equivalent to direct sums of rectangular
 blocks M_(a,b) tensor 1_m; a W that fills p M q is one block, otherwise
 one random element of the center of C takes one value on each block, so
@@ -37,6 +38,7 @@ from .linalg import (
     contains,
     hs_norm,
     identity_map,
+    intertwiners,
     max_projection_residual,
     max_relative_gap,
     null_space,
@@ -167,43 +169,27 @@ def _check_supports(held, left, right, tol):
         raise ArithmeticError("support projections do not reproduce the space")
 
 
-def _commuting(stack, mask, tol) -> np.ndarray:
-    """Basis of the matrices z supported on the entries of ``mask`` with
-    z h = h z for every h of the stack (k, N, N): one null space of the
-    rows 1 (x) h^T - h (x) 1 of z -> z h - h z, on the mask's columns."""
-    k, size, _ = stack.shape
-    eye = np.eye(size)
-    rows = np.einsum("ri,kjs->krsij", eye, stack) - np.einsum("kri,js->krsij", stack, eye)
-    coeffs = null_space(rows.reshape(k * size * size, -1)[:, mask.ravel()], tol.eq_tol, min_scale=1.0)
-    out = np.zeros((len(coeffs), size * size), complex)
-    out[:, mask.ravel()] = coeffs
-    return out.reshape(-1, size, size)
-
-
 def _commutant_tro(space: Subspace, supports, tol) -> TROSpace:
     """The TRO generated by X, read off the commutant of its dilations.
 
     For U and V the support columns, of ranks a and b, X compressed is
     y = U* x V, with dilation h(y) = [[0, y], [y*, 0]] in M_(a+b).  The
-    commutant C of the dilations and the grading diag(1, -1) is the block
-    diagonal z = diag(S, T) commuting with every h(y).  By the bicommutant
-    theorem, C' is the algebra generated by the dilations and the grading,
-    and its upper-right corner, {w : S w = w T for (S, T) in C}, is the span
-    of the odd words y1 y2* y3 ..., the TRO generated by the y; W is U w V*.
-    Its closure residual is max |S w - w T| over the bases, and the center
-    C cap C', the block diagonal z commuting with the dilations and with C,
-    is kept for :func:`block_decompose`.
+    commutant C of the dilations and the grading diag(1, -1) is the
+    intertwiners diag(S, T) of y with itself.  By the bicommutant theorem, C'
+    is the algebra generated by the dilations and the grading, and its
+    upper-right corner, {w : S w = w T for (S, T) in C}, the intertwiners
+    (w, w) of C's T-parts with its S-parts (C holds 1), is the span of the
+    odd words y1 y2* y3 ..., the TRO generated by the y; W is U w V*.  Its
+    closure residual is max |S w - w T| over the bases.  The center of C,
+    the null space of c -> [c, c_i] in C's coordinates, is kept for
+    :func:`block_decompose`.
     """
     left, right = supports
-    a, b = left.shape[1], right.shape[1]
+    a = left.shape[1]
     y = adjoints(left) @ space.stack @ right
-    dilations = np.zeros((space.dim, a + b, a + b), complex)
-    dilations[:, :a, a:], dilations[:, a:, :a] = y, adjoints(y)
-    diagonal, corner = np.zeros((2, a + b, a + b), bool)
-    diagonal[:a, :a] = diagonal[a:, a:] = corner[:a, a:] = True
-    commutant = _commuting(dilations, diagonal, tol)
-    ws = _commuting(commutant, corner, tol)[:, :a, a:]
-    gaps = commutant[:, None, :a, :a] @ ws - ws @ commutant[:, None, a:, a:]
+    s_parts, t_parts = intertwiners(y, y, tol)
+    ws = sum(intertwiners(t_parts, s_parts, tol)) / np.sqrt(2.0)  # the pairs (w, w) are orthonormal
+    gaps = s_parts[:, None] @ ws - ws @ t_parts[:, None]
     residual = np.linalg.norm(gaps, axis=(-2, -1)).max(initial=0.0)
     if residual > 10 * tol.eq_tol:
         raise ArithmeticError(f"the TRO commutes with the commutant only to {residual:.3e}")
@@ -211,7 +197,11 @@ def _commutant_tro(space: Subspace, supports, tol) -> TROSpace:
     if max_projection_residual(w, space.stack) > 10 * tol.eq_tol:
         raise ArithmeticError("the space does not lie in the TRO read off its commutant")
     _check_supports(space.stack, left, right, tol)
-    center = _commuting(np.concatenate([dilations, commutant]), diagonal, tol)
+    c = np.zeros((len(s_parts), a + right.shape[1], a + right.shape[1]), complex)
+    c[:, :a, :a], c[:, a:, a:] = s_parts, t_parts
+    products = product_stack(c, c).reshape(len(c), len(c), -1)  # [j, i] = c_j c_i
+    brackets = (products - products.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(-1, len(c))
+    center = np.tensordot(null_space(brackets, tol.eq_tol, min_scale=1.0), c, 1)
     return TROSpace(w, float(residual), center, space, supports, tol)
 
 

@@ -415,6 +415,12 @@ def violation_search_all_levels(phi, tol, seed):
     return best_ratio, best
 
 
+def side_by_side(stack):
+    """The matrices of a (d, r, c) stack placed side by side: r x (d c)."""
+    d, r, c = stack.shape
+    return stack.transpose(1, 0, 2).reshape(r, d * c)
+
+
 def conjugation_fit_both_loops(phi, tol, seed):
     """The conjugation fit that runs both loops whatever the Gram matrices:
     unitary polar starts for square shapes, then the least-squares trials.
@@ -425,7 +431,7 @@ def conjugation_fit_both_loops(phi, tol, seed):
     s, t = phi.domain.stack, phi.image_stack
     if phi.domain.dim == 0:
         return np.zeros((kr, m), complex), np.zeros((n, kc), complex)
-    t_wide, t_tall = cb._side_by_side(t), t.reshape(-1, kc)
+    t_wide, t_tall = side_by_side(t), t.reshape(-1, kc)
     scale = max(1.0, float(np.linalg.norm(t)))
     rng = np.random.default_rng(seed)
 
@@ -439,7 +445,7 @@ def conjugation_fit_both_loops(phi, tol, seed):
         for v in starts:
             last = np.inf
             for _ in range(120):
-                u = cb._polar_unitary(t_wide @ cb._side_by_side(s @ v).conj().T)
+                u = cb._polar_unitary(t_wide @ side_by_side(s @ v).conj().T)
                 v = cb._polar_unitary((u @ s).reshape(-1, n).conj().T @ t_tall)
                 fit = fit_of(u, v)
                 if fit <= 1e-11 * scale:
@@ -454,7 +460,7 @@ def conjugation_fit_both_loops(phi, tol, seed):
             v = rng.standard_normal((n, kc)) + 1j * rng.standard_normal((n, kc))
         last = np.inf
         for _ in range(60):
-            u = np.linalg.lstsq(cb._side_by_side(s @ v).T, t_wide.T, rcond=None)[0].T
+            u = np.linalg.lstsq(side_by_side(s @ v).T, t_wide.T, rcond=None)[0].T
             v = np.linalg.lstsq((u @ s).reshape(-1, n), t_tall, rcond=None)[0]
             fit = fit_of(u, v)
             if fit <= 1e-11 * scale or fit > 0.999 * last:
@@ -473,11 +479,12 @@ def conjugation_fit_both_loops(phi, tol, seed):
 
 def intertwiner_rows_by_units(s, t):
     """The matrix of (a, b) -> (a s_k - t_k b, b s_k* - t_k* a)_k on
-    x = (vec a, vec b), row-major vec, applied to one unit vector at a time."""
-    _, m, n = s.shape
+    x = (vec a, vec b), row-major vec, for s (d, m, n), t (d, p, q), a (p, m)
+    and b (q, n), applied to one unit vector at a time."""
+    (_, m, n), (p, q) = s.shape, t.shape[1:]
     cols = []
-    for x in np.eye(m * m + n * n):
-        a, b = x[: m * m].reshape(m, m), x[m * m :].reshape(n, n)
+    for x in np.eye(p * m + q * n):
+        a, b = x[: p * m].reshape(p, m), x[p * m :].reshape(q, n)
         parts = [(a @ sk - tk @ b, b @ sk.conj().T - tk.conj().T @ a) for sk, tk in zip(s, t)]
         cols.append(np.concatenate([p.ravel() for pair in parts for p in pair]))
     return np.array(cols).T

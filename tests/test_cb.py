@@ -7,7 +7,7 @@ import numpy.linalg._linalg as numpy_linalg_impl
 import pytest
 
 from opalg import examples as ex
-from opalg import cb
+from opalg import cb, linalg
 from opalg.cb import (
     FEASIBLE,
     INFEASIBLE,
@@ -780,21 +780,24 @@ def test_batched_polish_matches_block_loop(rng, level):
         assert np.allclose(c, want_c, atol=1e-9)
 
 
-def test_conjugation_fit_rules_out_the_m2_transpose_in_one_eigensolve(monkeypatch):
-    # the transpose of M_2 is no map x -> u x v: the intertwiner equations
-    # a e_ij = e_ji b force a = b = 0, so the Gram matrix has no kernel and
-    # the fit returns after one Hermitian eigensolve of size 4 + 4, with no
-    # polar factor (an SVD) and no least squares
+def test_conjugation_fit_rules_out_the_m2_transpose_by_the_corner_spectra(monkeypatch):
+    # the transpose of M_2 is no map x -> u x v: every intertwiner has
+    # a G(s) = G(t) a and b G(s*) = G(t*) b for the random even element G
+    # of linalg.intertwiners, and here neither pair of spectra shares an
+    # eigenvalue.  So no unknown is kept and the fit returns after the four
+    # Hermitian eigensolves of size 2, with no null space, no polar factor
+    # (an SVD) and no least squares
     phi = transpose_map(full_matrix_space(2))
     calls, sizes = record_solvers(monkeypatch)
     assert _fit_conjugation_pair(phi, DEFAULT_TOL, 0) is None
-    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0, "lstsq": 0} and sizes == [("eigh", 8)]
+    assert calls == {"svd": 0, "eigh": 4, "eigvalsh": 0, "lstsq": 0} and sizes == [("eigh", 2)] * 4
 
 
 def test_conjugation_fit_of_the_m8_transpose_holds_no_quartic_array(monkeypatch):
-    # the transpose of M_8 (d = 64) is ruled out by one eigh of size
-    # m^2 + n^2 = 128, with no least-squares and no polar factor of a random
-    # kernel element.  A d^4 array would take 268 MB
+    # the transpose of M_8 (d = 64) is ruled out by four eigh of size 8, the
+    # spectra of the even elements, with no null space, no least squares and no
+    # polar factor of a random kernel element.  A d^4 array would take
+    # 268 MB
     phi = transpose_map(full_matrix_space(8))
     calls, sizes = record_solvers(monkeypatch)
     tracemalloc.start()
@@ -804,22 +807,93 @@ def test_conjugation_fit_of_the_m8_transpose_holds_no_quartic_array(monkeypatch)
     finally:
         tracemalloc.stop()
     assert pair is None
-    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0, "lstsq": 0} and sizes == [("eigh", 128)]
+    assert calls == {"svd": 0, "eigh": 4, "eigvalsh": 0, "lstsq": 0} and sizes == [("eigh", 8)] * 4
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 3), (5, 4, 2), (1, 1, 1)])
-def test_intertwiner_gram_matches_the_equations(rng, shape):
-    # the Kronecker-form Gram matrix is E* E for the equations applied to
-    # unit vectors, and on a conjugation t_k = u s_k v it vanishes at
-    # (vec u, vec v*)
-    _, m, n = shape
-    s, t = _complex(rng, shape), _complex(rng, shape)
-    rows = intertwiner_rows_by_units(s, t)
-    assert np.allclose(cb._intertwiner_gram(s, t), rows.conj().T @ rows, rtol=0.0, atol=1e-12)
-    u, v = random_unitary(m, rng), random_unitary(n, rng)
-    x = np.concatenate([u.ravel(), v.conj().T.ravel()])
-    assert np.abs(cb._intertwiner_gram(s, u @ s @ v) @ x).max() <= 1e-12
+def intertwiner_case(rng, kind, shape):
+    """Stacks s (d, m, n) and t (d, p, q) and, for a conjugation
+    t_k = u s_k v by an isometry u and a co-isometry v, the solution
+    (u, v*); a repeat t_k = s_k (+) s_k, of shape (2m, 2n) in place of
+    (p, q), comes with the solution onto its first copy."""
+    d, m, n, p, q = shape
+    s = _complex(rng, (d, m, n))
+    if kind == "random":
+        return s, _complex(rng, (d, p, q)), None
+    if kind == "repeat":
+        t = np.zeros((d, 2 * m, 2 * n), complex)
+        t[:, :m, :n], t[:, m:, n:] = s, s
+        return s, t, (np.eye(2 * m, m), np.eye(2 * n, n))
+    u, v = random_unitary(p, rng)[:, :m], random_unitary(q, rng)[:n]
+    return s, u @ s @ v, (u, v.conj().T)
+
+
+INTERTWINER_SHAPES = [(3, 2, 3, 2, 3), (5, 4, 2, 4, 2), (1, 1, 1, 1, 1), (3, 2, 3, 4, 5), (2, 3, 2, 5, 3)]
+
+
+@pytest.mark.parametrize("kind", ["random", "conjugation", "repeat"])
+@pytest.mark.parametrize("shape", INTERTWINER_SHAPES, ids=["x".join(map(str, s)) for s in INTERTWINER_SHAPES])
+def test_intertwiners_match_the_equations(rng, kind, shape):
+    # the reduced kernel has the dimension of the SVD null space of the full
+    # equations, applied to unit vectors; each (a, b) meets both equations,
+    # and a known solution lies in the span
+    s, t, known = intertwiner_case(rng, kind, shape)
+    a, b = linalg.intertwiners(s, t, DEFAULT_TOL)
+    full = linalg.null_space(intertwiner_rows_by_units(s, t), DEFAULT_TOL.eq_tol, min_scale=1.0)
+    assert len(a) == len(b) == len(full)
+    for ak, bk in zip(a, b):
+        assert np.abs(ak @ s - t @ bk).max() <= 1e-12
+        assert np.abs(bk @ linalg.adjoints(s) - linalg.adjoints(t) @ ak).max() <= 1e-12
+    if known is not None:
+        x = np.concatenate([known[0].ravel(), known[1].ravel()])
+        kernel = stacked_kernel(a, b)
+        assert len(kernel) and np.linalg.norm(x - kernel.T @ (kernel.conj() @ x)) <= 1e-9
+
+
+def stacked_kernel(a, b):
+    """The pairs (a_i, b_i) as rows (vec a_i, vec b_i)."""
+    return np.concatenate([x.reshape(len(x), np.prod(x.shape[1:])) for x in (a, b)], axis=1)
+
+
+def kernel_projector(s, t):
+    kernel = stacked_kernel(*linalg.intertwiners(s, t, DEFAULT_TOL))
+    return kernel.T @ kernel.conj()
+
+
+@pytest.mark.parametrize("kind", ["search", "wide"])
+def test_the_reduction_keeps_the_kernel(monkeypatch, kind):
+    # with the match cut at infinity every entry is an unknown: the full
+    # system, in the linking corners' eigenbases.  The reduced kernel
+    # projects onto the same space, for the search maps and for the
+    # transposes of the wide conjugates and their commutant systems
+    if kind == "search":
+        systems = [(phi.domain.stack, phi.image_stack) for _, phi in SEARCH_CASES]
+    else:
+        spaces = wide_conjugates()
+        systems = [(w.stack, np.swapaxes(w.stack, -1, -2)) for w in spaces] + [(w.stack, w.stack) for w in spaces]
+    reduced = [kernel_projector(s, t) for s, t in systems]
+    monkeypatch.setattr(linalg, "_MATCH_CUT", np.inf)
+    for (s, t), got in zip(systems, reduced):
+        assert np.abs(got - kernel_projector(s, t)).max() <= 1e-8
+
+
+def test_conjugation_fit_of_a_car_span_at_ambient_32():
+    # the transpose of the span of five CAR generators in M_32 is a
+    # conjugation.  The full system has m^2 + n^2 = 2048 unknowns, and the
+    # eigh of its Gram matrix took 8.7 s; matching eigenvalues keeps 64
+    tracemalloc.start()
+    try:
+        pair = _fit_conjugation_pair(transpose_map(orthonormalize(ex.car_generator_matrices(5))), DEFAULT_TOL, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair is not None
+    assert peak < 64 * 2**20
+
+
+def test_car_span_at_ambient_16_is_symmetric_by_a_conjugation():
+    out = is_symmetric_space(ex.car_generators(4)[0])
+    assert (out.status, out.notes, out.iterations) == (FEASIBLE, "conjugation certificate", 0)
 
 
 def haar_conjugation_maps(count, seed):

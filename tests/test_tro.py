@@ -597,6 +597,41 @@ def test_scalar_deletions_match_the_cb_decision(monkeypatch):
     assert (len(decisions), scalar) == (150, 106)
 
 
+def _envelope_verdict(env):
+    return env.blocks.blocks, env.blocks.multiplicities, env.deleted_blocks, env.status
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_envelopes_do_not_follow_the_reduction_seed(monkeypatch, seed):
+    # the linking corners that restrict the intertwiner unknowns are drawn
+    # from a seed; seeds 1 and 2 give the envelopes of seed 0 on the
+    # deleting spans and their conjugates: the same blocks, multiplicities,
+    # deleted blocks and status
+    spaces = [space for pair in wide_deleting_pairs() for space in pair]
+    want = [_envelope_verdict(injective_envelope(space)) for space in spaces]
+
+    def reseeded(s, t, tol, _seed=0):
+        return linalg.intertwiners(s, t, tol, seed)
+
+    monkeypatch.setattr(tro, "intertwiners", reseeded)
+    monkeypatch.setattr(cb, "intertwiners", reseeded)
+    assert [_envelope_verdict(injective_envelope(space)) for space in spaces] == want
+
+
+def test_generate_tro_reads_a_twisted_copy_at_ambient_12():
+    # {x (+) q x q* : x in X}, X a random 3-dimensional span of M_6 and q
+    # Haar: x -> q x q* is a *-isomorphism, so W = {w (+) q w q*} is no full
+    # corner, and span(W W*) = {l (+) q l q*} has the dimension of W
+    rng = np.random.default_rng(6)
+    q = random_unitary(6, rng)
+    xs = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    mats = [_direct_sum(x, q @ x @ q.conj().T) for x in xs]
+    w = generate_tro(orthonormalize(mats))
+    assert not w.full_corner and w.dim == len(star_closure_of_pairs(mats)) == 36
+    assert w.closure_residual <= linalg.DEFAULT_TOL.eq_tol
+    assert block_decompose(w).blocks == ((6, 6),) and block_decompose(w).multiplicities == (2,)
+
+
 @pytest.mark.parametrize("conjugate", [False, True], ids=["given", "conj"])
 @pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
 def test_deleting_a_scaled_copy_of_m2(monkeypatch, c, conjugate):
