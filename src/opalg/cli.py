@@ -206,12 +206,17 @@ def _matches(value, expected) -> bool:
     return value == expected
 
 
+# the analysis stages that run only on the inputs that some row reads them from
+_STAGE_ROWS = {"sdp": "verdicts.symmetric", "triangularize": "verdicts.triangularizable"}
+
+
 class _Inputs:
     """The corpus and the (2, 3) row band in M_3, each analyzed the first
-    time it is read; sdp runs only on the inputs named in `symmetric`."""
+    time it is read; a stage of `_STAGE_ROWS` runs only on the inputs that
+    `reads` names for it."""
 
-    def __init__(self, tol: ToleranceConfig, seed: int, symmetric: set):
-        self.tol, self.seed, self.symmetric = tol, seed, symmetric
+    def __init__(self, tol: ToleranceConfig, seed: int, reads: dict):
+        self.tol, self.seed, self.reads = tol, seed, reads
         self.corpus = examples.corpus(tol)
         eu = examples.matrix_unit
         band = alg.verify_algebra([eu(3, i, j) for i in (1, 2) for j in (1, 2, 3)], tol)
@@ -220,7 +225,7 @@ class _Inputs:
 
     def __getitem__(self, name: str) -> dict:
         if name not in self._reports:
-            skip = set() if name in self.symmetric else {"sdp"}
+            skip = {stage for stage, names in self.reads.items() if name not in names}
             self._reports[name] = analyze_algebra(self.algebras[name], self.tol, skip, self.seed).to_dict()
         return self._reports[name]
 
@@ -437,8 +442,8 @@ _GROUPS = {
 def cmd_reproduce(args) -> int:
     groups = args.only or list(_GROUPS)
     rows = [row for row in _ROWS if row[0] in groups]
-    symmetric = {name for _, _, name, path, _ in rows if path == "verdicts.symmetric"}
-    inputs = _Inputs(_capped(_tolerances(args)), args.seed, symmetric)
+    reads = {stage: {name for _, _, name, p, _ in rows if p == path} for stage, path in _STAGE_ROWS.items()}
+    inputs = _Inputs(_capped(_tolerances(args)), args.seed, reads)
     table = _Table()
     for group in groups:
         for g, key, name, path, expected in rows:

@@ -8,7 +8,9 @@ from loops over basis pairs and triples rather than matrix products, amplified
 norms are taken from explicitly assembled block matrices, the algebra
 predicates come from explicit matrix products of pairs and triples rather
 than from the structure tensor, and triangularizability is McCoy's
-criterion on the commutator ideal rather than the trace-form radical.  The
+criterion on the commutator ideal rather than the trace-form radical, or
+the flag deflated one common eigenvector at a time, each checked against
+the basis one element at a time, rather than one eigensolve per layer.  The
 amplification and the Choi matrix apply a map block by block, and the
 blockwise pairing report loops over basis pairs.  A TRO block's shape and
 multiplicity come from rank counts of explicit products, and the envelope's
@@ -38,7 +40,7 @@ import math
 
 import numpy as np
 
-from opalg import cb, reversibility
+from opalg import cb, reversibility, structure
 from opalg.algebra import verify_algebra
 from opalg.linalg import DEFAULT_TOL, LinearMapOnSubspace, Subspace, close_span, hs_norm, product_stack
 from opalg.tro import injective_envelope
@@ -874,6 +876,47 @@ def commutator_ideal_is_nilpotent(A, tol=1e-9):
             return False
         power = np.array(nxt).reshape(-1, n, n)
     return True
+
+
+def triangularize_by_deflation(A, tol=DEFAULT_TOL):
+    """Unitary triangularizing A, or None, by deflating each layer of the
+    radical's kernel chain one vector at a time.
+
+    Each step takes the eigenvalues of the compressed generic element h_w;
+    for each in turn the last right singular vector of h_w - lambda is
+    checked against every compressed basis element, one at a time, and the
+    first common eigenvector joins the flag while the layer shrinks to its
+    orthocomplement.  A layer with no common eigenvector gives None, and so
+    does a strictly-lower residual above 100 eq_tol.
+    """
+
+    def common(comp, v):
+        for b in comp:
+            image = b @ v
+            if np.linalg.norm(image - np.vdot(v, image) * v) > 100 * tol.eq_tol * max(1.0, hs_norm(b)):
+                return False
+        return True
+
+    def deflate(w):
+        comp, hw = w.conj().T @ A.space.stack @ w, w.conj().T @ h @ w
+        for lam in np.linalg.eigvals(hw):
+            vh = np.linalg.svd(hw - lam * np.eye(len(hw)))[2]
+            if common(comp, vh[-1].conj()):
+                return vh
+        return None
+
+    h = structure._generic_element(A)
+    flag = []
+    for w in structure._layers(A, tol):
+        while w.shape[1]:
+            vh = deflate(w)
+            if vh is None:
+                return None
+            flag.append(w @ vh[-1].conj())
+            w = w @ vh[:-1].conj().T
+    unitary = np.linalg.qr(np.column_stack(flag))[0]
+    rot = unitary.conj().T @ A.space.stack @ unitary
+    return None if np.abs(np.tril(rot, -1)).max(initial=0.0) > 100 * tol.eq_tol else unitary
 
 
 def commutant_and_center_dims(mats, tol=1e-9):

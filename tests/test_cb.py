@@ -589,10 +589,11 @@ def test_fast_exits_report_no_dykstra_iterations(car_pair):
     assert is_symmetric_space(car_pair.space).iterations == 0
 
 
-def record_solvers(monkeypatch):
-    """Count numpy's svd, eigh, eigvalsh and lstsq calls, np.linalg.norm(x, 2)
-    included, and record the name and matrix size of each."""
-    calls, sizes = {"svd": 0, "eigh": 0, "eigvalsh": 0, "lstsq": 0}, []
+def record_solvers(monkeypatch, names=("svd", "eigh", "eigvalsh", "lstsq")):
+    """Count numpy's calls of the named solvers (svd, eigh, eigvalsh and lstsq
+    by default, np.linalg.norm(x, 2) included), and record the name and
+    matrix size of each."""
+    calls, sizes = dict.fromkeys(names, 0), []
 
     def recording(name):
         solver = getattr(np.linalg, name)

@@ -201,7 +201,8 @@ def test_reproduce_labels_are_unique(capsys):
 
 
 def test_reproduce_analyzes_only_the_inputs_its_rows_read(monkeypatch, capsys):
-    # each input is analyzed once, and sdp runs only where a row reads it
+    # each input is analyzed once, and sdp and triangularize run only where a
+    # row reads their verdicts: of these, only car-pair's triangularizable
     seen = []
     analyze = cli.analyze_algebra
     monkeypatch.setattr(
@@ -209,7 +210,7 @@ def test_reproduce_analyzes_only_the_inputs_its_rows_read(monkeypatch, capsys):
         lambda A, tol, skip, seed: seen.append((span_key(A.space), skip)) or analyze(A, tol, skip, seed),
     )
     assert main(["reproduce", "--only", "strict-upper"]) == 0
-    assert seen == [(span_key(ex.strict_upper(n).space), {"sdp"}) for n in (3, 4)]
+    assert seen == [(span_key(ex.strict_upper(n).space), {"sdp", "triangularize"}) for n in (3, 4)]
     seen.clear()
     assert main(["reproduce", "--only", "car-pair"]) == 0
     assert seen == [(span_key(ex.car_pair().space), set())]

@@ -81,7 +81,7 @@ def sum_report(*names):
             m[at : at + len(b), at : at + len(b)] = b
             mats.append(m)
         at += s.shape[1]
-    return analyze_algebra(verify_algebra(mats), skip={"sdp", "triangularize"}).to_dict()
+    return analyze_algebra(verify_algebra(mats), skip={"sdp"}).to_dict()
 
 
 @pytest.mark.parametrize("left,right", SUM_PAIRS, ids=["+".join(p) for p in SUM_PAIRS])
@@ -91,6 +91,8 @@ def test_direct_sums_combine_their_summands(left, right):
         assert s["predicates"][key] == (a["predicates"][key] and b["predicates"][key]), key
     reversible = [rep["verdicts"]["reversible"] == "YES" for rep in (a, b, s)]
     assert reversible[2] == (reversible[0] and reversible[1])
+    triangularizable = [rep["verdicts"]["triangularizable"] for rep in (a, b, s)]
+    assert triangularizable[2] is (triangularizable[0] and triangularizable[1])
     assert s["predicates"]["radical_dim"] == a["predicates"]["radical_dim"] + b["predicates"]["radical_dim"]
     assert s["envelope"]["dimension"] == a["envelope"]["dimension"] + b["envelope"]["dimension"]
     if not a["envelope"]["deleted_blocks"] and not b["envelope"]["deleted_blocks"]:

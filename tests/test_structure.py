@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from opalg import examples as ex
 from opalg import report
-from opalg.algebra import verify_algebra, wedderburn_split
+from opalg.algebra import radical, verify_algebra, wedderburn_split
 from opalg.linalg import close_span, hs_norm, product_stack, random_unitary
 from opalg.structure import (
     common_eigenvector,
@@ -15,7 +15,8 @@ from opalg.structure import (
     triangularize,
 )
 
-from .oracles import commutator_ideal_is_nilpotent
+from .oracles import commutator_ideal_is_nilpotent, triangularize_by_deflation
+from .test_cb import record_solvers
 
 unit = ex.matrix_unit
 M2 = [unit(2, i, j) for i in (1, 2) for j in (1, 2)]
@@ -43,6 +44,40 @@ def _upper_triangular_sample(seed):
 
 def _conjugate(A, q, scale=1.0):
     return verify_algebra([scale * q @ b @ q.conj().T for b in A.basis])
+
+
+def _repeated_eigenvalue_kinds(n, k, rng):
+    """(kind, matrices) of algebras whose generic element repeats its
+    eigenvalues on some layer of the kernel chain; k is a block size, 0 < k < n.
+    Only the last kind, M_2 (x) 1_k plus a zero block, is not triangularizable."""
+    eye, block = np.eye(n), np.diag([1.0] * k + [0.0] * (n - k))
+
+    def strict():
+        return np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+
+    diagonal = np.diag(np.arange(n) % 2).astype(float)  # 0, 1, 0, ...: 0 repeats, and 1 too once n > 3
+    m2 = np.zeros((4, 2 * k + n - k, 2 * k + n - k), complex)
+    m2[:, : 2 * k, : 2 * k] = [np.kron(unit(2, i, j), np.eye(k)) for i in (1, 2) for j in (1, 2)]
+    return [
+        ("scalar-blocks", [block, eye - block]),
+        ("unit-and-nilpotent", [eye, strict()]),
+        ("c2-tensor-unit", [np.kron(np.diag([1.0, 0.0]), np.eye(k)), np.kron(np.diag([0.0, 1.0]), np.eye(k))]),
+        ("upper-01-diagonal", [diagonal + strict(), strict()]),
+        ("m2-tensor-unit-plus-zero", list(m2)),
+    ]
+
+
+def _repeated_eigenvalue_sample(seed, scale):
+    """The kinds of `_repeated_eigenvalue_kinds` at n = 3 + seed % 3 and a
+    seeded block size, each closed and Haar-conjugated at the scale."""
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 3
+    out = []
+    for kind, mats in _repeated_eigenvalue_kinds(n, int(rng.integers(1, n)), rng):
+        size = len(mats[0])
+        closed = close_span(mats, lambda w: product_stack(w, w), shape=(size, size))
+        out.append((kind, _conjugate(verify_algebra(closed), random_unitary(size, rng), scale)))
+    return out
 
 
 def _assert_triangularized(A, bound):
@@ -181,3 +216,69 @@ def test_nilpotent_part_strict(car_pair):
     assert nilpotent_part_strict(split.nilpotent_part)
     # the unital summand is not strictly upper
     assert not nilpotent_part_strict(split.unital_part)
+
+
+def _assert_outcome_matches_the_oracles(A):
+    # one eigensolve per layer, the deflation loop and McCoy's criterion agree
+    res = triangularize(A)
+    assert (res is None) == (triangularize_by_deflation(A) is None) == (not commutator_ideal_is_nilpotent(A))
+    if res is not None:
+        assert res.residual <= 1e-8
+        assert hs_norm(res.unitary.conj().T @ res.unitary - np.eye(A.ambient)) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("seed", range(6))
+def test_repeated_eigenvalues_triangularize_as_the_oracles_do(seed, scale):
+    sample = _repeated_eigenvalue_sample(seed, scale)
+    for _, A in sample:
+        _assert_outcome_matches_the_oracles(A)
+    assert [(kind, triangularize(A) is None) for kind, A in sample] == [
+        ("scalar-blocks", False),
+        ("unit-and-nilpotent", False),
+        ("c2-tensor-unit", False),
+        ("upper-01-diagonal", False),
+        ("m2-tensor-unit-plus-zero", True),
+    ]
+
+
+CORPUS = ex.corpus()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+def test_corpus_and_a_conjugate_triangularize_as_the_oracles_do(name):
+    A = dict(CORPUS)[name]
+    _assert_outcome_matches_the_oracles(A)
+    _assert_outcome_matches_the_oracles(_conjugate(A, random_unitary(A.ambient, np.random.default_rng(0))))
+
+
+def test_random_and_named_algebras_triangularize_as_the_oracles_do():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, upper = int(rng.integers(2, 5)), bool(rng.integers(2))
+        A = _closed_algebra(rng, n, 2, 0.5 if upper else 0.3, upper)
+        if A is not None:
+            _assert_outcome_matches_the_oracles(_conjugate(A, random_unitary(n, rng)))
+    for seed in range(10):
+        A, q = _upper_triangular_sample(seed)
+        for scale in (1e-6, 1.0, 1e6):
+            _assert_outcome_matches_the_oracles(_conjugate(A, q, scale))
+    for mats in (M2, M2_PLUS_C, C_OVER_M2):
+        _assert_outcome_matches_the_oracles(verify_algebra(mats))
+    # the block-multiplicity algebra {diag(t, t) : t in M_2}
+    _assert_outcome_matches_the_oracles(verify_algebra([np.kron(np.eye(2), b) for b in M2]))
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("name,layers", [("car-pair", 3), ("strict-upper-4", 4)])
+def test_triangularize_takes_one_eigensolve_per_layer(monkeypatch, name, layers, conjugated):
+    # with the radical known, one SVD null space and one eig per layer of the
+    # kernel chain, and one QR.  The deflation loop took an eigvals and an SVD
+    # per candidate eigenvalue at each step of each layer.
+    A = dict(CORPUS)[name]
+    if conjugated:
+        A = _conjugate(A, random_unitary(A.ambient, np.random.default_rng(1)))
+    radical(A)
+    calls = record_solvers(monkeypatch, ("eig", "eigvals", "svd", "qr"))[0]
+    assert triangularize(A) is not None
+    assert calls == {"eig": layers, "eigvals": 0, "svd": layers, "qr": 1}
